@@ -15,16 +15,6 @@
 //! dashboards. Exits non-zero with a diagnostic on the first malformed
 //! line or any missing required name.
 //!
-//! The checker also validates the sharding phase's A/B exposition:
-//!
-//! ```text
-//! SHARD k=<int> partitioner=<family> ... local_p50_us=<int> merge_us=<int> witness_frac=<f in [0,1]> ...
-//! ```
-//!
-//! and requires at least one SHARD line whenever the stream carries a
-//! `phase=shard` metrics sample (i.e. the sharding phase ran but its
-//! report lines went missing).
-//!
 //! The serving load harness's report lines are validated too:
 //!
 //! ```text
@@ -112,51 +102,6 @@ fn parse_sample(body: &str) -> Result<String, String> {
         .or_else(|| name.strip_suffix("_count"))
         .unwrap_or(name);
     Ok(base.to_string())
-}
-
-/// Validates one `SHARD ` line body (the `k=v` pairs after the tag).
-/// Every field is `key=value`; the keys below are required and typed.
-fn check_shard_line(body: &str) -> Result<(), String> {
-    let mut fields = std::collections::BTreeMap::new();
-    for pair in body.split_whitespace() {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or_else(|| format!("field `{pair}` is not `key=value`"))?;
-        fields.insert(k, v);
-    }
-    let get = |key: &str| {
-        fields
-            .get(key)
-            .copied()
-            .ok_or_else(|| format!("missing required field `{key}`"))
-    };
-    for key in [
-        "k",
-        "n",
-        "d",
-        "local_p50_us",
-        "merge_us",
-        "sharded_us",
-        "single_us",
-    ] {
-        let v = get(key)?;
-        v.parse::<u64>()
-            .map_err(|_| format!("field `{key}={v}` is not an unsigned integer"))?;
-    }
-    let partitioner = get("partitioner")?;
-    if !matches!(partitioner, "random" | "grid" | "angular") {
-        return Err(format!(
-            "field `partitioner={partitioner}` is not a known family"
-        ));
-    }
-    let frac = get("witness_frac")?;
-    let frac: f64 = frac
-        .parse()
-        .map_err(|_| format!("field `witness_frac={frac}` is not a number"))?;
-    if !(0.0..=1.0).contains(&frac) {
-        return Err(format!("field `witness_frac={frac}` is outside [0, 1]"));
-    }
-    Ok(())
 }
 
 /// Validates one `RECOVERY ` line body (the `k=v` pairs after the
@@ -278,7 +223,6 @@ fn main() {
     let mut seen_names = BTreeSet::new();
     let mut seen_phases = BTreeSet::new();
     let mut lines = 0u64;
-    let mut shard_lines = 0u64;
     let mut serve_lines = 0u64;
     let mut recovery_lines = 0u64;
     let mut family_lines = 0u64;
@@ -286,14 +230,6 @@ fn main() {
 
     for (no, line) in BufReader::new(stdin.lock()).lines().enumerate() {
         let line = line.expect("stdin is readable");
-        if let Some(body) = line.strip_prefix("SHARD ") {
-            if let Err(why) = check_shard_line(body) {
-                eprintln!("metrics_check: line {}: {why}: `{line}`", no + 1);
-                exit(1);
-            }
-            shard_lines += 1;
-            continue;
-        }
         if let Some(body) = line.strip_prefix("RECOVERY ") {
             if let Err(why) = check_recovery_line(body) {
                 eprintln!("metrics_check: line {}: {why}: `{line}`", no + 1);
@@ -359,13 +295,6 @@ fn main() {
         eprintln!("metrics_check: required metric names missing from the dump: {missing:?}");
         exit(1);
     }
-    if seen_phases.contains("shard") && shard_lines == 0 {
-        eprintln!(
-            "metrics_check: the sharding phase ran (phase=shard samples present) \
-             but emitted no SHARD report lines"
-        );
-        exit(1);
-    }
     if serve_lines > 0 && offered_points.len() < 2 {
         eprintln!(
             "metrics_check: SERVE lines present but only {} distinct offered_qps point(s); \
@@ -396,8 +325,8 @@ fn main() {
         exit(1);
     }
     println!(
-        "metrics_check: OK — {lines} samples ({shard_lines} SHARD lines, {serve_lines} SERVE \
-         lines at {} offered-QPS point(s), {recovery_lines} RECOVERY lines, \
+        "metrics_check: OK — {lines} samples ({serve_lines} SERVE lines at {} offered-QPS \
+         point(s), {recovery_lines} RECOVERY lines, \
          {family_lines} FAMILY lines), {} distinct metrics across phases {:?}",
         offered_points.len(),
         seen_names.len(),

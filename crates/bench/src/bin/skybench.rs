@@ -5,7 +5,7 @@
 //! skybench <experiment> [--scale laptop|paper] [--threads N]
 //!                       [--update-frac F] [--feedback]
 //!                       [--tenants N] [--qps-cap Q]
-//!                       [--shards K] [--partitioner P] [--metrics]
+//!                       [--metrics]
 //!                       [--kind OP] [--k K]
 //!                       [--duration SECS] [--connections N]
 //!                       [--persist DIR] [--crash-after K]
@@ -27,16 +27,6 @@
 //!                   wait p50/p99 and rejection rates (needs N >= 2)
 //! --qps-cap Q       per-flooder submission-rate cap in the admission
 //!                   phase (default 256/s)
-//! --shards K        append the `engine` experiment's sharded-tier
-//!                   phase: a cold A/B of the planner's best single-
-//!                   store plan against the sharded fan-out on an
-//!                   anticorrelated dataset, sweeping K ∈ {4, 8} plus
-//!                   the given K; one machine-readable SHARD line per
-//!                   shard count reports per-shard local p50, merge
-//!                   time, witness-prune fraction, and speedup
-//!                   (needs K >= 2)
-//! --partitioner P   partitioning family of the sharded-tier phase:
-//!                   random | grid | angular (default random)
 //! --kind OP         append the `engine` experiment's query-family
 //!                   phase: run the given operator — skyline |
 //!                   skyband | top_k_dominating — against ancestor-
@@ -75,7 +65,7 @@ use skyline_bench::Scale;
 fn usage() -> ! {
     eprintln!(
         "usage: skybench <experiment> [--scale laptop|paper] [--threads N] [--update-frac F] \
-         [--feedback] [--tenants N] [--qps-cap Q] [--shards K] [--partitioner P] [--metrics] \
+         [--feedback] [--tenants N] [--qps-cap Q] [--metrics] \
          [--kind skyline|skyband|top_k_dominating] [--k K] \
          [--duration SECS] [--connections N] [--persist DIR] [--crash-after K]\n\
          experiments: {}",
@@ -96,8 +86,6 @@ fn main() {
     let mut feedback = false;
     let mut tenants = 0usize;
     let mut qps_cap = 256u32;
-    let mut shards = 0usize;
-    let mut partitioner = skyline_data::PartitionerKind::Random;
     let mut kind: Option<String> = None;
     let mut k = 4u32;
     let mut metrics = false;
@@ -121,21 +109,6 @@ fn main() {
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .filter(|&t: &usize| t >= 2)
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&k: &usize| k >= 2)
-                    .unwrap_or_else(|| usage());
-            }
-            "--partitioner" => {
-                i += 1;
-                partitioner = args
-                    .get(i)
-                    .and_then(|s| skyline_data::PartitionerKind::parse(s))
                     .unwrap_or_else(|| usage());
             }
             "--kind" => {
@@ -238,8 +211,6 @@ fn main() {
     ctx.feedback = feedback;
     ctx.tenants = tenants;
     ctx.qps_cap = qps_cap;
-    ctx.shards = shards;
-    ctx.partitioner = partitioner;
     ctx.kind = kind.as_deref().map(|op| match op {
         "skyline" => skyline_engine::QueryKind::Skyline,
         "skyband" => skyline_engine::QueryKind::Skyband { k },

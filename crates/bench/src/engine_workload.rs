@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use skyline_data::{generate, Distribution, Preference};
 use skyline_engine::{
-    Engine, EngineConfig, EngineError, FeedbackConfig, PartitionerKind, Priority, QueryKind,
-    SessionOptions, SkylineQuery, Strategy, TelemetryConfig,
+    Engine, EngineConfig, EngineError, FeedbackConfig, Priority, QueryKind, SessionOptions,
+    SkylineQuery, Strategy, TelemetryConfig,
 };
 use skyline_parallel::ThreadPool;
 
@@ -99,10 +99,7 @@ fn emit_metrics(engine: &Engine, phase: &str) {
 /// `update_frac` of the mixed phase's operations being mutations;
 /// `feedback` appends the adaptive-planning phase, `tenants >= 2`
 /// the multi-tenant admission-control phase (flooders capped at
-/// `qps_cap` submissions/s), and `shards >= 2` the sharded-tier phase
-/// (a cold single-store vs sharded A/B over an anticorrelated dataset,
-/// emitting machine-readable `SHARD` lines; `partitioner` selects the
-/// partitioning family). `kind` appends the query-family phase (the
+/// `qps_cap` submissions/s). `kind` appends the query-family phase (the
 /// requested operator against ancestor-seeded subspaces, emitting a
 /// machine-readable `FAMILY` line). With `metrics`, every phase dumps
 /// the telemetry registry as `METRICS` lines.
@@ -114,8 +111,6 @@ pub fn run(
     feedback: bool,
     tenants: usize,
     qps_cap: u32,
-    shards: usize,
-    partitioner: PartitionerKind,
     kind: Option<QueryKind>,
     metrics: bool,
 ) {
@@ -344,9 +339,6 @@ pub fn run(
     if tenants >= 2 {
         admission_phase(scale, threads, n, d, &gen_pool, tenants, qps_cap, metrics);
     }
-    if shards >= 2 {
-        sharding_phase(scale, threads, shards, partitioner, &gen_pool, metrics);
-    }
     if let Some(kind) = kind {
         family_phase(scale, threads, kind, &gen_pool, metrics);
     }
@@ -473,153 +465,6 @@ fn family_phase(
     );
     if metrics {
         emit_metrics(&engine, "family");
-    }
-    engine.shutdown();
-}
-
-/// The sharded-tier phase: a cold A/B of the best single-store plan
-/// against the sharded fan-out (`Strategy::Sharded`) on an
-/// anticorrelated dataset — the adversarial distribution, where the
-/// skyline (and therefore the quadratic window term the shards split)
-/// is largest. One machine-readable `SHARD` line per shard count:
-///
-/// ```text
-/// SHARD k=<k> partitioner=<name> n=<n> d=<d> local_p50_us=<..>
-///       merge_us=<..> witness_frac=<..> candidates=<..> survivors=<..>
-///       sharded_us=<..> single_us=<..> single_plan=<..> speedup=<..>
-/// ```
-///
-/// `speedup > 1` means the sharded plan beat the single-store plan
-/// cold. The sweep always covers K ∈ {4, 8} plus the `--shards` value.
-fn sharding_phase(
-    scale: Scale,
-    threads: usize,
-    shards: usize,
-    partitioner: PartitionerKind,
-    gen_pool: &ThreadPool,
-    metrics: bool,
-) {
-    let (n, d) = match scale {
-        Scale::Smoke => (20_000, 6),
-        Scale::Laptop => (200_000, 6),
-        Scale::Paper => (500_000, 6),
-    };
-    let mut sweep = vec![4usize, 8];
-    if !sweep.contains(&shards) {
-        sweep.push(shards);
-    }
-    println!(
-        "\n## sharding phase — cold single-store vs sharded fan-out, anticorrelated n = {n}, \
-         d = {d}, partitioner = {}, K ∈ {sweep:?}\n",
-        partitioner.name()
-    );
-    let data = generate(Distribution::Anticorrelated, n, d, 42, gen_pool);
-
-    // The engine under test: the sharded tier enabled for any dataset
-    // at or above 8192 rows so the phase exercises it at every scale.
-    let engine = Engine::with_config(EngineConfig {
-        threads,
-        planner: skyline_engine::PlannerConfig {
-            sharded_min_n: 8_192,
-            ..Default::default()
-        },
-        ..EngineConfig::default()
-    });
-
-    // Baseline: the planner's best single-store plan, cold.
-    engine.register("ab_single", data.clone());
-    let (single, strace) = engine
-        .explain_analyze(&SkylineQuery::new("ab_single"))
-        .expect("telemetry is enabled");
-    let single_us = strace.total.saturating_sub(strace.queue_wait).as_micros();
-    let single_plan = strategy_label(&single.plan.strategy);
-    println!(
-        "single-store baseline: plan {} in {} (skyline {})",
-        single_plan,
-        fmt_secs(Duration::from_micros(single_us as u64)),
-        single.total_skyline_size()
-    );
-
-    let header: Vec<String> = [
-        "k",
-        "local p50",
-        "slowest shard",
-        "merge",
-        "witness frac",
-        "candidates",
-        "cold total",
-        "speedup",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let mut rows = Vec::new();
-    for &k in &sweep {
-        // A fresh registration per K: new version, cold cache.
-        engine.register_sharded("ab_shard", data.clone(), k, partitioner);
-        let (result, trace) = engine
-            .explain_analyze(&SkylineQuery::new("ab_shard"))
-            .expect("telemetry is enabled");
-        assert!(
-            matches!(result.plan.strategy, Strategy::Sharded { .. }),
-            "the sharded tier must fire in its own phase (got {:?})",
-            result.plan.strategy
-        );
-        assert_eq!(
-            result.indices(),
-            single.indices(),
-            "sharded and single-store answers must be identical"
-        );
-        let merge = result
-            .shard_merge
-            .as_ref()
-            .expect("sharded results carry merge accounting");
-        let mut locals: Vec<Duration> = trace
-            .spans
-            .iter()
-            .filter(|s| s.kind == skyline_engine::SpanKind::ShardLocal)
-            .map(|s| s.duration)
-            .collect();
-        locals.sort_unstable();
-        let local_p50 = locals.get(locals.len() / 2).copied().unwrap_or_default();
-        let local_max = locals.last().copied().unwrap_or_default();
-        let merge_us = trace
-            .spans
-            .iter()
-            .find(|s| s.kind == skyline_engine::SpanKind::ShardMerge)
-            .map(|s| s.duration)
-            .unwrap_or_default()
-            .as_micros();
-        let sharded_us = trace.total.saturating_sub(trace.queue_wait).as_micros();
-        let speedup = single_us as f64 / (sharded_us as f64).max(1.0);
-        println!(
-            "SHARD k={k} partitioner={} n={n} d={d} local_p50_us={} merge_us={merge_us} \
-             witness_frac={:.4} candidates={} survivors={} sharded_us={sharded_us} \
-             single_us={single_us} single_plan={single_plan} speedup={speedup:.3}",
-            partitioner.name(),
-            local_p50.as_micros(),
-            merge.witness_frac(),
-            merge.candidates,
-            merge.survivors,
-        );
-        rows.push(vec![
-            k.to_string(),
-            fmt_secs(local_p50),
-            fmt_secs(local_max),
-            fmt_secs(Duration::from_micros(merge_us as u64)),
-            format!("{:.4}", merge.witness_frac()),
-            merge.candidates.to_string(),
-            fmt_secs(Duration::from_micros(sharded_us as u64)),
-            format!("{speedup:.3}×"),
-        ]);
-    }
-    print_table(
-        "sharded fan-out vs cold single-store baseline",
-        &header,
-        &rows,
-    );
-    if metrics {
-        emit_metrics(&engine, "shard");
     }
     engine.shutdown();
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use skyline_core::algo::Algorithm;
 use skyline_core::{PivotStrategy, SkylineConfig};
-use skyline_data::{Distribution, PartitionerKind, RealDataset};
+use skyline_data::{Distribution, RealDataset};
 use skyline_parallel::ThreadPool;
 
 use crate::workloads::{WorkloadCache, DISTRIBUTIONS};
@@ -37,12 +37,6 @@ pub struct ExpCtx {
     /// Per-flooder submission-rate cap (per second) in the admission
     /// phase.
     pub qps_cap: u32,
-    /// Shard count of the `engine` experiment's sharded-tier phase
-    /// (cold single-store vs sharded A/B with `SHARD` lines); below 2
-    /// the phase is skipped.
-    pub shards: usize,
-    /// Partitioning family of the sharded-tier phase.
-    pub partitioner: PartitionerKind,
     /// Operator of the `engine` experiment's query-family phase
     /// (skyline / k-skyband / top-k dominating with skyband-ancestor
     /// cache derivation, emitting `FAMILY` lines); `None` skips the
@@ -77,8 +71,6 @@ impl ExpCtx {
             feedback: false,
             tenants: 0,
             qps_cap: 256,
-            shards: 0,
-            partitioner: PartitionerKind::Random,
             kind: None,
             metrics: false,
             duration: None,
@@ -127,8 +119,6 @@ impl ExpCtx {
                     self.feedback,
                     self.tenants,
                     self.qps_cap,
-                    self.shards,
-                    self.partitioner,
                     self.kind,
                     self.metrics,
                 );

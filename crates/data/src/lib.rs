@@ -12,10 +12,9 @@
 //! * [`RealDataset`] — NBA / HOUSE / WEATHER loaders and stand-ins;
 //! * [`AlignedF32`] — 32-byte-aligned `f32` buffers backing the SIMD
 //!   dominance tiles in `skyline-core`;
-//! * [`ShardedStore`] — one dataset split into K shards (random / grid
-//!   / angular [`Partitioner`]s), each with its own aligned base,
-//!   append segment, and tombstones, mutated copy-on-write one shard
-//!   at a time;
+//! * [`ShardedStore`] — the frozen [`Partitioner`] (random / grid /
+//!   angular) that splits one dataset into K shards as a pure function
+//!   of a row; no rows are stored per shard;
 //! * [`persist`] — crash-safe persistence primitives: checksummed
 //!   tile-aligned snapshots, a CRC-per-record write-ahead log, and the
 //!   [`persist::WalIo`] seam with a deterministic fault injector.
@@ -36,6 +35,4 @@ pub use dataset::{DataError, Dataset, Preference};
 pub use generator::{generate, quantize, Distribution};
 pub use realdata::{load_csv, write_csv, RealDataset};
 pub use rng::{splitmix64, Rng};
-pub use shard::{
-    make_partitioner, Partitioner, PartitionerKind, Shard, ShardStats, ShardedStore, MAX_SHARDS,
-};
+pub use shard::{make_partitioner, Partitioner, PartitionerKind, ShardedStore, MAX_SHARDS};

@@ -149,11 +149,11 @@ pub struct DatasetEntry {
     /// compaction sweeps them out.
     sorted: Vec<Arc<Vec<u32>>>,
     deltas: Vec<Arc<DeltaRecord>>,
-    /// Partitioned copy of the live rows, present only for datasets
-    /// registered through [`Catalog::register_sharded`]. Maintained
-    /// copy-on-write alongside the flat representation: a mutation
-    /// batch clones exactly the shards it touches.
-    sharded: Option<Arc<ShardedStore>>,
+    /// The frozen partitioner of a dataset registered through
+    /// [`Catalog::register_sharded`]. It holds no rows: the sharded
+    /// executor routes [`live_ids`](Self::live_ids) through it per
+    /// query, so every successor entry just shares it.
+    sharded: Option<ShardedStore>,
 }
 
 impl DatasetEntry {
@@ -310,11 +310,12 @@ impl DatasetEntry {
         self.deltas.first().map(|r| r.from_version)
     }
 
-    /// The sharded store backing this entry, when the dataset was
-    /// registered through [`Catalog::register_sharded`]. The store is
-    /// a snapshot consistent with this entry's version: it sees
-    /// exactly the live rows of [`live_ids`](Self::live_ids).
-    pub fn sharded(&self) -> Option<&Arc<ShardedStore>> {
+    /// The partitioner handle of this entry, when the dataset was
+    /// registered through [`Catalog::register_sharded`]. It is frozen
+    /// at registration and shared by every later version; the shards
+    /// themselves are whatever it makes of
+    /// [`live_ids`](Self::live_ids).
+    pub fn sharded(&self) -> Option<&ShardedStore> {
         self.sharded.as_ref()
     }
 }
@@ -476,10 +477,10 @@ impl Catalog {
         self.register_inner(name, data, pool, None)
     }
 
-    /// Like [`register`](Self::register), but additionally splits the
-    /// dataset into `k` shards under `kind` and keeps the partitioned
-    /// copy maintained across mutations. The planner routes large
-    /// queries on such datasets through the sharded execution path.
+    /// Like [`register`](Self::register), but additionally freezes a
+    /// `kind` partitioner over `k` shards from the registered rows and
+    /// attaches it to the entry. The planner routes large queries on
+    /// such datasets through the sharded execution path.
     pub fn register_sharded(
         &self,
         name: &str,
@@ -516,7 +517,7 @@ impl Catalog {
         };
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
         let live = Arc::new((0..data.len() as u32).collect());
-        let sharded = shard_spec.map(|(k, kind)| Arc::new(ShardedStore::build(&data, k, kind)));
+        let sharded = shard_spec.map(|(k, kind)| ShardedStore::build(&data, k, kind));
         let entry = Arc::new(DatasetEntry {
             name: name.to_string(),
             id,
@@ -553,6 +554,14 @@ impl Catalog {
     /// when tombstones would exceed `compact_fraction` of all rows the
     /// base is rebuilt instead (survivors renumbered, delta log
     /// cleared). One version bump covers the whole batch.
+    ///
+    /// `log` is the write-ahead hook: it runs inside the per-dataset
+    /// writer critical section, after the batch is fully validated and
+    /// before any in-memory state changes. An `Err` from the hook
+    /// aborts the mutation — nothing was applied, nothing published —
+    /// which is exactly the WAL ordering a durable engine needs: a
+    /// batch is acknowledged iff its log record is durable, and the
+    /// log order equals the apply order.
     pub fn mutate(
         &self,
         name: &str,
@@ -560,52 +569,6 @@ impl Catalog {
         deletes: &[u32],
         pool: &ThreadPool,
         compact_fraction: f32,
-    ) -> Result<MutationOutcome, EngineError> {
-        self.mutate_with_shard_policy(name, inserts, deletes, pool, compact_fraction, None)
-    }
-
-    /// [`mutate`](Self::mutate) with an explicit per-shard adaptive
-    /// compaction policy. When `shard_debt_factor` is `Some(f)`, a
-    /// touched shard of a sharded dataset also compacts once queries
-    /// have skipped at least `f × live` tombstoned rows in it (the
-    /// scan debt fed by the engine), regardless of its dead fraction.
-    pub fn mutate_with_shard_policy(
-        &self,
-        name: &str,
-        inserts: &[Vec<f32>],
-        deletes: &[u32],
-        pool: &ThreadPool,
-        compact_fraction: f32,
-        shard_debt_factor: Option<f32>,
-    ) -> Result<MutationOutcome, EngineError> {
-        self.mutate_logged(
-            name,
-            inserts,
-            deletes,
-            pool,
-            compact_fraction,
-            shard_debt_factor,
-            None,
-        )
-    }
-
-    /// [`mutate_with_shard_policy`](Self::mutate_with_shard_policy)
-    /// with a write-ahead hook: `log` runs inside the per-dataset
-    /// writer critical section, after the batch is fully validated and
-    /// before any in-memory state changes. An `Err` from the hook
-    /// aborts the mutation — nothing was applied, nothing published —
-    /// which is exactly the WAL ordering a durable engine needs: a
-    /// batch is acknowledged iff its log record is durable, and the
-    /// log order equals the apply order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn mutate_logged(
-        &self,
-        name: &str,
-        inserts: &[Vec<f32>],
-        deletes: &[u32],
-        pool: &ThreadPool,
-        compact_fraction: f32,
-        shard_debt_factor: Option<f32>,
         log: Option<&mut dyn FnMut() -> Result<(), EngineError>>,
     ) -> Result<MutationOutcome, EngineError> {
         let writer = self.writer_lock(name);
@@ -655,15 +618,7 @@ impl Catalog {
         let entry = if compact {
             self.compacted_entry(&old, inserts, &deleted_ids, pool, version)
         } else {
-            self.patched_entry(
-                &old,
-                inserts,
-                &deleted_ids,
-                pool,
-                version,
-                compact_fraction,
-                shard_debt_factor,
-            )
+            self.patched_entry(&old, inserts, &deleted_ids, pool, version)
         };
         let entry = Arc::new(entry);
         self.swap_in(name, &entry);
@@ -684,7 +639,6 @@ impl Catalog {
     }
 
     /// Builds the incremental (non-compacting) successor entry.
-    #[allow(clippy::too_many_arguments)]
     fn patched_entry(
         &self,
         old: &DatasetEntry,
@@ -692,8 +646,6 @@ impl Catalog {
         deleted_ids: &[u32],
         pool: &ThreadPool,
         version: u64,
-        compact_fraction: f32,
-        shard_debt_factor: Option<f32>,
     ) -> DatasetEntry {
         let d = old.dims();
         let old_total = old.total_rows() as u32;
@@ -733,20 +685,6 @@ impl Catalog {
             }
         }
 
-        // The sharded copy patches one shard per touched row; deletes
-        // are routed by their coordinates so geometric partitioners
-        // need no global id map.
-        let sharded = old.sharded.as_ref().map(|store| {
-            let ins: Vec<(u32, &[f32])> = new_ids
-                .iter()
-                .zip(inserts)
-                .map(|(&id, row)| (id, row.as_slice()))
-                .collect();
-            let dels: Vec<(u32, &[f32])> =
-                deleted_ids.iter().map(|&id| (id, old.point(id))).collect();
-            Arc::new(store.patched(&ins, &dels, compact_fraction, shard_debt_factor))
-        });
-
         // Projections: deletions are filtered on read, so a pure-delete
         // batch shares the old arrays; inserts merge in one linear
         // pass per dimension (also sweeping previously dead ids).
@@ -765,7 +703,7 @@ impl Catalog {
             sums: Arc::new(sums),
             sorted: Vec::new(),
             deltas: Vec::new(),
-            sharded,
+            sharded: old.sharded.clone(),
         };
         let sorted: Vec<Arc<Vec<u32>>> = if inserts.is_empty() {
             old.sorted.iter().map(Arc::clone).collect()
@@ -818,16 +756,6 @@ impl Catalog {
         let (stats, sums) = compute_stats(&data);
         let sorted = compute_sorted_projections(&data, pool);
         let live = Arc::new((0..data.len() as u32).collect());
-        // Ids were renumbered, so the partitioned copy is rebuilt from
-        // scratch (also re-freezing partitioner bounds to the
-        // survivors' extent).
-        let sharded = old.sharded.as_ref().map(|store| {
-            Arc::new(ShardedStore::build(
-                &data,
-                store.k(),
-                store.partitioner_kind(),
-            ))
-        });
         DatasetEntry {
             name: old.name.clone(),
             id: old.id,
@@ -840,7 +768,7 @@ impl Catalog {
             sums: Arc::new(sums),
             sorted,
             deltas: Vec::new(),
-            sharded,
+            sharded: old.sharded.clone(),
         }
     }
 
@@ -1058,7 +986,14 @@ mod tests {
         let pool = ThreadPool::new(2);
         catalog.register("t", ds(&[vec![2.0, 5.0], vec![4.0, 1.0]]), &pool);
         let out = catalog
-            .mutate("t", &[vec![1.0, 9.0], vec![3.0, 3.0]], &[], &pool, 0.25)
+            .mutate(
+                "t",
+                &[vec![1.0, 9.0], vec![3.0, 3.0]],
+                &[],
+                &pool,
+                0.25,
+                None,
+            )
             .unwrap();
         assert_eq!(out.inserted_ids, vec![2, 3]);
         assert!(!out.compacted);
@@ -1091,7 +1026,7 @@ mod tests {
             ]),
             &pool,
         );
-        let out = catalog.mutate("t", &[], &[0, 2], &pool, 0.9).unwrap();
+        let out = catalog.mutate("t", &[], &[0, 2], &pool, 0.9, None).unwrap();
         assert!(!out.compacted);
         let e = out.entry;
         assert_eq!(e.live_len(), 2);
@@ -1119,7 +1054,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         catalog.register("t", ds(&[vec![1.0, 2.0]]), &pool);
         assert!(matches!(
-            catalog.mutate("t", &[vec![1.0]], &[], &pool, 0.25),
+            catalog.mutate("t", &[vec![1.0]], &[], &pool, 0.25, None),
             Err(EngineError::RowArity {
                 row: 0,
                 expected: 2,
@@ -1127,28 +1062,28 @@ mod tests {
             })
         ));
         assert!(matches!(
-            catalog.mutate("t", &[vec![1.0, f32::NAN]], &[], &pool, 0.25),
+            catalog.mutate("t", &[vec![1.0, f32::NAN]], &[], &pool, 0.25, None),
             Err(EngineError::NonFiniteValue { row: 0, col: 1 })
         ));
         assert!(matches!(
-            catalog.mutate("t", &[], &[7], &pool, 0.25),
+            catalog.mutate("t", &[], &[7], &pool, 0.25, None),
             Err(EngineError::UnknownRow { id: 7 })
         ));
         // Duplicate delete within one batch.
         assert!(matches!(
-            catalog.mutate("t", &[], &[0, 0], &pool, 0.25),
+            catalog.mutate("t", &[], &[0, 0], &pool, 0.25, None),
             Err(EngineError::UnknownRow { id: 0 })
         ));
         assert!(matches!(
-            catalog.mutate("missing", &[], &[], &pool, 0.25),
+            catalog.mutate("missing", &[], &[], &pool, 0.25, None),
             Err(EngineError::UnknownDataset(_))
         ));
         // Deleting an already-dead id fails too.
         catalog
-            .mutate("t", &[vec![3.0, 4.0]], &[0], &pool, 0.9)
+            .mutate("t", &[vec![3.0, 4.0]], &[0], &pool, 0.9, None)
             .unwrap();
         assert!(matches!(
-            catalog.mutate("t", &[], &[0], &pool, 0.9),
+            catalog.mutate("t", &[], &[0], &pool, 0.9, None),
             Err(EngineError::UnknownRow { id: 0 })
         ));
     }
@@ -1164,7 +1099,7 @@ mod tests {
         );
         // Deleting half trips a 0.25 threshold immediately.
         let out = catalog
-            .mutate("t", &[vec![9.0]], &[0, 2], &pool, 0.25)
+            .mutate("t", &[vec![9.0]], &[0, 2], &pool, 0.25, None)
             .unwrap();
         assert!(out.compacted);
         let e = out.entry;
@@ -1190,10 +1125,10 @@ mod tests {
             .version();
         // Batch 1: insert two rows (ids 3, 4).
         catalog
-            .mutate("t", &[vec![4.0], vec![5.0]], &[], &pool, 0.9)
+            .mutate("t", &[vec![4.0], vec![5.0]], &[], &pool, 0.9, None)
             .unwrap();
         // Batch 2: delete one original row and one fresh row.
-        let out2 = catalog.mutate("t", &[], &[1, 4], &pool, 0.9).unwrap();
+        let out2 = catalog.mutate("t", &[], &[1, 4], &pool, 0.9, None).unwrap();
         let e = &out2.entry;
         let delta = e.delta_since(v0).unwrap();
         assert_eq!(delta.bound, 3);
@@ -1220,35 +1155,31 @@ mod tests {
             vec![4.0, 4.0],
         ]);
         let e = catalog.register_sharded("t", data, 2, PartitionerKind::Grid, &pool);
-        let store = e.sharded().expect("registered sharded");
+        let store = e.sharded().expect("registered sharded").clone();
         assert_eq!(store.k(), 2);
-        assert_eq!(store.live_len(), 4);
         assert!(catalog
             .register("plain", ds(&[vec![1.0]]), &pool)
             .sharded()
             .is_none());
 
-        // A patch batch keeps the store consistent with the live ids.
-        let out = catalog
-            .mutate("t", &[vec![0.5, 0.5]], &[2], &pool, 0.9)
+        // The partitioner is frozen: a patch batch and a compaction
+        // (which renumbers ids) both hand it on unchanged, so every
+        // live row of every version routes exactly as it did at
+        // registration.
+        let patched = catalog
+            .mutate("t", &[vec![0.5, 0.5]], &[2], &pool, 0.9, None)
             .unwrap();
-        assert!(!out.compacted);
-        let store = out.entry.sharded().unwrap();
-        assert_eq!(store.live_len(), out.entry.live_len());
-        for &id in out.entry.live_ids().iter() {
-            let s = store.shard_of(id, out.entry.point(id));
-            assert!(store.shard(s).is_live(id));
-        }
-
-        // Dataset-level compaction renumbers ids and rebuilds the store.
-        let out = catalog.mutate("t", &[], &[0, 1], &pool, 0.1).unwrap();
-        assert!(out.compacted);
-        let store = out.entry.sharded().unwrap();
-        assert_eq!(store.partitioner_kind(), PartitionerKind::Grid);
-        assert_eq!(store.live_len(), out.entry.live_len());
-        for &id in out.entry.live_ids().iter() {
-            let s = store.shard_of(id, out.entry.point(id));
-            assert!(store.shard(s).is_live(id));
+        assert!(!patched.compacted);
+        let compacted = catalog.mutate("t", &[], &[0, 1], &pool, 0.1, None).unwrap();
+        assert!(compacted.compacted);
+        for entry in [&patched.entry, &compacted.entry] {
+            let now = entry.sharded().expect("successors stay sharded");
+            assert_eq!(now.k(), 2);
+            assert_eq!(now.partitioner_kind(), PartitionerKind::Grid);
+            for &id in entry.live_ids().iter() {
+                let row = entry.point(id);
+                assert_eq!(now.shard_of(id, row), store.shard_of(id, row));
+            }
         }
     }
 
@@ -1259,9 +1190,9 @@ mod tests {
         catalog.register("t", ds(&[vec![2.0], vec![1.0], vec![2.0]]), &pool);
         // Delete id 1, then insert values tying with the survivors:
         // the merge must both drop the dead id and break ties by id.
-        catalog.mutate("t", &[], &[1], &pool, 0.9).unwrap();
+        catalog.mutate("t", &[], &[1], &pool, 0.9, None).unwrap();
         let out = catalog
-            .mutate("t", &[vec![2.0], vec![0.5]], &[], &pool, 0.9)
+            .mutate("t", &[vec![2.0], vec![0.5]], &[], &pool, 0.9, None)
             .unwrap();
         assert_eq!(**out.entry.sorted_projection(0), vec![4, 0, 2, 3]);
         assert_eq!(out.entry.extreme_rows(0, false), vec![4]);

@@ -19,9 +19,7 @@ use crate::cache::{CacheKey, CacheStats, CachedValue, ResultCache};
 use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
-use crate::merge::{
-    merge_local_skybands, merge_local_skylines, MergeStats, ShardSkyband, ShardSkyline,
-};
+use crate::merge::{merge_locals, MergeStats, ShardLocal};
 use crate::planner::feedback::{
     FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind,
 };
@@ -49,14 +47,6 @@ pub struct EngineConfig {
     /// dataset (rebuilds the base, renumbering the surviving rows).
     /// Values above `1.0` disable compaction.
     pub compact_fraction: f32,
-    /// Adaptive per-shard compaction for sharded datasets: a touched
-    /// shard also compacts once queries have skipped `factor × live`
-    /// tombstoned rows in it (the scan debt fed back from sharded
-    /// query execution), however small its dead fraction — compaction
-    /// triggered by *observed* tombstone-scan cost rather than a fixed
-    /// threshold. `None` leaves shards on
-    /// [`compact_fraction`](Self::compact_fraction) alone.
-    pub shard_debt_factor: Option<f32>,
     /// Planner thresholds — the *starting point*; with feedback
     /// enabled they are re-fitted online from observed runtimes.
     pub planner: PlannerConfig,
@@ -80,7 +70,6 @@ impl Default for EngineConfig {
             threads: 0,
             cache_bytes: 8 << 20,
             compact_fraction: 0.25,
-            shard_debt_factor: Some(4.0),
             planner: PlannerConfig::default(),
             feedback: FeedbackConfig::default(),
             admission: AdmissionConfig::default(),
@@ -178,7 +167,6 @@ pub(crate) struct EngineShared {
     pub(crate) cache: ResultCache,
     pub(crate) planner: Planner,
     pub(crate) compact_fraction: f32,
-    pub(crate) shard_debt_factor: Option<f32>,
     /// Present iff [`FeedbackConfig::enabled`]: records completed
     /// queries and periodically re-fits the planner's thresholds.
     pub(crate) feedback: Option<Arc<FeedbackLoop>>,
@@ -322,7 +310,6 @@ impl Engine {
             cache: ResultCache::new(cfg.cache_bytes),
             planner: Planner::new(cfg.planner),
             compact_fraction: cfg.compact_fraction,
-            shard_debt_factor: cfg.shard_debt_factor,
             feedback,
             clock,
             telemetry,
@@ -425,14 +412,17 @@ impl Engine {
         Ok(entry.version())
     }
 
-    /// Registers (or replaces) a dataset under `name` **sharded**: the
-    /// rows are additionally split into `k` partitions under
-    /// `partitioner`, each with its own cache-resident tile layout,
-    /// append segment, and tombstones. Mutations touch exactly the
-    /// shards their rows route to, and the planner answers large
-    /// queries by computing per-shard skylines and merging them with
-    /// witness-point pruning ([`Strategy::Sharded`]). Returns the
-    /// dataset's new version.
+    /// Registers (or replaces) a dataset under `name` **sharded**: an
+    /// ordinary registration plus a `partitioner` over `k` shards,
+    /// frozen from these rows and kept for the dataset's lifetime. The
+    /// rows are stored once; mutations are those of a plain dataset.
+    /// Once the dataset holds
+    /// [`sharded_min_n`](PlannerConfig::sharded_min_n) live rows the
+    /// planner answers skyline and k-skyband queries by routing the
+    /// live rows into per-shard working sets, computing the local
+    /// results side by side, and merging them with witness-point
+    /// pruning ([`Strategy::Sharded`]). Returns the dataset's new
+    /// version.
     pub fn register_sharded(
         &self,
         name: &str,
@@ -525,31 +515,21 @@ impl Engine {
                 cache_dropped: 0,
             });
         }
-        let mutate = || match durability {
-            Some(d) => {
-                // Durable path: the WAL append runs inside the writer
-                // critical section, after validation and before any
-                // state change — log order is apply order, and a
-                // failed append aborts the batch unapplied.
-                let mut hook = || d.log_mutation(name, inserts, deletes);
-                shared.catalog.mutate_logged(
-                    name,
-                    inserts,
-                    deletes,
-                    &shared.pool,
-                    shared.compact_fraction,
-                    shared.shard_debt_factor,
-                    Some(&mut hook),
-                )
-            }
-            None => shared.catalog.mutate_with_shard_policy(
+        let mutate = || {
+            // Durable path: the WAL append runs inside the writer
+            // critical section, after validation and before any state
+            // change — log order is apply order, and a failed append
+            // aborts the batch unapplied.
+            let mut hook = durability.map(|d| move || d.log_mutation(name, inserts, deletes));
+            shared.catalog.mutate(
                 name,
                 inserts,
                 deletes,
                 &shared.pool,
                 shared.compact_fraction,
-                shared.shard_debt_factor,
-            ),
+                hook.as_mut()
+                    .map(|h| h as &mut dyn FnMut() -> Result<(), EngineError>),
+            )
         };
         // A panic anywhere in the mutation path (a poisoned kernel, an
         // injected fault) must not wedge the dataset: the writer lock
@@ -1496,24 +1476,16 @@ impl EngineShared {
                 }
             },
             Strategy::Sharded { .. } => {
-                let store = Arc::clone(
-                    entry
-                        .sharded()
-                        .expect("planner emits Sharded only for entries with a store attached"),
-                );
-                if let QueryKind::Skyband { k } = kind {
-                    let (pairs, stats, merge) =
-                        self.run_sharded_skyband(prepared, &plan, k, &store, pool, trace);
-                    shard_merge = Some(merge);
-                    let (ids, cnts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+                let store = entry
+                    .sharded()
+                    .expect("planner emits Sharded only for entries with a partitioner attached");
+                let (pairs, stats, merge) = self.run_sharded(prepared, &plan, store, pool, trace);
+                shard_merge = Some(merge);
+                let (ids, cnts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+                if !kind.is_skyline() {
                     counts = Some(cnts);
-                    (ids, Some(stats))
-                } else {
-                    let (indices, stats, merge) =
-                        self.run_sharded(prepared, &plan, &store, pool, trace);
-                    shard_merge = Some(merge);
-                    (indices, Some(stats))
                 }
+                (ids, Some(stats))
             }
             Strategy::Algorithm(algo) if !kind.is_skyline() => {
                 // Counting kinds: fold the live rows onto the effective
@@ -1523,12 +1495,9 @@ impl EngineShared {
                 let dims = &plan.effective_dims;
                 let width = dims.len();
                 let live = Arc::clone(entry.live_ids());
-                let mut rows = Vec::with_capacity(live.len() * width);
-                for &id in live.iter() {
-                    let src = entry.point(id);
-                    for &c in dims {
-                        rows.push(flip_pref(src[c], prepared.max_mask & (1 << c) != 0));
-                    }
+                let mut rows = vec![0.0f32; live.len() * width];
+                for (out, &id) in rows.chunks_mut(width).zip(live.iter()) {
+                    fold_row(entry.point(id), dims, prepared.max_mask, out);
                 }
                 let mut dts = 0u64;
                 let pairs = match kind {
@@ -1706,11 +1675,7 @@ impl EngineShared {
             debug_assert_eq!(offset % width, 0);
             let first_row = offset / width;
             for (k, out) in chunk.chunks_mut(width).enumerate() {
-                let src = entry.point(live[first_row + k]);
-                for (slot, &c) in out.iter_mut().zip(dims) {
-                    let v = src[c];
-                    *slot = if max_mask & (1 << c) != 0 { -v } else { v };
-                }
+                fold_row(entry.point(live[first_row + k]), dims, max_mask, out);
             }
         });
         let view =
@@ -1750,15 +1715,11 @@ impl EngineShared {
         }
         let width = dims.len();
         let started = trace.map(|_| self.clock.now());
-        let fold = |row: &[f32], out: &mut [f32]| {
-            for (slot, &c) in out.iter_mut().zip(dims) {
-                *slot = flip_pref(row[c], prepared.max_mask & (1 << c) != 0);
-            }
-        };
+        let max_mask = prepared.max_mask;
         let mut filter = TileStore::with_capacity(width, members.len());
         let mut folded = vec![0.0f32; width];
         for &id in members.iter() {
-            fold(entry.point(id), &mut folded);
+            fold_row(entry.point(id), dims, max_mask, &mut folded);
             filter.push(&folded);
         }
         let live = entry.live_ids();
@@ -1766,7 +1727,7 @@ impl EngineShared {
         let mut values = Vec::new();
         let mut dts = 0u64;
         for &id in live.iter() {
-            fold(entry.point(id), &mut folded);
+            fold_row(entry.point(id), dims, max_mask, &mut folded);
             if !filter.any_dominates(&folded, &mut dts) {
                 kept.push(id);
                 values.extend_from_slice(&folded);
@@ -1784,13 +1745,19 @@ impl EngineShared {
         Some((view, kept, dts))
     }
 
-    /// Executes a [`Strategy::Sharded`] plan: folds each shard's live
-    /// rows into a per-shard working set (*scatter*), computes the
-    /// per-shard local skylines — fanned out one shard per pool lane
-    /// when the pool has more than one thread — and combines them with
-    /// the witness-pruned [`merge`](crate::merge). Per-shard spans and
-    /// dominance-test counts land on the trace under
-    /// [`SpanKind::ShardLocal`], keyed by shard index.
+    /// Executes a [`Strategy::Sharded`] plan for a skyline (`k = 1`)
+    /// or k-skyband query. *Scatter*: one pass over the entry's live
+    /// ids routes each row through the frozen partitioner and folds it
+    /// into its shard's working set — the shards exist only here.
+    /// *Local*: every shard computes its local skyline (SFS or Hybrid
+    /// by cardinality) or local k-skyband (sum-sorted counting kernel),
+    /// fanned out one shard per pool lane when the pool has more than
+    /// one thread; this is the only kind-dependent step. *Merge*: the
+    /// witness-pruned [`merge`](crate::merge) over the broadcast
+    /// locals, exact below `k`. Per-shard spans and dominance-test
+    /// counts land on the trace under [`SpanKind::ShardLocal`], keyed
+    /// by shard index. Returns `(stable id, exact global dominator
+    /// count)` pairs sorted by id.
     fn run_sharded(
         &self,
         prepared: &Prepared,
@@ -1798,35 +1765,29 @@ impl EngineShared {
         store: &ShardedStore,
         pool: &ThreadPool,
         trace: Option<&Arc<ActiveTrace>>,
-    ) -> (Vec<u32>, RunStats, MergeStats) {
+    ) -> (Vec<(u32, u32)>, RunStats, MergeStats) {
         /// One shard's fan-out slot: shard index, stable ids, folded
         /// coordinates, and the local result filled in by its lane.
-        type ShardSlot = (usize, Vec<u32>, Vec<f32>, Option<(ShardSkyline, RunStats)>);
+        type ShardSlot = (usize, Vec<u32>, Vec<f32>, Option<(ShardLocal, RunStats)>);
 
+        let entry = &prepared.entry;
         let dims = &plan.effective_dims;
         let width = dims.len();
-        let max_mask = prepared.max_mask;
+        let kind = prepared.key.kind;
+        let band_k = kind.k();
         let k = store.k();
 
-        // Scatter: one pass per shard over its tile base + append
-        // segment, folding preferences and projecting onto the
-        // effective dimensions. Dead slots skipped here are charged as
-        // scan debt — the observed cost driving the adaptive
-        // compaction trigger.
+        // Dead ids are not in the live list, so no bucket ever sees a
+        // tombstone.
         let scatter_t0 = trace.map(|_| self.clock.now());
-        let mut work: Vec<ShardSlot> = Vec::with_capacity(k);
-        for i in 0..k {
-            let shard = store.shard(i);
-            let mut ids = Vec::with_capacity(shard.live_len());
-            let mut values = Vec::with_capacity(shard.live_len() * width);
-            shard.for_each_live(|id, row| {
-                ids.push(id);
-                for &c in dims {
-                    values.push(flip_pref(row[c], max_mask & (1 << c) != 0));
-                }
-            });
-            store.add_scan_debt(i, shard.dead() as u64);
-            work.push((i, ids, values, None));
+        let mut work: Vec<ShardSlot> = (0..k).map(|i| (i, Vec::new(), Vec::new(), None)).collect();
+        let mut folded = vec![0.0f32; width];
+        for &id in entry.live_ids().iter() {
+            let row = entry.point(id);
+            fold_row(row, dims, prepared.max_mask, &mut folded);
+            let slot = &mut work[store.shard_of(id, row)];
+            slot.1.push(id);
+            slot.2.extend_from_slice(&folded);
         }
         if let (Some(tr), Some(t0)) = (trace, scatter_t0) {
             tr.add_span(
@@ -1837,9 +1798,9 @@ impl EngineShared {
             );
         }
 
-        // Local skylines: each shard runs a regular algorithm (the
-        // tile kernels untouched) tuned to its own cardinality, on a
-        // working set small enough to stay cache-resident.
+        // Local results: each shard runs a regular algorithm (the tile
+        // kernels untouched) tuned to its own cardinality, on a working
+        // set small enough to stay cache-resident.
         let mut cfg = plan.config.clone();
         cfg.span_sink = None;
         cfg.dt_counters = None;
@@ -1848,9 +1809,9 @@ impl EngineShared {
             let started = self.clock.now();
             let data =
                 Dataset::from_flat(values, width).expect("folded projection of a valid dataset");
-            let (indices, stats) = if n == 0 {
+            let (members, stats) = if n == 0 {
                 (Vec::new(), RunStats::default())
-            } else {
+            } else if kind.is_skyline() {
                 let algo = if n <= 4096 {
                     Algorithm::Sfs
                 } else {
@@ -1858,6 +1819,14 @@ impl EngineShared {
                 };
                 let r = algo.run(&data, lane, &cfg);
                 (r.indices, r.stats)
+            } else {
+                let mut dts = 0u64;
+                let pairs = skyband_counts(data.values(), width, band_k, &mut dts);
+                let stats = RunStats {
+                    dominance_tests: dts,
+                    ..RunStats::default()
+                };
+                (pairs.into_iter().map(|(pos, _)| pos).collect(), stats)
             };
             if let Some(tr) = trace {
                 tr.add_span_sharded(
@@ -1868,20 +1837,16 @@ impl EngineShared {
                     stats.dominance_tests,
                 );
             }
-            let mut members = Vec::with_capacity(indices.len());
-            let mut rows = Vec::with_capacity(indices.len() * width);
-            for &pos in &indices {
-                members.push(ids[pos as usize]);
-                rows.extend_from_slice(data.row(pos as usize));
+            let mut local = ShardLocal {
+                shard: i,
+                ids: Vec::with_capacity(members.len()),
+                rows: Vec::with_capacity(members.len() * width),
+            };
+            for &pos in &members {
+                local.ids.push(ids[pos as usize]);
+                local.rows.extend_from_slice(data.row(pos as usize));
             }
-            (
-                ShardSkyline {
-                    shard: i,
-                    ids: members,
-                    rows,
-                },
-                stats,
-            )
+            (local, stats)
         };
         if pool.threads() > 1 && k > 1 {
             par_chunks_mut(pool, &mut work, 1, |_, chunk| {
@@ -1912,9 +1877,9 @@ impl EngineShared {
         }
 
         // Merge: witness probe + sum-sorted SIMD range scans over the
-        // concatenated local skylines; never revisits base data.
+        // concatenated local results; never revisits base data.
         let merge_t0 = trace.map(|_| self.clock.now());
-        let (mut merged, mstats) = merge_local_skylines(width, &locals);
+        let (mut merged, mstats) = merge_locals(width, band_k, &locals);
         merged.sort_unstable();
         if let (Some(tr), Some(t0)) = (trace, merge_t0) {
             tr.add_span(
@@ -1928,130 +1893,15 @@ impl EngineShared {
         stats.skyline_size = merged.len();
         (merged, stats, mstats)
     }
+}
 
-    /// Executes a [`Strategy::Sharded`] plan for a k-skyband query:
-    /// folds each shard's live rows (*scatter*), computes the
-    /// per-shard **local skybands** with the sum-sorted counting
-    /// kernel — fanned out one shard per pool lane — then combines
-    /// them with the counting [`merge`](crate::merge), which is exact
-    /// below `k` because every missing dominator is transitively
-    /// covered by broadcast ones (see
-    /// [`merge_local_skybands`]). Returns `(stable id, exact global
-    /// dominator count)` pairs sorted by id.
-    fn run_sharded_skyband(
-        &self,
-        prepared: &Prepared,
-        plan: &QueryPlan,
-        band_k: u32,
-        store: &ShardedStore,
-        pool: &ThreadPool,
-        trace: Option<&Arc<ActiveTrace>>,
-    ) -> (Vec<(u32, u32)>, RunStats, MergeStats) {
-        /// One shard's fan-out slot: shard index, stable ids, folded
-        /// coordinates, and the local skyband filled in by its lane.
-        type ShardSlot = (usize, Vec<u32>, Vec<f32>, Option<(ShardSkyband, u64)>);
-
-        let dims = &plan.effective_dims;
-        let width = dims.len();
-        let max_mask = prepared.max_mask;
-        let k = store.k();
-
-        let scatter_t0 = trace.map(|_| self.clock.now());
-        let mut work: Vec<ShardSlot> = Vec::with_capacity(k);
-        for i in 0..k {
-            let shard = store.shard(i);
-            let mut ids = Vec::with_capacity(shard.live_len());
-            let mut values = Vec::with_capacity(shard.live_len() * width);
-            shard.for_each_live(|id, row| {
-                ids.push(id);
-                for &c in dims {
-                    values.push(flip_pref(row[c], max_mask & (1 << c) != 0));
-                }
-            });
-            store.add_scan_debt(i, shard.dead() as u64);
-            work.push((i, ids, values, None));
-        }
-        if let (Some(tr), Some(t0)) = (trace, scatter_t0) {
-            tr.add_span(
-                SpanKind::ShardScatter,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                0,
-            );
-        }
-
-        let run_local = |i: usize, ids: Vec<u32>, values: Vec<f32>| {
-            let started = self.clock.now();
-            let mut dts = 0u64;
-            let pairs = if ids.is_empty() {
-                Vec::new()
-            } else {
-                skyband_counts(&values, width, band_k, &mut dts)
-            };
-            if let Some(tr) = trace {
-                tr.add_span_sharded(
-                    SpanKind::ShardLocal,
-                    Some(i as u32),
-                    started,
-                    self.clock.now().saturating_sub(started),
-                    dts,
-                );
-            }
-            let mut members = Vec::with_capacity(pairs.len());
-            let mut counts = Vec::with_capacity(pairs.len());
-            let mut rows = Vec::with_capacity(pairs.len() * width);
-            for (pos, c) in pairs {
-                members.push(ids[pos as usize]);
-                counts.push(c);
-                rows.extend_from_slice(&values[pos as usize * width..(pos as usize + 1) * width]);
-            }
-            (
-                ShardSkyband {
-                    shard: i,
-                    ids: members,
-                    counts,
-                    rows,
-                },
-                dts,
-            )
-        };
-        if pool.threads() > 1 && k > 1 {
-            par_chunks_mut(pool, &mut work, 1, |_, chunk| {
-                for slot in chunk.iter_mut() {
-                    let ids = std::mem::take(&mut slot.1);
-                    let values = std::mem::take(&mut slot.2);
-                    slot.3 = Some(run_local(slot.0, ids, values));
-                }
-            });
-        } else {
-            for slot in work.iter_mut() {
-                let ids = std::mem::take(&mut slot.1);
-                let values = std::mem::take(&mut slot.2);
-                slot.3 = Some(run_local(slot.0, ids, values));
-            }
-        }
-        let mut locals = Vec::with_capacity(k);
-        let mut stats = RunStats::default();
-        for (_, _, _, out) in work {
-            let (local, dts) = out.expect("every shard ran");
-            stats.dominance_tests += dts;
-            locals.push(local);
-        }
-
-        let merge_t0 = trace.map(|_| self.clock.now());
-        let (mut merged, mstats) = merge_local_skybands(width, band_k, &locals);
-        merged.sort_unstable();
-        if let (Some(tr), Some(t0)) = (trace, merge_t0) {
-            tr.add_span(
-                SpanKind::ShardMerge,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                mstats.dominance_tests,
-            );
-        }
-        stats.dominance_tests += mstats.dominance_tests;
-        stats.skyline_size = merged.len();
-        (merged, stats, mstats)
+/// Projects `src` onto `dims` into `out` (one slot per dimension),
+/// flipping the sign bit of every maximised dimension so the result
+/// compares under plain minimisation.
+#[inline]
+fn fold_row(src: &[f32], dims: &[usize], max_mask: u32, out: &mut [f32]) {
+    for (slot, &c) in out.iter_mut().zip(dims) {
+        *slot = flip_pref(src[c], max_mask & (1 << c) != 0);
     }
 }
 

@@ -117,9 +117,7 @@ pub use catalog::{Catalog, DatasetEntry, DatasetStats, DeltaSummary, DimStats, M
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Engine, EngineConfig, MutationReport};
 pub use error::{EngineError, QuotaKind, RejectReason};
-pub use merge::{
-    merge_local_skybands, merge_local_skylines, MergeStats, ShardSkyband, ShardSkyline,
-};
+pub use merge::{merge_locals, MergeStats, ShardLocal};
 pub use planner::feedback::{FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind};
 pub use planner::{
     PlanCandidate, Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed,

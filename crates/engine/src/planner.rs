@@ -18,10 +18,10 @@
 //!    `skyline_core::maintain` kernels instead of recomputing);
 //! 4. tiny inputs → **BNL** (any setup cost dwarfs the scan);
 //! 5. small inputs → **SFS** (one sort, then a cheap filter pass);
-//! 6. a dataset registered with an attached sharded store, above the
-//!    `sharded_min_n` threshold → **sharded fan-out** (per-shard
+//! 6. a dataset registered with a partitioner attached, at or above
+//!    the `sharded_min_n` threshold → **sharded fan-out** (per-shard
 //!    skylines over cache-resident working sets, witness-pruned
-//!    merge), priced from the per-shard live counts;
+//!    merge), priced from an even split for the cost sheet;
 //! 7. one thread → **BSkyTree** (the paper's best sequential
 //!    algorithm);
 //! 8. otherwise **Q-Flow** when the sampled skyline density is low (the
@@ -81,13 +81,14 @@ pub enum Strategy {
     },
     /// Run a skyline algorithm over the (projected) data.
     Algorithm(Algorithm),
-    /// Fan per-shard skylines out over the dataset's attached
-    /// [`ShardedStore`](skyline_data::ShardedStore), then merge the
-    /// local skylines with witness-point pruning.
+    /// Route the live rows through the dataset's attached
+    /// [`ShardedStore`](skyline_data::ShardedStore) partitioner, fan
+    /// the per-shard local results out, then merge them with
+    /// witness-point pruning.
     Sharded {
-        /// Number of shards the store holds.
+        /// Number of shards the partitioner routes to.
         k: usize,
-        /// The partitioning family the store was built with.
+        /// The partitioning family the partitioner belongs to.
         partitioner: PartitionerKind,
     },
 }
@@ -191,27 +192,64 @@ fn candidate_costs(
         .collect()
 }
 
-/// Coarse cost of the sharded plan, from the **per-shard** live
-/// counts: each shard pays a hybrid-style window scan over its own
+/// Coarse cost of the sharded plan over `k` shards of an even `n / k`
+/// split (the shards are formed per query, so no per-shard counts are
+/// stored): each shard pays a hybrid-style window scan over its own
 /// rows (quadratic in the shard, which is where splitting wins), the
 /// scatter pays one pass over `n`, and the merge pays an 8-lane
 /// SIMD-batched all-candidates scan over the concatenated local
 /// skylines (`c² / 16`: half the pairs by sort order, eight lanes per
 /// test).
-fn sharded_cost(lens: &[usize], frac: f32, threads: usize) -> f64 {
+fn sharded_cost(n: usize, k: usize, frac: f32, threads: usize) -> f64 {
     let t = threads.max(1) as f64;
     let f = frac as f64;
-    let n: f64 = lens.iter().map(|&l| l as f64).sum();
-    let local: f64 = lens
-        .iter()
-        .map(|&l| {
-            let li = l as f64;
-            0.25 * li * (f * li).max(1.0)
-        })
-        .sum::<f64>()
-        / t;
-    let c: f64 = lens.iter().map(|&l| (f * l as f64).max(1.0)).sum();
+    let (n, k) = (n as f64, k as f64);
+    let shard = n / k;
+    let local = k * 0.25 * shard * (f * shard).max(1.0) / t;
+    let c = k * (f * shard).max(1.0);
     local + n + c * c / 16.0
+}
+
+/// The [`Strategy::Sharded`] plan for `entry`, taken whenever a
+/// partitioner over more than one shard is attached and the live
+/// cardinality reaches [`PlannerConfig::sharded_min_n`]; `None`
+/// otherwise. The sheet's "sharded" row prices it from an even split —
+/// the quadratic window term dividing across shards is what it models.
+fn sharded_plan(
+    cfg: &PlannerConfig,
+    entry: &DatasetEntry,
+    effective: &[usize],
+    frac: f32,
+    threads: usize,
+    reason: &'static str,
+) -> Option<QueryPlan> {
+    let n = entry.live_len();
+    let store = entry.sharded().filter(|s| s.k() > 1)?;
+    if n < cfg.sharded_min_n {
+        return None;
+    }
+    let k = store.k();
+    let mut config = SkylineConfig::tuned(n / k, 1);
+    if let Some(a) = cfg.alpha_qflow {
+        config.alpha_qflow = a;
+    }
+    if let Some(a) = cfg.alpha_hybrid {
+        config.alpha_hybrid = a;
+    }
+    let cost = sharded_cost(n, k, frac, threads);
+    Some(QueryPlan {
+        strategy: Strategy::Sharded {
+            k,
+            partitioner: store.partitioner_kind(),
+        },
+        threads,
+        config,
+        effective_dims: effective.to_vec(),
+        sample_skyline_frac: Some(frac),
+        reason,
+        candidates: candidate_costs(n, frac, threads, "sharded", Some(cost)),
+        superspace_seed: None,
+    })
 }
 
 impl QueryPlan {
@@ -475,21 +513,16 @@ impl Planner {
             return QueryPlan::trivial("all selected dimensions are constant");
         }
         let frac = sample_skyline_frac(entry, &effective);
-        if let (QueryKind::Skyband { .. }, Some(store)) = (kind, entry.sharded()) {
-            if store.k() > 1 && n >= cfg.sharded_min_n {
-                return QueryPlan {
-                    strategy: Strategy::Sharded {
-                        k: store.k(),
-                        partitioner: store.partitioner_kind(),
-                    },
-                    threads: threads.max(1),
-                    config: SkylineConfig::tuned(n / store.k(), 1),
-                    effective_dims: effective,
-                    sample_skyline_frac: Some(frac),
-                    reason: "sharded store attached: per-shard local skybands, counting merge",
-                    candidates: Vec::new(),
-                    superspace_seed: None,
-                };
+        if let QueryKind::Skyband { .. } = kind {
+            if let Some(plan) = sharded_plan(
+                &cfg,
+                entry,
+                &effective,
+                frac,
+                threads.max(1),
+                "partitioner attached: per-shard local skybands, counting merge",
+            ) {
+                return plan;
             }
         }
         let reason = match kind {
@@ -603,36 +636,18 @@ impl Planner {
             };
         }
 
-        // 5b. An attached sharded store on a large input: per-shard
+        // 5b. An attached partitioner on a large input: per-shard
         //     scans over cache-resident working sets, then a
-        //     witness-pruned SIMD merge. Priced from the per-shard
-        //     live counts; the quadratic window term splitting across
-        //     shards is what the sheet's "sharded" row models.
-        if let Some(store) = entry.sharded() {
-            if store.k() > 1 && n >= cfg.sharded_min_n {
-                let lens: Vec<usize> = store.stats().iter().map(|s| s.live).collect();
-                let cost = sharded_cost(&lens, frac, threads);
-                let mut config = SkylineConfig::tuned(n / store.k(), 1);
-                if let Some(a) = cfg.alpha_qflow {
-                    config.alpha_qflow = a;
-                }
-                if let Some(a) = cfg.alpha_hybrid {
-                    config.alpha_hybrid = a;
-                }
-                return QueryPlan {
-                    strategy: Strategy::Sharded {
-                        k: store.k(),
-                        partitioner: store.partitioner_kind(),
-                    },
-                    threads,
-                    config,
-                    effective_dims: effective,
-                    sample_skyline_frac: Some(frac),
-                    reason: "sharded store attached: cache-resident per-shard scans, witness-pruned merge",
-                    candidates: candidate_costs(n, frac, threads, "sharded", Some(cost)),
-                    superspace_seed: None,
-                };
-            }
+        //     witness-pruned SIMD merge.
+        if let Some(plan) = sharded_plan(
+            &cfg,
+            entry,
+            &effective,
+            frac,
+            threads,
+            "partitioner attached: cache-resident per-shard scans, witness-pruned merge",
+        ) {
+            return plan;
         }
 
         // 6. No parallelism available: best sequential algorithm.

@@ -364,7 +364,7 @@ impl Durability {
 
     /// Appends one mutation record and fsyncs it. Runs inside the
     /// catalog's writer critical section (see
-    /// [`Catalog::mutate_logged`](crate::catalog::Catalog)), so the
+    /// [`Catalog::mutate`](crate::catalog::Catalog::mutate)), so the
     /// sequence numbers it assigns match the apply order exactly. On
     /// `Err` nothing was acknowledged and the sequence is not
     /// consumed.
@@ -563,7 +563,7 @@ fn recover_dataset(engine: &Engine, dur: &Durability, name: &str, report: &mut R
     // reproduce the original compaction decisions on their own.
     if !snap.tombstones.is_empty() {
         let shared = engine.shared();
-        if let Err(e) = shared.catalog.mutate_with_shard_policy(
+        if let Err(e) = shared.catalog.mutate(
             name,
             &[],
             &snap.tombstones,

@@ -113,7 +113,7 @@ pub use skyline_core::{
 };
 pub use skyline_data::{
     generate, load_csv, persist, quantize, splitmix64, write_csv, DataError, Dataset, Distribution,
-    Preference, RealDataset, Rng, Shard, ShardStats, ShardedStore,
+    Preference, RealDataset, Rng, ShardedStore,
 };
 pub use skyline_engine::{
     AdmissionConfig, CacheStats, Clock, Counter, DatasetEntry, DurabilityOptions, Engine,

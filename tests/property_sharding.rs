@@ -1,15 +1,16 @@
 //! Property-based testing of the sharded tier: for every partitioner
 //! family × shard count × random interleaving of inserts, deletes, and
-//! subspace queries, a shard-registered dataset must agree with
-//! `verify::naive_skyline_on_pref` over the materialized live rows —
-//! through per-shard tombstoning, segment growth, debt-driven shard
-//! compaction, and whole-dataset compaction renumbering.
+//! subspace queries, a shard-registered dataset must agree with a
+//! plain registration of the same rows under the same mutations, and
+//! both with `verify::naive_skyline_on_pref` over the materialized live
+//! rows — through tombstoning, segment growth, and whole-dataset
+//! compaction renumbering.
 //!
 //! The scenarios also race **pinned-snapshot queries against
 //! mutations**: a ticket submitted pinned to the current version, with
 //! a mutation batch landing before it is awaited, must still answer
-//! from the version it pinned (the copy-on-write shard store keeps
-//! that snapshot scannable).
+//! from the version it pinned (the shards are formed from the pinned
+//! entry's own live rows).
 
 use proptest::prelude::*;
 use skybench::prelude::*;
@@ -76,8 +77,8 @@ fn pick_query(d: usize, drv: &mut Driver) -> (Vec<usize>, u32) {
     (dims, max_mask)
 }
 
-fn to_query(dims: &[usize], max_mask: u32) -> SkylineQuery {
-    SkylineQuery::new("m")
+fn to_query(name: &str, dims: &[usize], max_mask: u32) -> SkylineQuery {
+    SkylineQuery::new(name)
         .dims(dims.iter().copied())
         .preference(
             dims.iter()
@@ -108,15 +109,13 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
     let mut drv = Driver(seed);
     let engine = Engine::with_config(EngineConfig {
         threads: 2,
-        // Tiny thresholds force the sharded tier whenever possible,
-        // and a twitchy debt trigger exercises per-shard compaction.
+        // Tiny thresholds force the sharded tier whenever possible.
         planner: PlannerConfig {
             tiny_n: 4,
             small_n: 8,
             sharded_min_n: 16,
             ..PlannerConfig::default()
         },
-        shard_debt_factor: Some(0.25),
         ..EngineConfig::default()
     });
 
@@ -125,15 +124,33 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
             .map(|id| (id, (0..d).map(|_| drv.coord()).collect::<Vec<f32>>()))
             .collect(),
     };
+    // "m" is the dataset under test; "p" holds the same rows plain and
+    // receives the same mutations, so ids and compactions stay in step.
     engine.register_sharded("m", model.materialize(d), k, kind);
+    engine.register("p", model.materialize(d));
     let session = engine.session("prop");
+    let mutate = |inserts: &[Vec<f32>], deletes: &[u32]| {
+        let report = engine.update_batch("m", inserts, deletes).expect("valid");
+        let plain = engine.update_batch("p", inserts, deletes).expect("valid");
+        assert_eq!(report.inserted_ids, plain.inserted_ids);
+        assert_eq!(report.compacted, plain.compacted);
+        report
+    };
 
     let run_query = |model: &Model, drv: &mut Driver| {
         let (dims, max_mask) = pick_query(d, drv);
-        let got = engine.execute(&to_query(&dims, max_mask)).expect("valid");
+        let got = engine
+            .execute(&to_query("m", &dims, max_mask))
+            .expect("valid");
         if let Some(merge) = &got.shard_merge {
             assert_eq!(merge.survivors, got.total_skyline_size());
         }
+        // Sharded ≡ plain on the same rows ≡ naive.
+        let plain = engine
+            .execute(&to_query("p", &dims, max_mask))
+            .expect("valid");
+        assert!(plain.shard_merge.is_none());
+        assert_eq!(got.indices(), plain.indices());
         assert_eq!(
             got.indices(),
             reference(model, d, &dims, max_mask).as_slice(),
@@ -143,11 +160,6 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
             got.plan.strategy,
             model.rows.len()
         );
-        // The shard store never drifts from the catalog's live set.
-        let entry = engine.dataset("m").expect("registered");
-        let store = entry.sharded().expect("sharded registration");
-        assert_eq!(store.live_len(), entry.live_len());
-        assert_eq!(store.live_len(), model.rows.len());
     };
 
     run_query(&model, &mut drv);
@@ -160,7 +172,7 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
                 let rows: Vec<Vec<f32>> = (0..batch)
                     .map(|_| (0..d).map(|_| drv.coord()).collect())
                     .collect();
-                let report = engine.insert("m", &rows).expect("valid insert");
+                let report = mutate(&rows, &[]);
                 for (row, &id) in rows.iter().zip(&report.inserted_ids) {
                     model.rows.push((id, row.clone()));
                 }
@@ -181,7 +193,7 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
                         victims.push(v);
                     }
                 }
-                let report = engine.delete("m", &victims).expect("live victims");
+                let report = mutate(&[], &victims);
                 model.rows.retain(|(id, _)| !victims.contains(id));
                 if report.compacted {
                     model.renumber();
@@ -198,13 +210,11 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
                 let expect_before = reference(&model, d, &dims, max_mask);
                 let version = engine.dataset("m").expect("registered").version();
                 let ticket = session
-                    .submit(&to_query(&dims, max_mask).pin_version(version))
+                    .submit(&to_query("m", &dims, max_mask).pin_version(version))
                     .expect("current version is servable");
                 // The race: land a mutation before awaiting the ticket.
                 let row: Vec<f32> = (0..d).map(|_| drv.coord()).collect();
-                let report = engine
-                    .insert("m", std::slice::from_ref(&row))
-                    .expect("valid");
+                let report = mutate(std::slice::from_ref(&row), &[]);
                 let pinned = ticket.wait().expect("pinned ticket completes");
                 assert_eq!(
                     pinned.indices(),
