@@ -24,39 +24,6 @@ pub struct ExpCtx {
     pub scale: Scale,
     /// The "all cores" thread count (the paper's t = 16).
     pub threads: usize,
-    /// Fraction of the `engine` experiment's mixed phase that mutates
-    /// (inserts/deletes) rather than queries.
-    pub update_frac: f64,
-    /// Whether the `engine` experiment appends the adaptive-planning
-    /// feedback phase (plan drift + before/after latency).
-    pub feedback: bool,
-    /// Tenants of the `engine` experiment's admission-control phase
-    /// (1 high-priority + the rest low-priority flooders); below 2 the
-    /// phase is skipped.
-    pub tenants: usize,
-    /// Per-flooder submission-rate cap (per second) in the admission
-    /// phase.
-    pub qps_cap: u32,
-    /// Operator of the `engine` experiment's query-family phase
-    /// (skyline / k-skyband / top-k dominating with skyband-ancestor
-    /// cache derivation, emitting `FAMILY` lines); `None` skips the
-    /// phase.
-    pub kind: Option<skyline_engine::QueryKind>,
-    /// Whether the `engine` experiment dumps the telemetry registry as
-    /// machine-parseable `METRICS` lines after each phase, plus a
-    /// `TRACE` line and a `SLOWLOG` summary.
-    pub metrics: bool,
-    /// Measurement window per `serve` experiment line; `None` uses a
-    /// per-scale default.
-    pub duration: Option<std::time::Duration>,
-    /// Client connections in the `serve` experiment's load phases.
-    pub connections: usize,
-    /// Durable root for the `engine` experiment's crash-matrix phase
-    /// (kill / torn-tail / bit-flip recovery with `RECOVERY` lines);
-    /// `None` skips the phase.
-    pub persist: Option<std::path::PathBuf>,
-    /// Durable write at which the crash-matrix `kill` phase dies.
-    pub crash_after: u64,
     pools: HashMap<usize, Arc<ThreadPool>>,
     cache: WorkloadCache,
 }
@@ -67,16 +34,6 @@ impl ExpCtx {
         Self {
             scale,
             threads: threads.max(1),
-            update_frac: 0.3,
-            feedback: false,
-            tenants: 0,
-            qps_cap: 256,
-            kind: None,
-            metrics: false,
-            duration: None,
-            connections: 4,
-            persist: None,
-            crash_after: 5,
             pools: HashMap::new(),
             cache: WorkloadCache::new(),
         }
@@ -111,34 +68,6 @@ impl ExpCtx {
             "table1" => table1(self),
             "table2" => table2(self),
             "table3" => table3(self),
-            "engine" => {
-                crate::engine_workload::run(
-                    self.scale,
-                    self.threads,
-                    self.update_frac,
-                    self.feedback,
-                    self.tenants,
-                    self.qps_cap,
-                    self.kind,
-                    self.metrics,
-                );
-                if let Some(dir) = self.persist.clone() {
-                    crate::recovery_phase::run(
-                        self.scale,
-                        self.threads,
-                        &dir,
-                        self.crash_after,
-                        self.metrics,
-                    );
-                }
-            }
-            "serve" => crate::serve_load::run(
-                self.scale,
-                self.threads,
-                self.duration,
-                self.connections,
-                self.metrics,
-            ),
             "all" => {
                 for e in Self::ALL_EXPERIMENTS {
                     if *e != "all" {
@@ -155,7 +84,7 @@ impl ExpCtx {
     /// Every experiment name the harness accepts.
     pub const ALL_EXPERIMENTS: &'static [&'static str] = &[
         "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "table1", "table2", "table3", "engine", "serve", "all",
+        "table1", "table2", "table3", "all",
     ];
 }
 

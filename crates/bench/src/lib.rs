@@ -1,14 +1,12 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§VII). The `skybench` binary drives the functions in
 //! [`experiments`]; criterion benches cover the same workloads at a fixed
-//! small scale.
+//! small scale. Engine, HTTP and durability numbers come from the repo's
+//! benchmark, the `perf` package under `src/bin/perf/`.
 
 #![warn(missing_docs)]
 
-pub mod engine_workload;
 pub mod experiments;
-pub mod recovery_phase;
-pub mod serve_load;
 pub mod workloads;
 
 use std::sync::Arc;

@@ -243,12 +243,6 @@ impl Engine {
         Self::build(cfg, Arc::new(ThreadPool::new(threads)), clock)
     }
 
-    /// An engine sharing an existing pool (e.g. with a surrounding
-    /// application that also runs parallel work).
-    pub fn with_pool(cfg: EngineConfig, pool: Arc<ThreadPool>) -> Self {
-        Self::build(cfg, pool, Arc::new(MonotonicClock::new()))
-    }
-
     /// Opens (or creates) a **durable** engine rooted at `dir`:
     /// recovers every dataset from its snapshot + write-ahead log,
     /// truncates torn WAL tails, quarantines datasets with real
@@ -1488,28 +1482,28 @@ impl EngineShared {
                 (ids, Some(stats))
             }
             Strategy::Algorithm(algo) if !kind.is_skyline() => {
-                // Counting kinds: fold the live rows onto the effective
-                // dimensions and run the sum-sorted counting kernel —
-                // one SFS-shaped pass, whatever the nominal algorithm.
+                // Counting kinds: the sum-sorted counting kernel over the
+                // same input an algorithm would get — one SFS-shaped
+                // pass, whatever the nominal algorithm.
                 let exec_t0 = trace.map(|_| self.clock.now());
-                let dims = &plan.effective_dims;
-                let width = dims.len();
-                let live = Arc::clone(entry.live_ids());
-                let mut rows = vec![0.0f32; live.len() * width];
-                for (out, &id) in rows.chunks_mut(width).zip(live.iter()) {
-                    fold_row(entry.point(id), dims, prepared.max_mask, out);
-                }
+                let width = plan.effective_dims.len();
+                let (view, id_map) =
+                    self.algorithm_input(entry, &plan.effective_dims, prepared.max_mask, pool);
+                let rows = match &view {
+                    Some(projected) => projected.values(),
+                    None => entry.base_data().values(),
+                };
                 let mut dts = 0u64;
                 let pairs = match kind {
-                    QueryKind::Skyband { k } => skyband_counts(&rows, width, k, &mut dts),
-                    QueryKind::TopKDominating { k } => top_k_dominating(&rows, width, k, &mut dts),
+                    QueryKind::Skyband { k } => skyband_counts(rows, width, k, &mut dts),
+                    QueryKind::TopKDominating { k } => top_k_dominating(rows, width, k, &mut dts),
                     QueryKind::Skyline => unreachable!("guarded by the match arm"),
                 };
-                let mut ids = Vec::with_capacity(pairs.len());
-                let mut cnts = Vec::with_capacity(pairs.len());
-                for (pos, c) in pairs {
-                    ids.push(live[pos as usize]);
-                    cnts.push(c);
+                let (mut ids, cnts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+                if let Some(live) = id_map {
+                    for id in &mut ids {
+                        *id = live[*id as usize];
+                    }
                 }
                 if let (Some(tr), Some(t0)) = (trace, exec_t0) {
                     tr.add_span(

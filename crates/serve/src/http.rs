@@ -9,10 +9,17 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Upper bound on request head (request line + headers) size.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Longest a request may take from its first byte to its last. Heads
+/// and bodies are size-capped (`MAX_HEAD_BYTES`, `max_body`), so a
+/// client still sending after this long is stalled, not slow; it gets
+/// `408` and the connection closes instead of pinning its thread.
+const MAX_REQUEST_DURATION: Duration = Duration::from_secs(5);
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -64,6 +71,9 @@ pub enum ReadOutcome {
     /// The read timed out with no request in flight — an idle poll.
     /// The caller should check its stop flag and try again.
     Idle,
+    /// A request was begun but not finished within
+    /// `MAX_REQUEST_DURATION`; the caller answers `408` and closes.
+    TimedOut,
 }
 
 /// Reads one request from `stream`, polling at the stream's configured
@@ -71,20 +81,23 @@ pub enum ReadOutcome {
 ///
 /// A timeout with **no bytes buffered** surfaces as [`ReadOutcome::Idle`]
 /// so the connection loop can observe shutdown; a timeout **mid-request**
-/// keeps reading (slow clients are not dropped between TCP segments),
-/// bounded by `max_request_duration` polls worth of patience from the
-/// caller looping on `Idle`. Oversized heads and bodies (`max_body`)
-/// produce an error the caller maps to `431`/`413`.
+/// keeps reading (slow clients are not dropped between TCP segments)
+/// until `MAX_REQUEST_DURATION` has passed since the request's first
+/// byte ([`ReadOutcome::TimedOut`]) or `stop` is set, which abandons the
+/// half-read request as [`ReadOutcome::Closed`]. Oversized heads and
+/// bodies (`max_body`) produce an error the caller maps to `431`/`413`.
 pub fn read_request(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
     max_body: usize,
+    stop: &AtomicBool,
 ) -> io::Result<ReadOutcome> {
-    let mut chunk = [0u8; 4096];
+    // Bytes left over from a pipelined predecessor start the clock now.
+    let mut first_byte = (!buf.is_empty()).then(Instant::now);
     loop {
         // A full head already buffered? Frame it (plus body) below.
         if let Some(head_end) = find_head_end(buf) {
-            return frame_request(stream, buf, head_end, max_body);
+            return frame_request(stream, buf, head_end, max_body, first_byte, stop);
         }
         if buf.len() > MAX_HEAD_BYTES {
             return Err(io::Error::new(
@@ -92,24 +105,48 @@ pub fn read_request(
                 "request head too large",
             ));
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if buf.is_empty() {
-                    return Ok(ReadOutcome::Idle);
-                }
-                // Mid-request: keep waiting for the rest.
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        if let Some(outcome) = read_step(stream, buf, &mut first_byte, stop)? {
+            return Ok(outcome);
         }
+    }
+}
+
+/// One read of an unfinished request into `into`. `Ok(None)` means
+/// keep going (bytes arrived, or a mid-request poll with patience
+/// left); `Ok(Some(_))` is the outcome that ends the request.
+fn read_step(
+    stream: &mut TcpStream,
+    into: &mut Vec<u8>,
+    first_byte: &mut Option<Instant>,
+    stop: &AtomicBool,
+) -> io::Result<Option<ReadOutcome>> {
+    // Checked before every read, not only on a timeout: a client
+    // trickling one byte per poll never times a read out.
+    if first_byte.is_some_and(|t| t.elapsed() >= MAX_REQUEST_DURATION) {
+        return Ok(Some(ReadOutcome::TimedOut));
+    }
+    let mut chunk = [0u8; 4096];
+    match stream.read(&mut chunk) {
+        Ok(0) => Ok(Some(ReadOutcome::Closed)),
+        Ok(n) => {
+            into.extend_from_slice(&chunk[..n]);
+            first_byte.get_or_insert_with(Instant::now);
+            Ok(None)
+        }
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(match first_byte {
+                None => Some(ReadOutcome::Idle),
+                Some(_) if stop.load(Ordering::SeqCst) => Some(ReadOutcome::Closed),
+                Some(_) => None,
+            })
+        }
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -123,6 +160,8 @@ fn frame_request(
     buf: &mut Vec<u8>,
     head_end: usize,
     max_body: usize,
+    mut first_byte: Option<Instant>,
+    stop: &AtomicBool,
 ) -> io::Result<ReadOutcome> {
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     let mut lines = head.split("\r\n");
@@ -163,21 +202,9 @@ fn frame_request(
     // Pull the body: whatever is already buffered past the head, then
     // read the remainder (tolerating read-timeout polls).
     let mut body = buf[head_end..].to_vec();
-    let mut chunk = [0u8; 4096];
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        if let Some(outcome) = read_step(stream, &mut body, &mut first_byte, stop)? {
+            return Ok(outcome);
         }
     }
     // Bytes past the body belong to the next pipelined request.
@@ -203,6 +230,7 @@ pub fn reason(status: u16) -> &'static str {
         401 => "Unauthorized",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
         429 => "Too Many Requests",

@@ -24,8 +24,9 @@
 //! [`SkylineServer::shutdown`] stops the acceptors, lets every
 //! in-flight request run to completion against a still-live engine,
 //! waits for the connection count to hit zero, and only then shuts the
-//! engine down (configurable). Idle keep-alive connections notice the
-//! stop flag at their next read-timeout poll and close.
+//! engine down (configurable). Idle keep-alive connections, and ones
+//! stalled halfway through sending a request, notice the stop flag at
+//! their next read-timeout poll and close.
 
 use std::collections::HashMap;
 use std::io;
@@ -261,8 +262,9 @@ impl SkylineServer {
         for h in handles {
             let _ = h.join();
         }
-        // Connection handlers notice the flag at their next idle poll;
-        // requests already executing run to completion first.
+        // Connection handlers notice the flag at their next read poll
+        // (idle or mid-request); requests already executing run to
+        // completion first.
         let (lock, cvar) = &self.inner.conns;
         let mut n = lock.lock().unwrap_or_else(|e| e.into_inner());
         while *n > 0 {
@@ -341,7 +343,12 @@ fn handle_connection(mut stream: TcpStream, inner: Arc<Inner>) {
     // keep-alive client pays the session-open cost once.
     let mut sessions: HashMap<String, Session> = HashMap::new();
     loop {
-        let outcome = match http::read_request(&mut stream, &mut buf, inner.cfg.max_body_bytes) {
+        let outcome = match http::read_request(
+            &mut stream,
+            &mut buf,
+            inner.cfg.max_body_bytes,
+            &inner.stop,
+        ) {
             Ok(o) => o,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let status = if e.to_string().contains("head") {
@@ -364,6 +371,10 @@ fn handle_connection(mut stream: TcpStream, inner: Arc<Inner>) {
         let request = match outcome {
             ReadOutcome::Request(r) => r,
             ReadOutcome::Closed => return,
+            ReadOutcome::TimedOut => {
+                let _ = respond_error(&mut stream, 408, None, "request timed out", &inner);
+                return;
+            }
             ReadOutcome::Idle => {
                 if inner.stop.load(Ordering::SeqCst) {
                     return;

@@ -6,7 +6,9 @@
 //!
 //! Every test runs on [`MemIo`] — a shared in-memory filesystem —
 //! so "crash and restart" is just dropping one engine and opening
-//! another over the same store. Compaction is disabled
+//! another over the same store; the two on-disk fault cases (torn
+//! tail, interior bit flip) also run over [`StdIo`] files in a scratch
+//! directory. Compaction is disabled
 //! (`compact_fraction` above 1.0) wherever a test tracks stable ids
 //! by hand; replay *through* compaction is covered by the recovery
 //! property suite.
@@ -14,7 +16,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use skybench::persist::{FaultInjector, FaultPlan, MemIo, WalIo};
+use skybench::persist::{FaultInjector, FaultPlan, MemIo, StdIo, WalIo};
 use skybench::prelude::*;
 use skybench::{
     verify, DurabilityOptions, EngineError, FeedbackConfig, MetricValue, Observation, PlanKind,
@@ -30,8 +32,22 @@ fn cfg() -> EngineConfig {
     }
 }
 
+fn open_on(io: &Arc<dyn WalIo>, dir: &Path) -> (Engine, skybench::RecoveryReport) {
+    Engine::open_durable_with_io(dir, cfg(), Arc::clone(io)).expect("open durable engine")
+}
+
 fn open(mem: &MemIo) -> (Engine, skybench::RecoveryReport) {
-    Engine::open_durable_with_io(DIR, cfg(), Arc::new(mem.clone())).expect("open durable engine")
+    open_on(&(Arc::new(mem.clone()) as Arc<dyn WalIo>), Path::new(DIR))
+}
+
+/// Runs `case` over the in-memory store and over real files in a
+/// scratch directory.
+fn on_mem_and_disk(tag: &str, case: fn(&Arc<dyn WalIo>, &Path)) {
+    case(&(Arc::new(MemIo::new()) as Arc<dyn WalIo>), Path::new(DIR));
+    let dir = std::env::temp_dir().join(format!("skyline-recovery-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    case(&(Arc::new(StdIo) as Arc<dyn WalIo>), &dir);
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }
 
 fn rows(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -126,22 +142,24 @@ fn durable_roundtrip_replays_acknowledged_mutations() {
 
 #[test]
 fn torn_wal_tail_is_truncated_not_fatal() {
-    let mem = MemIo::new();
+    on_mem_and_disk("torn", torn_wal_tail);
+}
+
+fn torn_wal_tail(io: &Arc<dyn WalIo>, dir: &Path) {
     let base = rows(5, 2, 10);
     {
-        let (engine, _) = open(&mem);
+        let (engine, _) = open_on(io, dir);
         engine.register("t", Dataset::from_rows(&base).unwrap());
         engine.update_batch("t", &rows(2, 2, 11), &[]).unwrap();
         engine.shutdown();
     }
     // A crash mid-append leaves a frame header that promises more
     // bytes than the file holds.
-    let wal = Path::new(DIR).join("datasets/t/wal.log");
-    let io: Arc<dyn WalIo> = Arc::new(mem.clone());
+    let wal = dir.join("datasets/t/wal.log");
     io.append(&wal, &[0x40, 0, 0, 0, 0xde, 0xad]).unwrap();
-    let torn_len = mem.len(&wal).unwrap();
+    let torn_len = io.read(&wal).unwrap().len();
 
-    let (engine, report) = open(&mem);
+    let (engine, report) = open_on(io, dir);
     assert_eq!(report.torn_tail_truncations, 1);
     assert_eq!(report.records_replayed, 1, "the intact record replays");
     assert!(
@@ -150,14 +168,14 @@ fn torn_wal_tail_is_truncated_not_fatal() {
     );
     assert_eq!(counter(&engine, "wal.torn_tail_truncations"), 1);
     assert!(
-        mem.len(&wal).unwrap() < torn_len,
+        io.read(&wal).unwrap().len() < torn_len,
         "the tail is gone on disk"
     );
     engine.shutdown();
     drop(engine);
 
     // The truncation is durable: the next boot sees a clean log.
-    let (_engine, report) = open(&mem);
+    let (_engine, report) = open_on(io, dir);
     assert_eq!(report.torn_tail_truncations, 0);
     assert_eq!(report.records_replayed, 1);
 }
@@ -268,10 +286,13 @@ fn planner_fit_survives_restart() {
 
 #[test]
 fn interior_corruption_quarantines_only_the_sick_dataset() {
-    let mem = MemIo::new();
+    on_mem_and_disk("bitflip", interior_corruption);
+}
+
+fn interior_corruption(io: &Arc<dyn WalIo>, dir: &Path) {
     let healthy_rows = rows(5, 2, 40);
     {
-        let (engine, _) = open(&mem);
+        let (engine, _) = open_on(io, dir);
         engine.register("sick", Dataset::from_rows(&rows(5, 2, 41)).unwrap());
         engine.register("healthy", Dataset::from_rows(&healthy_rows).unwrap());
         for seed in 42..45 {
@@ -285,10 +306,12 @@ fn interior_corruption_quarantines_only_the_sick_dataset() {
     // Flip a payload bit inside the *first* of three records: a
     // checksum failure before the end of the log is real corruption,
     // not a torn tail.
-    let wal = Path::new(DIR).join("datasets/sick/wal.log");
-    assert!(mem.corrupt(&wal, 8, 0x10));
+    let wal = dir.join("datasets/sick/wal.log");
+    let mut bytes = io.read(&wal).unwrap();
+    bytes[8] ^= 0x10;
+    io.write_atomic(&wal, &bytes).unwrap();
 
-    let (engine, report) = open(&mem);
+    let (engine, report) = open_on(io, dir);
     assert_eq!(report.datasets, 1, "only the healthy dataset recovers");
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].0, "sick");
@@ -318,7 +341,7 @@ fn interior_corruption_quarantines_only_the_sick_dataset() {
     engine.shutdown();
     drop(engine);
 
-    let (engine, report) = open(&mem);
+    let (engine, report) = open_on(io, dir);
     assert!(report.quarantined.is_empty());
     assert_eq!(report.datasets, 2);
     engine.execute(&SkylineQuery::new("sick")).unwrap();

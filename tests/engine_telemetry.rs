@@ -3,12 +3,14 @@
 //! threshold and capacity, per-query counter isolation, and the
 //! zero-overhead guarantee when telemetry is disabled.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use skybench::{
-    generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, EngineError, Histogram,
-    ManualClock, SkylineQuery, SpanKind, TelemetryConfig, ThreadPool,
+    generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, EngineError,
+    FeedbackConfig, Histogram, ManualClock, SkylineQuery, SpanKind, TelemetryConfig, ThreadPool,
 };
 
 /// A 2-lane manual-dispatch engine on a shared manual clock: nothing
@@ -351,5 +353,31 @@ fn cold_hybrid_query_traces_every_phase() {
     assert!(line.starts_with("TRACE query="));
     assert!(line.contains("strategy=Hybrid"));
     assert!(line.contains("phase1:") && line.contains("phase2:"));
+    engine.shutdown();
+}
+
+/// The exposition contract dashboards scrape: every rendered line
+/// parses, and the engine's stable names survive a query, a mutation
+/// and a feedback refit.
+#[test]
+fn exposition_parses_and_carries_the_stable_names() {
+    let engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        feedback: FeedbackConfig::enabled(),
+        ..EngineConfig::default()
+    });
+    let pool = ThreadPool::new(2);
+    engine.register("d", generate(Distribution::Independent, 2_000, 4, 7, &pool));
+    engine.execute(&SkylineQuery::new("d")).unwrap();
+    engine.insert("d", &[vec![0.0; 4]]).unwrap();
+    engine.execute(&SkylineQuery::new("d")).unwrap();
+    engine.refit_feedback();
+
+    let text = engine.metrics().render();
+    common::assert_exposition(&text, &[]);
+    assert!(
+        !text.contains("feedback.refits 0\n"),
+        "the forced refit is counted"
+    );
     engine.shutdown();
 }

@@ -2,9 +2,13 @@
 //! ephemeral port, real sockets, and the naive O(n²·d) skyline as the
 //! correctness oracle.
 
-use std::sync::Arc;
+mod common;
+
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use skybench::{
     generate, parse_json, verify, Client, Distribution, Engine, EngineConfig, Json, Priority,
@@ -163,6 +167,20 @@ fn concurrent_mixed_tenants_get_oracle_correct_results() {
     let entry = &listing.as_arr().expect("array")[0];
     assert_eq!(entry.get("name").and_then(Json::as_str), Some("data"));
     assert_eq!(entry.get("rows").and_then(Json::as_u64), Some(1_200));
+
+    // The exposition over the wire: engine and server instruments in
+    // one body, every line well-formed.
+    let resp = gold.get("/metrics").expect("request");
+    assert_eq!(resp.status, 200);
+    common::assert_exposition(
+        &resp.text(),
+        &[
+            "serve.requests",
+            "serve.request.latency",
+            "serve.connections",
+            "serve.connections.active",
+        ],
+    );
 
     server.shutdown();
 
@@ -503,4 +521,75 @@ fn graceful_drain_finishes_in_flight_work_and_stops_new_work() {
 
     // Shutdown is idempotent.
     server.shutdown();
+}
+
+/// Opens a raw connection and sends `partial`, the start of a request
+/// the client then never finishes.
+fn stalled_client(addr: SocketAddr, partial: &[u8]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(partial).expect("send");
+    stream
+}
+
+#[test]
+fn stalled_requests_get_408_and_the_connection_closes() {
+    let engine = test_engine(100, Distribution::Independent);
+    let server = SkylineServer::start(Arc::clone(&engine), ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    // The server bounds a request at 5 s from its first byte; the read
+    // timeout is this test's watchdog (without the bound the server
+    // waits forever and the read below times out instead).
+    let partials: [&[u8]; 2] = [
+        b"POST /v1/query HTTP/1.1\r\n",
+        b"POST /v1/query HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"dataset\":",
+    ];
+    thread::scope(|s| {
+        for partial in partials {
+            s.spawn(move || {
+                let mut stream = stalled_client(addr, partial);
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let started = Instant::now();
+                let mut answer = String::new();
+                stream
+                    .read_to_string(&mut answer)
+                    .expect("the server must answer and close, not wait forever");
+                assert!(answer.starts_with("HTTP/1.1 408 "), "got: {answer}");
+                assert!(started.elapsed() >= Duration::from_secs(4), "too eager");
+            });
+        }
+    });
+
+    // The handler threads are gone, and the server still serves.
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.get("/healthz").expect("request").status, 200);
+    server.shutdown();
+    assert_eq!(server.active_connections(), 0);
+}
+
+#[test]
+fn shutdown_returns_while_a_half_sent_request_is_open() {
+    let engine = test_engine(100, Distribution::Independent);
+    let server =
+        Arc::new(SkylineServer::start(Arc::clone(&engine), ServeConfig::default()).expect("bind"));
+    let stalled = stalled_client(server.local_addr(), b"POST /v1/query HTTP/1.1\r\n");
+    while server.active_connections() == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    // Watchdog: the drain must not wait for the stalled client — not
+    // even for its 408 — so it finishes well inside the request bound.
+    let (done, finished) = mpsc::channel();
+    let drainer = Arc::clone(&server);
+    thread::spawn(move || {
+        drainer.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(3))
+        .expect("shutdown() hung on a connection stalled mid-request");
+    assert_eq!(server.active_connections(), 0);
+    drop(stalled);
 }
