@@ -1,22 +1,27 @@
 //! The dataset catalog: named, versioned, **mutable** datasets with
-//! incrementally maintained per-dimension statistics and sorted
-//! projections.
+//! exact, incrementally maintained per-dimension statistics.
 //!
-//! Registration does the heavy lifting once — per-dimension min/max/
-//! mean, a deterministic strided sample for the planner's density
-//! estimator, and per-dimension sorted index projections. Mutation
-//! batches ([`Catalog::mutate`]) then *patch* that state instead of
-//! rebuilding it:
+//! The catalog keeps no index over the rows: the skyline kernels are
+//! sort-based (they order their input per query and keep nothing
+//! between queries), so a precomputed order would be paid for on every
+//! write and read by nobody. Registration is one pass over the rows —
+//! per-dimension min/max/mean and a deterministic strided sample for
+//! the planner's density estimator. Mutation batches
+//! ([`Catalog::mutate`]) then *patch* that state, at a cost
+//! proportional to the rows they touch:
 //!
 //! * inserted rows land in an **append segment** behind the immutable
 //!   base [`Dataset`]; row ids are stable, so cached skyline index
 //!   lists stay meaningful across versions;
 //! * deleted rows are **tombstoned** (a bitset), never renumbered,
 //!   until a compaction threshold rebuilds the base;
-//! * sorted projections are patched by a linear merge (inserts) or
-//!   shared untouched and filtered on read (deletes) — never re-sorted;
-//! * statistics are patched from running sums and the projections'
-//!   live extremes;
+//! * means are patched from running sums; min/max are **exact running
+//!   values**: an insert folds in with `min`/`max`, and only a delete
+//!   that removes a row attaining the current extreme of a dimension
+//!   makes that dimension's extremes be rescanned (one pass over the
+//!   new live list, shared by all such dimensions of the batch). The
+//!   planner drops dimensions whose min equals max, so a stale extreme
+//!   would be a wrong answer, not a slow one;
 //! * each batch appends to a bounded **delta log**, which lets the
 //!   engine patch prior-version cached results forward
 //!   ([`DatasetEntry::delta_since`]).
@@ -25,12 +30,11 @@
 //! over `Arc`-shared pieces) and bumps the version, so concurrent
 //! queries keep an immutable snapshot for their whole execution.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use skyline_data::{Dataset, PartitionerKind, ShardedStore};
-use skyline_parallel::{parallel_for, ThreadPool};
 
 use crate::error::EngineError;
 
@@ -53,6 +57,14 @@ impl DimStats {
         self.min == self.max
     }
 }
+
+/// What every dimension of an entry with no live rows reports: a
+/// placeholder, not an extreme of anything.
+const EMPTY_DIM: DimStats = DimStats {
+    min: 0.0,
+    max: 0.0,
+    mean: 0.0,
+};
 
 /// Precomputed statistics for a registered dataset.
 #[derive(Debug, Clone)]
@@ -143,11 +155,6 @@ pub struct DatasetEntry {
     stats: DatasetStats,
     /// Per-dimension running value sums over live rows (mean patching).
     sums: Arc<Vec<f64>>,
-    /// Per-dimension sorted projections: `sorted[d]` lists row ids
-    /// ordered by `(value on d, id)` ascending. May retain tombstoned
-    /// ids (filtered on read) until the next insert batch or
-    /// compaction sweeps them out.
-    sorted: Vec<Arc<Vec<u32>>>,
     deltas: Vec<Arc<DeltaRecord>>,
     /// The frozen partitioner of a dataset registered through
     /// [`Catalog::register_sharded`]. It holds no rows: the sharded
@@ -245,33 +252,18 @@ impl DatasetEntry {
         &self.stats
     }
 
-    /// The sorted projection of dimension `d`: row ids ordered by
-    /// `(value, id)` ascending. May contain tombstoned ids — filter
-    /// through [`is_live`](Self::is_live) when reading.
-    pub fn sorted_projection(&self, d: usize) -> &Arc<Vec<u32>> {
-        &self.sorted[d]
-    }
-
     /// Live row ids attaining the minimum (resp. maximum when `max` is
     /// true) on dimension `d`, ascending — the 1-d subspace skyline.
+    /// One pass over [`live_ids`](Self::live_ids) against the exact
+    /// running extreme in [`stats`](Self::stats).
     pub fn extreme_rows(&self, d: usize, max: bool) -> Vec<u32> {
-        let order = &self.sorted[d];
-        let collect = |iter: &mut dyn Iterator<Item = u32>| -> Vec<u32> {
-            let mut live = iter.filter(|&i| !self.tombstones.contains(i));
-            let Some(first) = live.next() else {
-                return Vec::new();
-            };
-            let best = self.point(first)[d];
-            let mut out = vec![first];
-            out.extend(live.take_while(|&i| self.point(i)[d] == best));
-            out.sort_unstable();
-            out
-        };
-        if max {
-            collect(&mut order.iter().rev().copied())
-        } else {
-            collect(&mut order.iter().copied())
-        }
+        let s = &self.stats.per_dim[d];
+        let best = if max { s.max } else { s.min };
+        self.live
+            .iter()
+            .copied()
+            .filter(|&id| self.point(id)[d] == best)
+            .collect()
     }
 
     /// The accumulated delta between `version` (a prior version of this
@@ -326,8 +318,8 @@ impl skyline_core::maintain::RowSource for DatasetEntry {
     }
 }
 
-/// Stats plus the running sums they were derived from.
-fn compute_stats(data: &Dataset) -> (DatasetStats, Vec<f64>) {
+/// Per-dimension stats plus the running sums they were derived from.
+fn compute_stats(data: &Dataset) -> (Vec<DimStats>, Vec<f64>) {
     let (n, d) = (data.len(), data.dims());
     let mut per_dim = vec![
         DimStats {
@@ -348,20 +340,12 @@ fn compute_stats(data: &Dataset) -> (DatasetStats, Vec<f64>) {
     }
     for (s, sum) in per_dim.iter_mut().zip(&sums) {
         if n == 0 {
-            *s = DimStats {
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-            };
+            *s = EMPTY_DIM;
         } else {
             s.mean = (sum / n as f64) as f32;
         }
     }
-    let stats = DatasetStats {
-        per_dim,
-        sample: strided_sample_of(&(0..n as u32).collect::<Vec<_>>()),
-    };
-    (stats, sums)
+    (per_dim, sums)
 }
 
 /// Deterministic strided sample over a sorted live-id list.
@@ -372,39 +356,6 @@ fn strided_sample_of(live: &[u32]) -> Vec<u32> {
     // stride samples only a prefix — badly biased on sorted inputs).
     let stride = if take == 0 { 1 } else { n.div_ceil(take) };
     live.iter().copied().step_by(stride).take(take).collect()
-}
-
-fn compute_sorted_projections(data: &Dataset, pool: &ThreadPool) -> Vec<Arc<Vec<u32>>> {
-    let d = data.dims();
-    // One dimension per work item; each sort is independent.
-    let slots: Vec<std::sync::Mutex<Vec<u32>>> =
-        (0..d).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    parallel_for(pool, d, 1, |range| {
-        for c in range {
-            // Extract the column once: comparing through the flat copy
-            // avoids a strided, bounds-checked row lookup per
-            // comparison inside the O(n log n) sort.
-            let col: Vec<f32> = data
-                .values()
-                .iter()
-                .skip(c)
-                .step_by(d.max(1))
-                .copied()
-                .collect();
-            let mut idx: Vec<u32> = (0..data.len() as u32).collect();
-            idx.sort_unstable_by(|&a, &b| {
-                let (va, vb) = (col[a as usize], col[b as usize]);
-                va.partial_cmp(&vb)
-                    .expect("dataset values are finite")
-                    .then(a.cmp(&b))
-            });
-            *slots[c].lock().expect("no panics while sorting") = idx;
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| Arc::new(slot.into_inner().expect("no panics while sorting")))
-        .collect()
 }
 
 /// The outcome of one applied mutation batch.
@@ -424,6 +375,12 @@ pub struct MutationOutcome {
     /// Whether the batch triggered a compaction: survivors were
     /// renumbered contiguously and prior-version results are void.
     pub compacted: bool,
+    /// Dimensions whose min/max the batch had to rescan over the live
+    /// rows because a deleted row attained the running extreme (every
+    /// dimension, for a batch applied to an empty entry). Zero for a
+    /// compaction, whose full stats pass is part of the rebuild. A
+    /// stream with rescans ≈ batches is deleting its own extremes.
+    pub stats_rescans: usize,
 }
 
 /// The thread-safe name → dataset map.
@@ -469,12 +426,13 @@ impl Catalog {
         f(&entry)
     }
 
-    /// Registers (or replaces) `name`, precomputing stats and sorted
-    /// projections on `pool`. Returns the new entry. The heavy work
-    /// happens outside the `entries` lock, so concurrent queries keep
-    /// serving the previous version until the swap.
-    pub fn register(&self, name: &str, data: Dataset, pool: &ThreadPool) -> Arc<DatasetEntry> {
-        self.register_inner(name, data, pool, None)
+    /// Registers (or replaces) `name`: one pass over the rows for the
+    /// per-dimension stats and the planner's sample, nothing else is
+    /// precomputed. Returns the new entry. The pass runs outside the
+    /// `entries` lock, so concurrent queries keep serving the previous
+    /// version until the swap.
+    pub fn register(&self, name: &str, data: Dataset) -> Arc<DatasetEntry> {
+        self.register_inner(name, data, None)
     }
 
     /// Like [`register`](Self::register), but additionally freezes a
@@ -487,22 +445,18 @@ impl Catalog {
         data: Dataset,
         k: usize,
         kind: PartitionerKind,
-        pool: &ThreadPool,
     ) -> Arc<DatasetEntry> {
-        self.register_inner(name, data, pool, Some((k, kind)))
+        self.register_inner(name, data, Some((k, kind)))
     }
 
     fn register_inner(
         &self,
         name: &str,
         data: Dataset,
-        pool: &ThreadPool,
         shard_spec: Option<(usize, PartitionerKind)>,
     ) -> Arc<DatasetEntry> {
         let writer = self.writer_lock(name);
         let _serialized = writer.lock().unwrap_or_else(|e| e.into_inner());
-        let (stats, sums) = compute_stats(&data);
-        let sorted = compute_sorted_projections(&data, pool);
         let id = {
             let ids = self.ids.read().unwrap_or_else(|e| e.into_inner());
             ids.get(name).copied()
@@ -516,22 +470,8 @@ impl Catalog {
             }
         };
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let live = Arc::new((0..data.len() as u32).collect());
         let sharded = shard_spec.map(|(k, kind)| ShardedStore::build(&data, k, kind));
-        let entry = Arc::new(DatasetEntry {
-            name: name.to_string(),
-            id,
-            version,
-            base: Arc::new(data),
-            segment: Arc::new(Vec::new()),
-            tombstones: Arc::new(Tombstones::default()),
-            live,
-            stats,
-            sums: Arc::new(sums),
-            sorted,
-            deltas: Vec::new(),
-            sharded,
-        });
+        let entry = Arc::new(pristine_entry(name, id, version, data, sharded));
         self.swap_in(name, &entry);
         entry
     }
@@ -550,10 +490,13 @@ impl Catalog {
 
     /// Applies one mutation batch to `name`: `deletes` are tombstoned,
     /// then `inserts` are appended (receiving the next stable ids).
-    /// Statistics and sorted projections are patched incrementally;
-    /// when tombstones would exceed `compact_fraction` of all rows the
-    /// base is rebuilt instead (survivors renumbered, delta log
-    /// cleared). One version bump covers the whole batch.
+    /// Statistics are patched to their exact new values at a cost
+    /// proportional to the batch — plus one pass over the live rows
+    /// iff a deleted row attained a dimension's current min or max
+    /// ([`MutationOutcome::stats_rescans`]). When tombstones would
+    /// exceed `compact_fraction` of all rows the base is rebuilt
+    /// instead (survivors renumbered, delta log cleared). One version
+    /// bump covers the whole batch.
     ///
     /// `log` is the write-ahead hook: it runs inside the per-dataset
     /// writer critical section, after the batch is fully validated and
@@ -567,7 +510,6 @@ impl Catalog {
         name: &str,
         inserts: &[Vec<f32>],
         deletes: &[u32],
-        pool: &ThreadPool,
         compact_fraction: f32,
         log: Option<&mut dyn FnMut() -> Result<(), EngineError>>,
     ) -> Result<MutationOutcome, EngineError> {
@@ -591,7 +533,9 @@ impl Catalog {
                 return Err(EngineError::NonFiniteValue { row: r, col: c });
             }
         }
-        let mut seen = std::collections::HashSet::new();
+        // Sized up front: no allocation for an insert-only batch, no
+        // rehash while a delete batch fills it.
+        let mut seen = HashSet::with_capacity(deletes.len());
         for &id in deletes {
             if !old.is_live(id) || !seen.insert(id) {
                 return Err(EngineError::UnknownRow { id });
@@ -615,10 +559,10 @@ impl Catalog {
         let mut deleted_ids = deletes.to_vec();
         deleted_ids.sort_unstable();
 
-        let entry = if compact {
-            self.compacted_entry(&old, inserts, &deleted_ids, pool, version)
+        let (entry, stats_rescans) = if compact {
+            (compacted_entry(&old, inserts, &deleted_ids, version), 0)
         } else {
-            self.patched_entry(&old, inserts, &deleted_ids, pool, version)
+            patched_entry(&old, inserts, &deleted_ids, version)
         };
         let entry = Arc::new(entry);
         self.swap_in(name, &entry);
@@ -635,141 +579,8 @@ impl Catalog {
             inserted_ids,
             deleted_ids,
             compacted: compact,
+            stats_rescans,
         })
-    }
-
-    /// Builds the incremental (non-compacting) successor entry.
-    fn patched_entry(
-        &self,
-        old: &DatasetEntry,
-        inserts: &[Vec<f32>],
-        deleted_ids: &[u32],
-        pool: &ThreadPool,
-        version: u64,
-    ) -> DatasetEntry {
-        let d = old.dims();
-        let old_total = old.total_rows() as u32;
-        let new_ids: Vec<u32> = (old_total..old_total + inserts.len() as u32).collect();
-
-        let mut segment = (*old.segment).clone();
-        segment.reserve(inserts.len() * d);
-        for row in inserts {
-            segment.extend_from_slice(row);
-        }
-
-        let mut tombstones = (*old.tombstones).clone();
-        for &id in deleted_ids {
-            tombstones.set(id);
-        }
-
-        let mut live: Vec<u32> = if deleted_ids.is_empty() {
-            (*old.live).clone()
-        } else {
-            old.live
-                .iter()
-                .copied()
-                .filter(|id| deleted_ids.binary_search(id).is_err())
-                .collect()
-        };
-        live.extend(&new_ids);
-
-        let mut sums = (*old.sums).clone();
-        for &id in deleted_ids {
-            for (c, &v) in old.point(id).iter().enumerate() {
-                sums[c] -= v as f64;
-            }
-        }
-        for row in inserts {
-            for (c, &v) in row.iter().enumerate() {
-                sums[c] += v as f64;
-            }
-        }
-
-        // Projections: deletions are filtered on read, so a pure-delete
-        // batch shares the old arrays; inserts merge in one linear
-        // pass per dimension (also sweeping previously dead ids).
-        let entry_stub = DatasetEntry {
-            name: old.name.clone(),
-            id: old.id,
-            version,
-            base: Arc::clone(&old.base),
-            segment: Arc::new(segment),
-            tombstones: Arc::new(tombstones),
-            live: Arc::new(live),
-            stats: DatasetStats {
-                per_dim: old.stats.per_dim.clone(),
-                sample: Vec::new(),
-            },
-            sums: Arc::new(sums),
-            sorted: Vec::new(),
-            deltas: Vec::new(),
-            sharded: old.sharded.clone(),
-        };
-        let sorted: Vec<Arc<Vec<u32>>> = if inserts.is_empty() {
-            old.sorted.iter().map(Arc::clone).collect()
-        } else {
-            merge_projections(&entry_stub, &old.sorted, &new_ids, pool)
-        };
-
-        let mut entry = entry_stub;
-        entry.sorted = sorted;
-        refresh_stats(&mut entry);
-        let mut deltas = old.deltas.clone();
-        deltas.push(Arc::new(DeltaRecord {
-            from_version: old.version,
-            bound: old_total,
-            deleted: deleted_ids.to_vec(),
-        }));
-        if deltas.len() > DELTA_LOG_CAP {
-            let drop = deltas.len() - DELTA_LOG_CAP;
-            deltas.drain(..drop);
-        }
-        entry.deltas = deltas;
-        entry
-    }
-
-    /// Builds a compacted successor: live survivors (in id order) plus
-    /// the inserts become the new base; ids are renumbered 0..n.
-    fn compacted_entry(
-        &self,
-        old: &DatasetEntry,
-        inserts: &[Vec<f32>],
-        deleted_ids: &[u32],
-        pool: &ThreadPool,
-        version: u64,
-    ) -> DatasetEntry {
-        let d = old.dims();
-        let survivors: Vec<u32> = old
-            .live
-            .iter()
-            .copied()
-            .filter(|id| deleted_ids.binary_search(id).is_err())
-            .collect();
-        let mut values = Vec::with_capacity((survivors.len() + inserts.len()) * d);
-        for &id in &survivors {
-            values.extend_from_slice(old.point(id));
-        }
-        for row in inserts {
-            values.extend_from_slice(row);
-        }
-        let data = Dataset::from_flat(values, d).expect("validated rows");
-        let (stats, sums) = compute_stats(&data);
-        let sorted = compute_sorted_projections(&data, pool);
-        let live = Arc::new((0..data.len() as u32).collect());
-        DatasetEntry {
-            name: old.name.clone(),
-            id: old.id,
-            version,
-            base: Arc::new(data),
-            segment: Arc::new(Vec::new()),
-            tombstones: Arc::new(Tombstones::default()),
-            live,
-            stats,
-            sums: Arc::new(sums),
-            sorted,
-            deltas: Vec::new(),
-            sharded: old.sharded.clone(),
-        }
     }
 
     /// Looks a dataset up by name.
@@ -813,92 +624,186 @@ impl Catalog {
     }
 }
 
-/// Per-dimension linear merge of `new_ids` (and removal of dead ids)
-/// into the existing sorted projections.
-fn merge_projections(
-    entry: &DatasetEntry,
-    old_sorted: &[Arc<Vec<u32>>],
-    new_ids: &[u32],
-    pool: &ThreadPool,
-) -> Vec<Arc<Vec<u32>>> {
-    let d = entry.dims();
-    let slots: Vec<std::sync::Mutex<Vec<u32>>> =
-        (0..d).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    parallel_for(pool, d, 1, |range| {
-        for c in range {
-            let mut incoming: Vec<u32> = new_ids.to_vec();
-            incoming.sort_unstable_by(|&a, &b| {
-                let (va, vb) = (entry.point(a)[c], entry.point(b)[c]);
-                va.partial_cmp(&vb)
-                    .expect("validated finite values")
-                    .then(a.cmp(&b))
-            });
-            let old = &old_sorted[c];
-            let mut merged = Vec::with_capacity(old.len() + incoming.len());
-            let mut next = incoming.into_iter().peekable();
-            for &id in old.iter() {
-                if entry.tombstones.contains(id) {
-                    continue;
-                }
-                let v = entry.point(id)[c];
-                while let Some(&n) = next.peek() {
-                    let nv = entry.point(n)[c];
-                    if nv < v || (nv == v && n < id) {
-                        merged.push(n);
-                        next.next();
-                    } else {
-                        break;
-                    }
-                }
-                merged.push(id);
-            }
-            merged.extend(next);
-            *slots[c].lock().expect("no panics while merging") = merged;
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| Arc::new(slot.into_inner().expect("no panics while merging")))
-        .collect()
+/// A pristine entry over `data`: no segment, no tombstones, stats from
+/// the single [`compute_stats`] pass. Registration and compaction both
+/// end here.
+fn pristine_entry(
+    name: &str,
+    id: u64,
+    version: u64,
+    data: Dataset,
+    sharded: Option<ShardedStore>,
+) -> DatasetEntry {
+    let (per_dim, sums) = compute_stats(&data);
+    let live: Vec<u32> = (0..data.len() as u32).collect();
+    DatasetEntry {
+        name: name.to_string(),
+        id,
+        version,
+        base: Arc::new(data),
+        segment: Arc::new(Vec::new()),
+        tombstones: Arc::new(Tombstones::default()),
+        stats: DatasetStats {
+            per_dim,
+            sample: strided_sample_of(&live),
+        },
+        live: Arc::new(live),
+        sums: Arc::new(sums),
+        deltas: Vec::new(),
+        sharded,
+    }
 }
 
-/// Recomputes `per_dim` (from sums and the projections' live extremes)
-/// and the planner sample after a mutation batch.
-fn refresh_stats(entry: &mut DatasetEntry) {
-    let n = entry.live.len();
-    let d = entry.dims();
-    let mut per_dim = Vec::with_capacity(d);
-    for c in 0..d {
-        if n == 0 {
-            per_dim.push(DimStats {
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-            });
-            continue;
+/// Builds the incremental (non-compacting) successor entry, copying
+/// only the pieces the batch changes, and returns it with the number
+/// of dimensions whose extremes had to be rescanned.
+fn patched_entry(
+    old: &DatasetEntry,
+    inserts: &[Vec<f32>],
+    deleted_ids: &[u32],
+    version: u64,
+) -> (DatasetEntry, usize) {
+    let old_total = old.total_rows() as u32;
+
+    let segment = if inserts.is_empty() {
+        Arc::clone(&old.segment)
+    } else {
+        let mut segment = Vec::with_capacity(old.segment.len() + inserts.len() * old.dims());
+        segment.extend_from_slice(&old.segment);
+        for row in inserts {
+            segment.extend_from_slice(row);
         }
-        let order = &entry.sorted[c];
-        let first = order
-            .iter()
-            .copied()
-            .find(|&id| !entry.tombstones.contains(id))
-            .expect("n > 0 implies a live row");
-        let last = order
-            .iter()
-            .rev()
-            .copied()
-            .find(|&id| !entry.tombstones.contains(id))
-            .expect("n > 0 implies a live row");
-        per_dim.push(DimStats {
-            min: entry.point(first)[c],
-            max: entry.point(last)[c],
-            mean: (entry.sums[c] / n as f64) as f32,
-        });
-    }
-    entry.stats = DatasetStats {
-        per_dim,
-        sample: strided_sample_of(&entry.live),
+        Arc::new(segment)
     };
+
+    let tombstones = if deleted_ids.is_empty() {
+        Arc::clone(&old.tombstones)
+    } else {
+        let mut tombstones = (*old.tombstones).clone();
+        for &id in deleted_ids {
+            tombstones.set(id);
+        }
+        Arc::new(tombstones)
+    };
+
+    let mut live = Vec::with_capacity(old.live.len() + inserts.len());
+    if deleted_ids.is_empty() {
+        live.extend_from_slice(&old.live);
+    } else {
+        live.extend(
+            old.live
+                .iter()
+                .filter(|id| deleted_ids.binary_search(id).is_err()),
+        );
+    }
+    live.extend(old_total..old_total + inserts.len() as u32);
+
+    // Running stats. A dimension goes dirty when a deleted row attained
+    // its min or max (ties included: whether another row still attains
+    // it is what the rescan finds out). An empty entry's stats are
+    // placeholders, not extremes of anything, so all of its dimensions
+    // start dirty. Inserts fold in regardless; a rescan overwrites them.
+    let mut per_dim = old.stats.per_dim.clone();
+    let mut sums = (*old.sums).clone();
+    let mut dirty = vec![old.live.is_empty(); per_dim.len()];
+    for &id in deleted_ids {
+        for (c, &v) in old.point(id).iter().enumerate() {
+            sums[c] -= v as f64;
+            dirty[c] |= v == per_dim[c].min || v == per_dim[c].max;
+        }
+    }
+    for row in inserts {
+        for (c, &v) in row.iter().enumerate() {
+            sums[c] += v as f64;
+            per_dim[c].min = per_dim[c].min.min(v);
+            per_dim[c].max = per_dim[c].max.max(v);
+        }
+    }
+    let rescan: Vec<usize> = (0..dirty.len()).filter(|&c| dirty[c]).collect();
+    let n = live.len();
+    if n == 0 {
+        // Back to the state of an empty registration: no rounding
+        // residue of the departed rows in the next batch's means.
+        sums.fill(0.0);
+    }
+
+    let mut deltas = Vec::with_capacity(DELTA_LOG_CAP);
+    let keep_from = (old.deltas.len() + 1).saturating_sub(DELTA_LOG_CAP);
+    deltas.extend_from_slice(&old.deltas[keep_from..]);
+    deltas.push(Arc::new(DeltaRecord {
+        from_version: old.version,
+        bound: old_total,
+        deleted: deleted_ids.to_vec(),
+    }));
+
+    let mut entry = DatasetEntry {
+        name: old.name.clone(),
+        id: old.id,
+        version,
+        base: Arc::clone(&old.base),
+        segment,
+        tombstones,
+        stats: DatasetStats {
+            per_dim,
+            sample: strided_sample_of(&live),
+        },
+        live: Arc::new(live),
+        sums: Arc::new(sums),
+        deltas,
+        sharded: old.sharded.clone(),
+    };
+    if n == 0 {
+        entry.stats.per_dim.fill(EMPTY_DIM);
+    } else {
+        if !rescan.is_empty() {
+            let fresh = live_extremes(&entry, &rescan);
+            for (&c, (min, max)) in rescan.iter().zip(fresh) {
+                entry.stats.per_dim[c].min = min;
+                entry.stats.per_dim[c].max = max;
+            }
+        }
+        for (s, sum) in entry.stats.per_dim.iter_mut().zip(entry.sums.iter()) {
+            s.mean = (sum / n as f64) as f32;
+        }
+    }
+    (entry, rescan.len())
+}
+
+/// Exact `(min, max)` of each of `dims` in one pass over the (non-empty)
+/// live list.
+fn live_extremes(entry: &DatasetEntry, dims: &[usize]) -> Vec<(f32, f32)> {
+    let mut out = vec![(f32::INFINITY, f32::NEG_INFINITY); dims.len()];
+    for &id in entry.live.iter() {
+        let row = entry.point(id);
+        for (slot, &c) in out.iter_mut().zip(dims) {
+            *slot = (slot.0.min(row[c]), slot.1.max(row[c]));
+        }
+    }
+    out
+}
+
+/// Builds a compacted successor: live survivors (in id order) plus
+/// the inserts become the new base; ids are renumbered 0..n.
+fn compacted_entry(
+    old: &DatasetEntry,
+    inserts: &[Vec<f32>],
+    deleted_ids: &[u32],
+    version: u64,
+) -> DatasetEntry {
+    let d = old.dims();
+    let survivors = old
+        .live
+        .iter()
+        .filter(|id| deleted_ids.binary_search(id).is_err());
+    let mut values = Vec::with_capacity((old.live.len() + inserts.len()) * d);
+    for &id in survivors {
+        values.extend_from_slice(old.point(id));
+    }
+    for row in inserts {
+        values.extend_from_slice(row);
+    }
+    let data = Dataset::from_flat(values, d).expect("validated rows");
+    pristine_entry(&old.name, old.id, version, data, old.sharded.clone())
 }
 
 #[cfg(test)]
@@ -912,12 +817,7 @@ mod tests {
     #[test]
     fn register_computes_stats() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(2);
-        let e = catalog.register(
-            "t",
-            ds(&[vec![1.0, 5.0], vec![3.0, 5.0], vec![2.0, 5.0]]),
-            &pool,
-        );
+        let e = catalog.register("t", ds(&[vec![1.0, 5.0], vec![3.0, 5.0], vec![2.0, 5.0]]));
         let s = e.stats();
         assert_eq!(s.per_dim[0].min, 1.0);
         assert_eq!(s.per_dim[0].max, 3.0);
@@ -928,25 +828,10 @@ mod tests {
     }
 
     #[test]
-    fn sorted_projections_order_by_value_then_index() {
-        let catalog = Catalog::new();
-        let pool = ThreadPool::new(2);
-        let e = catalog.register(
-            "t",
-            ds(&[vec![2.0], vec![1.0], vec![2.0], vec![0.5]]),
-            &pool,
-        );
-        assert_eq!(**e.sorted_projection(0), vec![3, 1, 0, 2]);
-        assert_eq!(e.extreme_rows(0, false), vec![3]);
-        assert_eq!(e.extreme_rows(0, true), vec![0, 2]);
-    }
-
-    #[test]
     fn versions_bump_and_ids_persist() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
-        let a = catalog.register("x", ds(&[vec![1.0]]), &pool);
-        let b = catalog.register("x", ds(&[vec![2.0]]), &pool);
+        let a = catalog.register("x", ds(&[vec![1.0]]));
+        let b = catalog.register("x", ds(&[vec![2.0]]));
         assert_eq!(a.id(), b.id());
         assert!(b.version() > a.version());
         // The live entry is the replacement.
@@ -954,7 +839,7 @@ mod tests {
         // Eviction then re-registration keeps the id stable.
         catalog.evict("x");
         assert!(catalog.get("x").is_none());
-        let c = catalog.register("x", ds(&[vec![3.0]]), &pool);
+        let c = catalog.register("x", ds(&[vec![3.0]]));
         assert_eq!(c.id(), a.id());
         assert!(c.version() > b.version());
     }
@@ -962,9 +847,8 @@ mod tests {
     #[test]
     fn list_is_sorted_and_sized() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
-        catalog.register("b", ds(&[vec![1.0], vec![2.0]]), &pool);
-        catalog.register("a", ds(&[vec![1.0]]), &pool);
+        catalog.register("b", ds(&[vec![1.0], vec![2.0]]));
+        catalog.register("a", ds(&[vec![1.0]]));
         let listing = catalog.list();
         assert_eq!(listing[0].0, "a");
         assert_eq!(listing[1], ("b".to_string(), 1, 2));
@@ -974,8 +858,7 @@ mod tests {
     #[test]
     fn empty_dataset_registers_cleanly() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
-        let e = catalog.register("empty", Dataset::from_flat(vec![], 3).unwrap(), &pool);
+        let e = catalog.register("empty", Dataset::from_flat(vec![], 3).unwrap());
         assert_eq!(e.stats().sample.len(), 0);
         assert_eq!(e.extreme_rows(1, false), Vec::<u32>::new());
     }
@@ -983,17 +866,9 @@ mod tests {
     #[test]
     fn insert_appends_segment_rows_with_stable_ids() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(2);
-        catalog.register("t", ds(&[vec![2.0, 5.0], vec![4.0, 1.0]]), &pool);
+        catalog.register("t", ds(&[vec![2.0, 5.0], vec![4.0, 1.0]]));
         let out = catalog
-            .mutate(
-                "t",
-                &[vec![1.0, 9.0], vec![3.0, 3.0]],
-                &[],
-                &pool,
-                0.25,
-                None,
-            )
+            .mutate("t", &[vec![1.0, 9.0], vec![3.0, 3.0]], &[], 0.25, None)
             .unwrap();
         assert_eq!(out.inserted_ids, vec![2, 3]);
         assert!(!out.compacted);
@@ -1007,15 +882,151 @@ mod tests {
         assert_eq!(e.stats().per_dim[0].min, 1.0);
         assert_eq!(e.stats().per_dim[1].max, 9.0);
         assert!((e.stats().per_dim[0].mean - 2.5).abs() < 1e-6);
-        // Projections merged: sorted by (value, id).
-        assert_eq!(**e.sorted_projection(0), vec![2, 0, 3, 1]);
+        assert_eq!(e.extreme_rows(0, false), vec![2]);
         assert_eq!(e.extreme_rows(1, false), vec![1]);
+        assert_eq!(out.stats_rescans, 0, "nothing was deleted");
+    }
+
+    /// Copy-on-write copies only what a batch changes.
+    #[test]
+    fn pure_batches_share_the_piece_they_leave_alone() {
+        let catalog = Catalog::new();
+        catalog.register("t", ds(&[vec![1.0], vec![2.0], vec![3.0]]));
+        let a = catalog
+            .mutate("t", &[vec![4.0]], &[], 2.0, None)
+            .unwrap()
+            .entry;
+        let b = catalog.mutate("t", &[], &[1], 2.0, None).unwrap().entry;
+        let c = catalog
+            .mutate("t", &[vec![5.0]], &[], 2.0, None)
+            .unwrap()
+            .entry;
+        assert!(
+            Arc::ptr_eq(&a.segment, &b.segment),
+            "a delete copies no rows"
+        );
+        assert!(
+            Arc::ptr_eq(&b.tombstones, &c.tombstones),
+            "an insert copies no bitset"
+        );
+        assert!(!Arc::ptr_eq(&a.tombstones, &b.tombstones));
+        assert!(!Arc::ptr_eq(&b.segment, &c.segment));
+    }
+
+    /// `per_dim[c].{min,max}` equal a fresh pass over the live rows.
+    fn assert_stats_exact(e: &DatasetEntry) {
+        let (fresh, _) = compute_stats(&e.snapshot());
+        for (c, (got, want)) in e.stats().per_dim.iter().zip(&fresh).enumerate() {
+            assert_eq!((got.min, got.max), (want.min, want.max), "dim {c}");
+        }
+    }
+
+    /// Applies a non-compacting batch and checks the stats it leaves.
+    fn apply(catalog: &Catalog, inserts: &[Vec<f32>], deletes: &[u32]) -> MutationOutcome {
+        let out = catalog.mutate("t", inserts, deletes, 2.0, None).unwrap();
+        assert!(!out.compacted);
+        assert_stats_exact(&out.entry);
+        out
+    }
+
+    #[test]
+    fn running_extremes_survive_deleting_an_extreme() {
+        let catalog = Catalog::new();
+        // dim 0: unique min (row 0), maximum tied across rows 2 and 3;
+        // dim 1: min on row 4, max on row 2.
+        catalog.register(
+            "t",
+            ds(&[
+                vec![1.0, 5.3],
+                vec![2.0, 5.2],
+                vec![9.0, 6.0],
+                vec![9.0, 5.5],
+                vec![5.0, 4.0],
+            ]),
+        );
+        // A row interior on both dimensions: nothing to rescan.
+        let out = apply(&catalog, &[], &[1]);
+        assert_eq!(out.stats_rescans, 0);
+        // The unique minimum of dim 0 (interior on dim 1): only dim 0
+        // is rescanned, and its min moves.
+        let out = apply(&catalog, &[], &[0]);
+        assert_eq!(out.stats_rescans, 1);
+        assert_eq!(out.entry.stats().per_dim[0].min, 5.0);
+        // One of two tied maxima (also dim 1's max): both dimensions are
+        // rescanned, dim 0 finds the other holder and does not move.
+        let out = apply(&catalog, &[], &[2]);
+        assert_eq!(out.stats_rescans, 2);
+        assert_eq!(out.entry.stats().per_dim[0].max, 9.0);
+        assert_eq!(out.entry.stats().per_dim[1].max, 5.5);
+        assert_eq!(out.entry.extreme_rows(0, true), vec![3]);
+    }
+
+    #[test]
+    fn deleting_the_minimum_and_inserting_a_smaller_one() {
+        let catalog = Catalog::new();
+        catalog.register("t", ds(&[vec![3.0], vec![5.0], vec![7.0]]));
+        let out = apply(&catalog, &[vec![2.0]], &[0]);
+        assert_eq!(out.entry.stats().per_dim[0].min, 2.0);
+        assert_eq!(out.entry.extreme_rows(0, false), vec![3]);
+        // …and a larger one: the new min is an old row, not the insert.
+        let out = apply(&catalog, &[vec![6.0]], &[3]);
+        assert_eq!(out.entry.stats().per_dim[0].min, 5.0);
+        assert_eq!(out.entry.extreme_rows(0, false), vec![1]);
+    }
+
+    #[test]
+    fn placeholder_zeros_never_leak_into_the_extremes() {
+        let catalog = Catalog::new();
+        // Values on both sides of zero, so a folded placeholder would
+        // show up as a max of 0 on dim 0 or a min of 0 on dim 1.
+        catalog.register("t", ds(&[vec![-4.0, 4.0], vec![-2.0, 8.0]]));
+        let emptied = apply(&catalog, &[], &[0, 1]);
+        assert_eq!(emptied.entry.live_len(), 0);
+        assert_eq!(emptied.entry.extreme_rows(0, false), Vec::<u32>::new());
+        let out = apply(&catalog, &[vec![-3.0, 5.0]], &[]);
+        assert_eq!(out.stats_rescans, 2, "an empty entry rescans everything");
+        let s = &out.entry.stats().per_dim;
+        assert_eq!((s[0].min, s[0].max, s[0].mean), (-3.0, -3.0, -3.0));
+        assert_eq!((s[1].min, s[1].max, s[1].mean), (5.0, 5.0, 5.0));
+        // Emptied and refilled inside one batch.
+        let out = apply(&catalog, &[vec![-7.0, 6.0], vec![-6.0, 7.0]], &[2]);
+        let s = &out.entry.stats().per_dim;
+        assert_eq!((s[0].min, s[0].max), (-7.0, -6.0));
+        assert_eq!((s[1].min, s[1].max), (6.0, 7.0));
+        // Registered empty, then filled.
+        catalog.register("t", Dataset::from_flat(vec![], 2).unwrap());
+        let out = apply(&catalog, &[vec![-1.0, 1.0]], &[]);
+        assert_eq!(out.entry.stats().per_dim[0].max, -1.0);
+        assert_eq!(out.entry.stats().per_dim[1].min, 1.0);
+    }
+
+    #[test]
+    fn a_dimension_becomes_and_stops_being_constant() {
+        let catalog = Catalog::new();
+        catalog.register("t", ds(&[vec![1.0, 5.0], vec![2.0, 5.0], vec![1.0, 7.0]]));
+        // Deleting the only row off 5 makes dim 1 constant…
+        let out = apply(&catalog, &[], &[2]);
+        assert!(out.entry.stats().per_dim[1].is_constant());
+        assert!(!out.entry.stats().per_dim[0].is_constant());
+        // …an insert off 5 ends that (a fold, no rescan)…
+        let out = apply(&catalog, &[vec![1.5, 4.0]], &[]);
+        assert_eq!(out.stats_rescans, 0);
+        assert!(!out.entry.stats().per_dim[1].is_constant());
+        // …and deleting it again restores it through a rescan.
+        let out = apply(&catalog, &[], &[3]);
+        assert_eq!(out.stats_rescans, 1);
+        assert!(out.entry.stats().per_dim[1].is_constant());
+        // Compaction takes the full pass and reports no rescan.
+        let out = catalog.mutate("t", &[], &[0], 0.0, None).unwrap();
+        assert!(out.compacted);
+        assert_eq!(out.stats_rescans, 0);
+        assert_stats_exact(&out.entry);
+        assert!(out.entry.stats().per_dim[0].is_constant());
     }
 
     #[test]
     fn delete_tombstones_and_patches_stats() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(2);
         catalog.register(
             "t",
             ds(&[
@@ -1024,9 +1035,8 @@ mod tests {
                 vec![3.0, 9.0],
                 vec![4.0, 4.0],
             ]),
-            &pool,
         );
-        let out = catalog.mutate("t", &[], &[0, 2], &pool, 0.9, None).unwrap();
+        let out = catalog.mutate("t", &[], &[0, 2], 0.9, None).unwrap();
         assert!(!out.compacted);
         let e = out.entry;
         assert_eq!(e.live_len(), 2);
@@ -1038,7 +1048,6 @@ mod tests {
         assert_eq!(e.stats().per_dim[0].max, 4.0);
         assert_eq!(e.stats().per_dim[1].max, 4.0);
         assert!((e.stats().per_dim[1].mean - 2.5).abs() < 1e-6);
-        // Projection still shared with dead ids; reads filter them.
         assert_eq!(e.extreme_rows(0, false), vec![1]);
         assert_eq!(e.extreme_rows(1, true), vec![3]);
         // Snapshot materializes the survivors in id order.
@@ -1051,10 +1060,9 @@ mod tests {
     #[test]
     fn mutation_validates_rows_and_ids() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
-        catalog.register("t", ds(&[vec![1.0, 2.0]]), &pool);
+        catalog.register("t", ds(&[vec![1.0, 2.0]]));
         assert!(matches!(
-            catalog.mutate("t", &[vec![1.0]], &[], &pool, 0.25, None),
+            catalog.mutate("t", &[vec![1.0]], &[], 0.25, None),
             Err(EngineError::RowArity {
                 row: 0,
                 expected: 2,
@@ -1062,28 +1070,28 @@ mod tests {
             })
         ));
         assert!(matches!(
-            catalog.mutate("t", &[vec![1.0, f32::NAN]], &[], &pool, 0.25, None),
+            catalog.mutate("t", &[vec![1.0, f32::NAN]], &[], 0.25, None),
             Err(EngineError::NonFiniteValue { row: 0, col: 1 })
         ));
         assert!(matches!(
-            catalog.mutate("t", &[], &[7], &pool, 0.25, None),
+            catalog.mutate("t", &[], &[7], 0.25, None),
             Err(EngineError::UnknownRow { id: 7 })
         ));
         // Duplicate delete within one batch.
         assert!(matches!(
-            catalog.mutate("t", &[], &[0, 0], &pool, 0.25, None),
+            catalog.mutate("t", &[], &[0, 0], 0.25, None),
             Err(EngineError::UnknownRow { id: 0 })
         ));
         assert!(matches!(
-            catalog.mutate("missing", &[], &[], &pool, 0.25, None),
+            catalog.mutate("missing", &[], &[], 0.25, None),
             Err(EngineError::UnknownDataset(_))
         ));
         // Deleting an already-dead id fails too.
         catalog
-            .mutate("t", &[vec![3.0, 4.0]], &[0], &pool, 0.9, None)
+            .mutate("t", &[vec![3.0, 4.0]], &[0], 0.9, None)
             .unwrap();
         assert!(matches!(
-            catalog.mutate("t", &[], &[0], &pool, 0.9, None),
+            catalog.mutate("t", &[], &[0], 0.9, None),
             Err(EngineError::UnknownRow { id: 0 })
         ));
     }
@@ -1091,15 +1099,10 @@ mod tests {
     #[test]
     fn compaction_renumbers_survivors_and_clears_the_log() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(2);
-        catalog.register(
-            "t",
-            ds(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]),
-            &pool,
-        );
+        catalog.register("t", ds(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]));
         // Deleting half trips a 0.25 threshold immediately.
         let out = catalog
-            .mutate("t", &[vec![9.0]], &[0, 2], &pool, 0.25, None)
+            .mutate("t", &[vec![9.0]], &[0, 2], 0.25, None)
             .unwrap();
         assert!(out.compacted);
         let e = out.entry;
@@ -1119,16 +1122,15 @@ mod tests {
     #[test]
     fn delta_log_accumulates_and_nets_out() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
         let v0 = catalog
-            .register("t", ds(&[vec![1.0], vec![2.0], vec![3.0]]), &pool)
+            .register("t", ds(&[vec![1.0], vec![2.0], vec![3.0]]))
             .version();
         // Batch 1: insert two rows (ids 3, 4).
         catalog
-            .mutate("t", &[vec![4.0], vec![5.0]], &[], &pool, 0.9, None)
+            .mutate("t", &[vec![4.0], vec![5.0]], &[], 0.9, None)
             .unwrap();
         // Batch 2: delete one original row and one fresh row.
-        let out2 = catalog.mutate("t", &[], &[1, 4], &pool, 0.9, None).unwrap();
+        let out2 = catalog.mutate("t", &[], &[1, 4], 0.9, None).unwrap();
         let e = &out2.entry;
         let delta = e.delta_since(v0).unwrap();
         assert_eq!(delta.bound, 3);
@@ -1147,18 +1149,17 @@ mod tests {
     #[test]
     fn sharded_registration_tracks_mutations_and_compaction() {
         let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
         let data = ds(&[
             vec![1.0, 2.0],
             vec![2.0, 1.0],
             vec![3.0, 9.0],
             vec![4.0, 4.0],
         ]);
-        let e = catalog.register_sharded("t", data, 2, PartitionerKind::Grid, &pool);
+        let e = catalog.register_sharded("t", data, 2, PartitionerKind::Grid);
         let store = e.sharded().expect("registered sharded").clone();
         assert_eq!(store.k(), 2);
         assert!(catalog
-            .register("plain", ds(&[vec![1.0]]), &pool)
+            .register("plain", ds(&[vec![1.0]]))
             .sharded()
             .is_none());
 
@@ -1167,10 +1168,10 @@ mod tests {
         // live row of every version routes exactly as it did at
         // registration.
         let patched = catalog
-            .mutate("t", &[vec![0.5, 0.5]], &[2], &pool, 0.9, None)
+            .mutate("t", &[vec![0.5, 0.5]], &[2], 0.9, None)
             .unwrap();
         assert!(!patched.compacted);
-        let compacted = catalog.mutate("t", &[], &[0, 1], &pool, 0.1, None).unwrap();
+        let compacted = catalog.mutate("t", &[], &[0, 1], 0.1, None).unwrap();
         assert!(compacted.compacted);
         for entry in [&patched.entry, &compacted.entry] {
             let now = entry.sharded().expect("successors stay sharded");
@@ -1181,20 +1182,5 @@ mod tests {
                 assert_eq!(now.shard_of(id, row), store.shard_of(id, row));
             }
         }
-    }
-
-    #[test]
-    fn projection_merge_handles_ties_and_dead_ids() {
-        let catalog = Catalog::new();
-        let pool = ThreadPool::new(1);
-        catalog.register("t", ds(&[vec![2.0], vec![1.0], vec![2.0]]), &pool);
-        // Delete id 1, then insert values tying with the survivors:
-        // the merge must both drop the dead id and break ties by id.
-        catalog.mutate("t", &[], &[1], &pool, 0.9, None).unwrap();
-        let out = catalog
-            .mutate("t", &[vec![2.0], vec![0.5]], &[], &pool, 0.9, None)
-            .unwrap();
-        assert_eq!(**out.entry.sorted_projection(0), vec![4, 0, 2, 3]);
-        assert_eq!(out.entry.extreme_rows(0, false), vec![4]);
     }
 }

@@ -374,8 +374,8 @@ impl Engine {
         self.sessions.stats()
     }
 
-    /// Registers (or replaces) a dataset under `name`, precomputing
-    /// per-dimension statistics and sorted projections. Returns the
+    /// Registers (or replaces) a dataset under `name`, computing its
+    /// per-dimension statistics in one pass over the rows. Returns the
     /// dataset's new version. Re-registration invalidates every cached
     /// result of older versions (results a concurrent query already
     /// computed against the *new* version survive).
@@ -399,7 +399,7 @@ impl Engine {
         if let Some(d) = shared.durability.get() {
             d.persist_register(name, &data, None)?;
         }
-        let entry = shared.catalog.register(name, data, &shared.pool);
+        let entry = shared.catalog.register(name, data);
         shared
             .cache
             .purge_dataset_below(entry.id(), entry.version());
@@ -446,9 +446,7 @@ impl Engine {
         if let Some(d) = shared.durability.get() {
             d.persist_register(name, &data, Some((k, partitioner)))?;
         }
-        let entry = shared
-            .catalog
-            .register_sharded(name, data, k, partitioner, &shared.pool);
+        let entry = shared.catalog.register_sharded(name, data, k, partitioner);
         shared
             .cache
             .purge_dataset_below(entry.id(), entry.version());
@@ -471,9 +469,11 @@ impl Engine {
     /// are tombstoned, then `inserts` appended (the report carries
     /// their assigned stable ids). One version bump covers the batch.
     ///
-    /// Catalog statistics and sorted projections are patched
-    /// incrementally. Cached results are carried across the version:
-    /// insert-only batches under the planner's
+    /// Catalog statistics are patched to their exact new values at a
+    /// cost proportional to the batch (plus one pass over the live rows
+    /// when a deleted row held a dimension's min or max; counted in
+    /// `catalog.stats.rescans`). Cached results are carried across the
+    /// version: insert-only batches under the planner's
     /// [`delta_cap`](PlannerConfig::delta_cap) are patched **eagerly**
     /// (the next identical query is a hit); batches with deletes leave
     /// prior results in place for the planner's query-time
@@ -519,7 +519,6 @@ impl Engine {
                 name,
                 inserts,
                 deletes,
-                &shared.pool,
                 shared.compact_fraction,
                 hook.as_mut()
                     .map(|h| h as &mut dyn FnMut() -> Result<(), EngineError>),
@@ -535,6 +534,9 @@ impl Engine {
             Ok(result) => result?,
             Err(_) => return Err(EngineError::Internal),
         };
+        if let Some(tel) = &shared.telemetry {
+            tel.on_stats_rescans(out.stats_rescans);
+        }
         let (patched, dropped) = if out.compacted {
             let dropped = shared
                 .cache

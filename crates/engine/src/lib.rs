@@ -5,13 +5,16 @@
 //! repeated, concurrent workloads over registered, **mutable**
 //! datasets:
 //!
-//! * [`Catalog`] — named, versioned datasets with per-dimension
-//!   statistics and sorted projections precomputed at registration and
-//!   *patched incrementally* under mutation: inserts land in an append
-//!   segment, deletes tombstone stable row ids, and a compaction
-//!   threshold rebuilds the base when tombstones pile up;
-//! * [`Planner`] — picks the strategy per query (direct sorted-
-//!   projection scans, delta maintenance over a prior cached result,
+//! * [`Catalog`] — named, versioned datasets with exact per-dimension
+//!   statistics computed in one pass at registration and *patched* under
+//!   mutation at a cost proportional to the batch (no index is kept:
+//!   the kernels are sort-based and order their input per query):
+//!   inserts land in an append segment, deletes tombstone stable row
+//!   ids, and a compaction threshold rebuilds the base when tombstones
+//!   pile up;
+//! * [`Planner`] — picks the strategy per query (a one-pass scan for
+//!   one-dimensional queries, delta maintenance over a prior cached
+//!   result,
 //!   sequential BNL/SFS/BSkyTree, or parallel Q-Flow/Hybrid with tuned
 //!   α) from cardinality, subspace dimensionality, thread budget, a
 //!   sampled skyline density, and the dataset's mutation delta log —

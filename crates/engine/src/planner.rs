@@ -11,8 +11,9 @@
 //!
 //! 1. constant dimensions (catalog min == max) are dropped — they can
 //!    never decide a dominance test;
-//! 2. one surviving dimension → **min-scan** over the catalog's sorted
-//!    projection, no algorithm at all;
+//! 2. one surviving dimension → **min-scan**: one pass over the live
+//!    rows collecting those that attain the catalog's exact running
+//!    min (or max) on it, no algorithm and no index at all;
 //! 3. a prior-version cached result reachable through a small mutation
 //!    delta → **delta maintenance** (patch the cached skyline with the
 //!    `skyline_core::maintain` kernels instead of recomputing);
@@ -67,8 +68,9 @@ pub enum Strategy {
     /// Empty dataset or no discriminating dimensions: the answer is
     /// definitional (every live row, or none).
     Trivial,
-    /// One effective dimension: read the minima off the catalog's
-    /// sorted projection.
+    /// One effective dimension: one pass over the live rows, keeping
+    /// those whose value equals the catalog's exact running min (max
+    /// for a maximised dimension).
     MinScan {
         /// The scanned dimension.
         dim: usize,
@@ -411,8 +413,7 @@ impl Planner {
     ///
     /// `max_mask` flags maximised dimensions; it does not influence the
     /// choice of algorithm (negation preserves every density property)
-    /// but is needed to pick the right end of a sorted projection for
-    /// min-scans.
+    /// but tells a min-scan which of the two running extremes to match.
     pub fn plan(
         &self,
         entry: &DatasetEntry,
@@ -467,10 +468,11 @@ impl Planner {
     /// full tiered decision of [`plan_query`](Self::plan_query);
     /// counting kinds (k-skyband, top-k dominating) use a reduced
     /// procedure because the structural shortcuts do not apply to
-    /// them: a sorted projection yields minima but not dominator
-    /// counts (no min-scan), the maintenance kernels patch membership
-    /// but not counts (no delta), and a cached subspace skyline prunes
-    /// rows that may still carry non-zero counts (no superspace seed).
+    /// them: the rows at a dimension's extreme are its skyline but say
+    /// nothing about dominator counts (no min-scan), the maintenance
+    /// kernels patch membership but not counts (no delta), and a cached
+    /// subspace skyline prunes rows that may still carry non-zero
+    /// counts (no superspace seed).
     ///
     /// - **k-skyband** fans out over an attached sharded store when
     ///   the input is large enough (per-shard local skybands, counting
@@ -573,8 +575,8 @@ impl Planner {
         // bucket. The sample is capped, so this is microseconds.
         let frac = sample_skyline_frac(entry, &effective);
 
-        // 2. One effective dimension: the skyline is the set of minima,
-        //    already sitting at one end of the sorted projection.
+        // 2. One effective dimension: the skyline is the set of rows
+        //    attaining the running extreme the catalog already holds.
         if d == 1 {
             return QueryPlan {
                 strategy: Strategy::MinScan { dim: effective[0] },
@@ -582,7 +584,7 @@ impl Planner {
                 config: SkylineConfig::default(),
                 effective_dims: effective,
                 sample_skyline_frac: Some(frac),
-                reason: "one effective dimension: scan the sorted projection",
+                reason: "one effective dimension: one pass for the rows at its running extreme",
                 candidates: Vec::new(),
                 superspace_seed: None,
             };
@@ -740,9 +742,7 @@ mod tests {
     use skyline_parallel::ThreadPool;
 
     fn entry_of(data: Dataset) -> std::sync::Arc<DatasetEntry> {
-        let catalog = Catalog::new();
-        let pool = ThreadPool::new(2);
-        catalog.register("t", data, &pool)
+        Catalog::new().register("t", data)
     }
 
     #[test]
@@ -802,7 +802,6 @@ mod tests {
 
     #[test]
     fn constant_dims_are_dropped() {
-        let _pool = ThreadPool::new(2);
         let mut rows = Vec::new();
         for i in 0..1_000 {
             rows.push(vec![5.0, i as f32, (1_000 - i) as f32]);

@@ -562,15 +562,12 @@ fn recover_dataset(engine: &Engine, dur: &Durability, name: &str, report: &mut R
     // so stable ids come back verbatim; replayed batches below then
     // reproduce the original compaction decisions on their own.
     if !snap.tombstones.is_empty() {
-        let shared = engine.shared();
-        if let Err(e) = shared.catalog.mutate(
-            name,
-            &[],
-            &snap.tombstones,
-            &shared.pool,
-            f32::INFINITY,
-            None,
-        ) {
+        if let Err(e) =
+            engine
+                .shared()
+                .catalog
+                .mutate(name, &[], &snap.tombstones, f32::INFINITY, None)
+        {
             quarantine(format!("snapshot tombstones invalid: {e}"), report);
             return;
         }

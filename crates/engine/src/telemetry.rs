@@ -6,7 +6,8 @@
 //! * **Operators** read the [`MetricsRegistry`] — counters, gauges and
 //!   log-bucketed latency [`Histogram`]s behind stable names
 //!   (`engine.query.latency`, `session.queue_wait{class=…}`,
-//!   `dominance.tests{algo=…}`, `cache.*`, `feedback.*`) — via
+//!   `dominance.tests{algo=…}`, `catalog.stats.rescans`, `cache.*`,
+//!   `feedback.*`) — via
 //!   [`Engine::metrics`](crate::Engine::metrics), whose
 //!   [`MetricsSnapshot::render`] emits a Prometheus-style text
 //!   exposition.
@@ -1057,6 +1058,7 @@ pub(crate) struct Telemetry {
     completed: [Arc<Counter>; 3],
     rejected_queue: [Arc<Counter>; 3],
     rejected_quota: [Arc<Counter>; 3],
+    stats_rescans: Arc<Counter>,
     slow_log: SlowQueryLog,
 }
 
@@ -1097,6 +1099,7 @@ impl Telemetry {
                 &[("class", Priority::ALL[i].name()), ("reason", "quota")],
             )
         });
+        let stats_rescans = registry.counter("catalog.stats.rescans", &[]);
         let slow_log = SlowQueryLog::new(cfg.slow_query_threshold, cfg.slow_log_capacity);
         Self {
             registry,
@@ -1106,6 +1109,7 @@ impl Telemetry {
             completed,
             rejected_queue,
             rejected_quota,
+            stats_rescans,
             slow_log,
         }
     }
@@ -1132,6 +1136,12 @@ impl Telemetry {
         if let Some((_, c)) = self.dominance.iter().find(|(a, _)| *a == algo) {
             c.add(dts);
         }
+    }
+
+    /// Dimensions a mutation batch had to rescan for its min/max
+    /// ([`MutationOutcome::stats_rescans`](crate::catalog::MutationOutcome::stats_rescans)).
+    pub(crate) fn on_stats_rescans(&self, dims: usize) {
+        self.stats_rescans.add(dims as u64);
     }
 
     pub(crate) fn on_submitted(&self, class: Priority) {

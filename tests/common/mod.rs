@@ -3,9 +3,10 @@
 
 /// The engine's documented stable metric names (histogram
 /// `_bucket`/`_sum`/`_count` suffixes stripped).
-const ENGINE_NAMES: [&str; 8] = [
+const ENGINE_NAMES: [&str; 9] = [
     "engine.query.latency",
     "session.queue_wait",
+    "catalog.stats.rescans",
     "cache.hits",
     "cache.misses",
     "cache.patches",

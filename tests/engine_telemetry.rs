@@ -357,8 +357,10 @@ fn cold_hybrid_query_traces_every_phase() {
 }
 
 /// The exposition contract dashboards scrape: every rendered line
-/// parses, and the engine's stable names survive a query, a mutation
-/// and a feedback refit.
+/// parses, and the engine's stable names survive a query, mutations
+/// and a feedback refit. `catalog.stats.rescans` counts dimensions
+/// rescanned, so folding a new minimum in is free and deleting it
+/// again costs every dimension it was the minimum of.
 #[test]
 fn exposition_parses_and_carries_the_stable_names() {
     let engine = Engine::with_config(EngineConfig {
@@ -369,12 +371,21 @@ fn exposition_parses_and_carries_the_stable_names() {
     let pool = ThreadPool::new(2);
     engine.register("d", generate(Distribution::Independent, 2_000, 4, 7, &pool));
     engine.execute(&SkylineQuery::new("d")).unwrap();
-    engine.insert("d", &[vec![0.0; 4]]).unwrap();
+    let origin = engine.insert("d", &[vec![0.0; 4]]).unwrap().inserted_ids;
+    assert_eq!(
+        engine.metrics().counter("catalog.stats.rescans", &[]),
+        Some(0)
+    );
     engine.execute(&SkylineQuery::new("d")).unwrap();
+    engine.delete("d", &origin).unwrap();
     engine.refit_feedback();
 
     let text = engine.metrics().render();
     common::assert_exposition(&text, &[]);
+    assert!(
+        text.contains("catalog.stats.rescans 4\n"),
+        "the deleted row was the minimum of all four dimensions:\n{text}"
+    );
     assert!(
         !text.contains("feedback.refits 0\n"),
         "the forced refit is counted"

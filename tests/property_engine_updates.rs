@@ -3,7 +3,10 @@
 //! engine dataset must always agree with `verify::naive_skyline_on_pref`
 //! over the materialized current rows — across subspaces, Min/Max
 //! preferences, cache patching (eager and query-time delta), and
-//! compaction.
+//! compaction. After every batch the catalog's running per-dimension
+//! min/max must also equal a fresh pass over the live rows: the planner
+//! drops dimensions whose min equals max, so a stale extreme is a wrong
+//! answer.
 //!
 //! The model mirrors the engine's stable-id contract: every live row is
 //! tracked as `(stable id, coordinates)`; a compacting batch renumbers
@@ -61,6 +64,33 @@ impl Model {
         for (k, (id, _)) in self.rows.iter_mut().enumerate() {
             *id = k as u32;
         }
+    }
+}
+
+/// The catalog's running extremes against a fresh recompute over the
+/// live rows (an empty entry reports placeholder zeros).
+fn assert_stats_exact(engine: &Engine) {
+    let entry = engine.dataset("m").expect("registered");
+    let live = entry.snapshot();
+    for (c, s) in entry.stats().per_dim.iter().enumerate() {
+        let (lo, hi) = live
+            .rows()
+            .map(|r| r[c])
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), v| {
+                (lo.min(v), hi.max(v))
+            });
+        let expect = if live.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (lo, hi)
+        };
+        assert_eq!(
+            (s.min, s.max),
+            expect,
+            "dim {c} at version {} (n = {})",
+            entry.version(),
+            live.len()
+        );
     }
 }
 
@@ -136,49 +166,46 @@ fn check_scenario(d: usize, n0: usize, ops: usize, seed: u64, compact_fraction: 
     run_query(&model, &mut drv);
 
     for _ in 0..ops {
-        match drv.next() % 4 {
-            // Insert a small batch.
-            0 | 1 => {
-                let k = 1 + drv.below(3);
-                let rows: Vec<Vec<f32>> = (0..k)
-                    .map(|_| (0..d).map(|_| drv.coord()).collect())
-                    .collect();
-                let report = engine.insert("m", &rows).expect("valid insert");
-                assert_eq!(report.inserted_ids.len(), k);
-                for (row, &id) in rows.iter().zip(&report.inserted_ids) {
-                    model.rows.push((id, row.clone()));
+        // 0 | 1 insert, 2 delete, 3 both in one batch, 4 query.
+        let op = drv.next() % 5;
+        if op == 4 {
+            run_query(&model, &mut drv);
+            continue;
+        }
+        let rows: Vec<Vec<f32>> = if op == 2 {
+            Vec::new()
+        } else {
+            (0..1 + drv.below(3))
+                .map(|_| (0..d).map(|_| drv.coord()).collect())
+                .collect()
+        };
+        // A small batch of random live victims (none when empty).
+        let mut victims: Vec<u32> = Vec::new();
+        if op >= 2 {
+            let k = (1 + drv.below(2)).min(model.rows.len());
+            while victims.len() < k {
+                let v = model.rows[drv.below(model.rows.len())].0;
+                if !victims.contains(&v) {
+                    victims.push(v);
                 }
-                if report.compacted {
-                    // Inserts land at the tail; survivors renumber in
-                    // id order — exactly what `renumber` does since we
-                    // just pushed the inserts last.
-                    model.renumber();
-                }
-            }
-            // Delete a small batch of random live rows.
-            2 => {
-                if model.rows.is_empty() {
-                    continue;
-                }
-                let k = (1 + drv.below(2)).min(model.rows.len());
-                let mut victims: Vec<u32> = Vec::new();
-                while victims.len() < k {
-                    let v = model.rows[drv.below(model.rows.len())].0;
-                    if !victims.contains(&v) {
-                        victims.push(v);
-                    }
-                }
-                let report = engine.delete("m", &victims).expect("live victims");
-                model.rows.retain(|(id, _)| !victims.contains(id));
-                if report.compacted {
-                    model.renumber();
-                }
-            }
-            // Query.
-            _ => {
-                run_query(&model, &mut drv);
             }
         }
+        let report = engine
+            .update_batch("m", &rows, &victims)
+            .expect("valid rows, live victims");
+        assert_eq!(report.inserted_ids.len(), rows.len());
+        assert_eq!(report.deleted, victims.len());
+        model.rows.retain(|(id, _)| !victims.contains(id));
+        for (row, &id) in rows.iter().zip(&report.inserted_ids) {
+            model.rows.push((id, row.clone()));
+        }
+        if report.compacted {
+            // Survivors renumber in id order with the inserts at the
+            // tail — exactly what `renumber` does, since the inserts
+            // were just pushed last.
+            model.renumber();
+        }
+        assert_stats_exact(&engine);
     }
     // Final checks: one more random query plus the full space.
     run_query(&model, &mut drv);
