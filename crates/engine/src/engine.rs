@@ -19,7 +19,7 @@ use crate::cache::{CacheKey, CacheStats, CachedValue, ResultCache};
 use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
-use crate::merge::{merge_locals, MergeStats, ShardLocal};
+use crate::merge::{merge_locals, skyline_algorithm, MergeStats, ShardLocal};
 use crate::planner::feedback::{
     FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind,
 };
@@ -1746,14 +1746,19 @@ impl EngineShared {
     /// ids routes each row through the frozen partitioner and folds it
     /// into its shard's working set — the shards exist only here.
     /// *Local*: every shard computes its local skyline (SFS or Hybrid
-    /// by cardinality) or local k-skyband (sum-sorted counting kernel),
-    /// fanned out one shard per pool lane when the pool has more than
-    /// one thread; this is the only kind-dependent step. *Merge*: the
-    /// witness-pruned [`merge`](crate::merge) over the broadcast
-    /// locals, exact below `k`. Per-shard spans and dominance-test
-    /// counts land on the trace under [`SpanKind::ShardLocal`], keyed
-    /// by shard index. Returns `(stable id, exact global dominator
-    /// count)` pairs sorted by id.
+    /// by cardinality, [`skyline_algorithm`]) or local k-skyband
+    /// (sum-sorted counting kernel), fanned out one shard per pool lane
+    /// when the pool has more than one thread. *Merge*: the
+    /// [`merge`](crate::merge) over the broadcast locals — a witness
+    /// probe, then for a skyline SFS or Hybrid@T on the whole pool over
+    /// the probe's survivors (the same cardinality rule), for a
+    /// k-skyband the sum-sorted counting scan, exact below `k`.
+    /// Per-shard spans and dominance-test counts land on the trace
+    /// under [`SpanKind::ShardLocal`], keyed by shard index, the
+    /// merge's under one [`SpanKind::ShardMerge`]; each step's tests
+    /// also go to `dominance.tests{algo}` under the algorithm that ran
+    /// them. Returns `(stable id, exact global dominator count)` pairs
+    /// sorted by id.
     fn run_sharded(
         &self,
         prepared: &Prepared,
@@ -1805,16 +1810,12 @@ impl EngineShared {
             let started = self.clock.now();
             let data =
                 Dataset::from_flat(values, width).expect("folded projection of a valid dataset");
-            let (members, stats) = if n == 0 {
-                (Vec::new(), RunStats::default())
+            let (members, stats, algo) = if n == 0 {
+                (Vec::new(), RunStats::default(), Algorithm::Sfs)
             } else if kind.is_skyline() {
-                let algo = if n <= 4096 {
-                    Algorithm::Sfs
-                } else {
-                    Algorithm::Hybrid
-                };
+                let algo = skyline_algorithm(n);
                 let r = algo.run(&data, lane, &cfg);
-                (r.indices, r.stats)
+                (r.indices, r.stats, algo)
             } else {
                 let mut dts = 0u64;
                 let pairs = skyband_counts(data.values(), width, band_k, &mut dts);
@@ -1822,8 +1823,14 @@ impl EngineShared {
                     dominance_tests: dts,
                     ..RunStats::default()
                 };
-                (pairs.into_iter().map(|(pos, _)| pos).collect(), stats)
+                // The counting scan is SFS-shaped and reported as SFS,
+                // as the plain counting plans report it.
+                let members = pairs.into_iter().map(|(pos, _)| pos).collect();
+                (members, stats, Algorithm::Sfs)
             };
+            if let Some(tel) = &self.telemetry {
+                tel.record_dominance(algo, stats.dominance_tests);
+            }
             if let Some(tr) = trace {
                 tr.add_span_sharded(
                     SpanKind::ShardLocal,
@@ -1872,11 +1879,15 @@ impl EngineShared {
             locals.push(local);
         }
 
-        // Merge: witness probe + sum-sorted SIMD range scans over the
-        // concatenated local results; never revisits base data.
+        // Merge: witness probe, then SFS/Hybrid on the pool (skyline) or
+        // the sum-sorted counting scan (skyband) over the concatenated
+        // local results; never revisits base data.
         let merge_t0 = trace.map(|_| self.clock.now());
-        let (mut merged, mstats) = merge_locals(width, band_k, &locals);
+        let (mut merged, mstats) = merge_locals(width, band_k, &locals, pool);
         merged.sort_unstable();
+        if let (Some(tel), Some(algo)) = (&self.telemetry, mstats.algorithm) {
+            tel.record_dominance(algo, mstats.dominance_tests);
+        }
         if let (Some(tr), Some(t0)) = (trace, merge_t0) {
             tr.add_span(
                 SpanKind::ShardMerge,

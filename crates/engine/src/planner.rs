@@ -21,8 +21,9 @@
 //! 5. small inputs → **SFS** (one sort, then a cheap filter pass);
 //! 6. a dataset registered with a partitioner attached, at or above
 //!    the `sharded_min_n` threshold → **sharded fan-out** (per-shard
-//!    skylines over cache-resident working sets, witness-pruned
-//!    merge), priced from an even split for the cost sheet;
+//!    skylines over cache-resident working sets, then a witness probe
+//!    and SFS/Hybrid@T over the union of the local skylines), priced
+//!    from an even split for the cost sheet;
 //! 7. one thread → **BSkyTree** (the paper's best sequential
 //!    algorithm);
 //! 8. otherwise **Q-Flow** when the sampled skyline density is low (the
@@ -85,8 +86,10 @@ pub enum Strategy {
     Algorithm(Algorithm),
     /// Route the live rows through the dataset's attached
     /// [`ShardedStore`](skyline_data::ShardedStore) partitioner, fan
-    /// the per-shard local results out, then merge them with
-    /// witness-point pruning.
+    /// the per-shard local results out, then merge them: a witness-point
+    /// probe, then SFS or Hybrid@T over the probe's survivors for a
+    /// skyline, the sum-sorted counting scan for a k-skyband. Never
+    /// carries a [`SuperspaceSeed`]: the scatter routes every live row.
     Sharded {
         /// Number of shards the partitioner routes to.
         k: usize,
@@ -177,7 +180,7 @@ fn candidate_costs(
         ("sfs", 0.5 * n * s),
         ("bskytree", n * (s + 2.0).log2()),
         ("qflow", 0.5 * n * s / t + n),
-        ("hybrid", 0.25 * n * s / t + 8.0 * n),
+        ("hybrid", hybrid_cost(n, s, t)),
     ];
     sheet
         .into_iter()
@@ -194,14 +197,21 @@ fn candidate_costs(
         .collect()
 }
 
+/// The sheet's Hybrid price over `n` rows with an expected skyline of
+/// `s` on `t` threads: a quarter of the window pairs (partitioning cuts
+/// comparisons) split across threads, plus a per-row β-queue
+/// pre-filter price.
+fn hybrid_cost(n: f64, s: f64, t: f64) -> f64 {
+    0.25 * n * s / t + 8.0 * n
+}
+
 /// Coarse cost of the sharded plan over `k` shards of an even `n / k`
 /// split (the shards are formed per query, so no per-shard counts are
 /// stored): each shard pays a hybrid-style window scan over its own
 /// rows (quadratic in the shard, which is where splitting wins), the
-/// scatter pays one pass over `n`, and the merge pays an 8-lane
-/// SIMD-batched all-candidates scan over the concatenated local
-/// skylines (`c² / 16`: half the pairs by sort order, eight lanes per
-/// test).
+/// scatter pays one pass over `n`, and the merge pays Hybrid over the
+/// `c` concatenated local skyline rows — the sheet's `"hybrid"` terms
+/// with the sampled skyline share of `c` as its skyline.
 fn sharded_cost(n: usize, k: usize, frac: f32, threads: usize) -> f64 {
     let t = threads.max(1) as f64;
     let f = frac as f64;
@@ -209,7 +219,7 @@ fn sharded_cost(n: usize, k: usize, frac: f32, threads: usize) -> f64 {
     let shard = n / k;
     let local = k * 0.25 * shard * (f * shard).max(1.0) / t;
     let c = k * (f * shard).max(1.0);
-    local + n + c * c / 16.0
+    local + n + hybrid_cost(c, (f * c).max(1.0), t)
 }
 
 /// The [`Strategy::Sharded`] plan for `entry`, taken whenever a
@@ -441,10 +451,12 @@ impl Planner {
     /// The full planning entry point:
     /// [`plan_with_prior`](Self::plan_with_prior) plus an optional
     /// cached-subspace
-    /// [`SuperspaceSeed`]. The seed never changes the strategy choice
-    /// — pruning the scan's input is sound under every scanning
-    /// strategy — but scanning plans carry its mask so the executor
-    /// pre-filters through the cached result before the full scan.
+    /// [`SuperspaceSeed`]. The seed never changes the strategy choice;
+    /// [`Strategy::Algorithm`] plans carry its mask so the executor
+    /// pre-filters through the cached result before the algorithm runs.
+    /// Every other plan drops it — the sharded executor scatters all
+    /// live rows and never reads a seed, so a plan carrying one would
+    /// claim a pre-filter that does not run.
     pub fn plan_query(
         &self,
         entry: &DatasetEntry,
@@ -455,10 +467,7 @@ impl Planner {
         seed: Option<SuperspaceSeed>,
     ) -> QueryPlan {
         let mut plan = self.plan_inner(entry, dims, max_mask, threads, prior);
-        if matches!(
-            plan.strategy,
-            Strategy::Algorithm(_) | Strategy::Sharded { .. }
-        ) {
+        if matches!(plan.strategy, Strategy::Algorithm(_)) {
             plan.superspace_seed = seed;
         }
         plan
@@ -639,8 +648,8 @@ impl Planner {
         }
 
         // 5b. An attached partitioner on a large input: per-shard
-        //     scans over cache-resident working sets, then a
-        //     witness-pruned SIMD merge.
+        //     scans over cache-resident working sets, then a witness
+        //     probe and SFS/Hybrid over the union of local skylines.
         if let Some(plan) = sharded_plan(
             &cfg,
             entry,
@@ -948,6 +957,34 @@ mod tests {
         let plan = planner.plan(&corr, &[0, 1, 2, 3], 0, 4);
         assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::QFlow));
         assert_eq!(plan.config.alpha_qflow, 4_096);
+    }
+
+    #[test]
+    fn attached_partitioner_takes_the_sharded_tier() {
+        // The sheet prices the sharded plan but does not decide it: an
+        // anticorrelated 100 000 × 6 entry over four Grid shards plans
+        // sharded at every thread count.
+        let pool = ThreadPool::new(2);
+        let data = generate(Distribution::Anticorrelated, 100_000, 6, 7, &pool);
+        let e = Catalog::new().register_sharded("t", data, 4, PartitionerKind::Grid);
+        for threads in [1, 2, 4] {
+            let plan = Planner::default().plan(&e, &[0, 1, 2, 3, 4, 5], 0, threads);
+            assert_eq!(
+                plan.strategy,
+                Strategy::Sharded {
+                    k: 4,
+                    partitioner: PartitionerKind::Grid
+                }
+            );
+            let row = plan
+                .candidates
+                .iter()
+                .find(|c| c.strategy == "sharded")
+                .expect("the sheet prices the sharded plan");
+            assert!(row.chosen);
+            let frac = plan.sample_skyline_frac.unwrap();
+            assert_eq!(row.estimated_cost, sharded_cost(100_000, 4, frac, threads));
+        }
     }
 
     #[test]

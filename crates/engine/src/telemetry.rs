@@ -632,7 +632,9 @@ pub enum SpanKind {
     /// carries one such span **per shard**, distinguished by
     /// [`TraceSpan::shard`]).
     ShardLocal,
-    /// Sharded plans: witness-pruned merge of the local skylines.
+    /// Sharded plans: the merge of the local results — witness probe,
+    /// then SFS/Hybrid over the survivors (skyline) or the counting
+    /// scan (skyband); one span carrying all of its dominance tests.
     ShardMerge,
     /// Non-algorithmic execution (trivial and min-scan plans).
     Execute,

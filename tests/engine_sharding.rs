@@ -116,6 +116,52 @@ fn sharded_trace_carries_per_shard_spans() {
     }
 }
 
+/// A cached subspace skyline seeds superspace queries on a plain
+/// entry, but a sharded plan scatters every live row and never reads a
+/// seed — so its plan must not carry one, and no pre-filter is traced.
+#[test]
+fn sharded_plans_never_claim_a_superspace_seed() {
+    let gen_pool = ThreadPool::new(2);
+    let data = generate(Distribution::Correlated, 4_000, 3, 5, &gen_pool);
+    let engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        planner: sharded_planner(),
+        ..EngineConfig::default()
+    });
+    engine.register_sharded("s", data.clone(), 4, PartitionerKind::Grid);
+    engine.register("p", data.clone());
+
+    for name in ["s", "p"] {
+        let sub = engine
+            .execute(&SkylineQuery::new(name).dims([0, 1]))
+            .unwrap();
+        assert!(!sub.cache_hit);
+        assert!(sub.total_skyline_size() <= 4_096, "seedable size");
+    }
+    let superspace = |name: &str| {
+        engine
+            .explain_analyze(&SkylineQuery::new(name).dims([0, 1, 2]))
+            .expect("telemetry is on by default")
+    };
+
+    let (plain, _) = superspace("p");
+    assert!(
+        plain.plan.superspace_seed.is_some(),
+        "the cache offers a seed"
+    );
+
+    let (sharded, trace) = superspace("s");
+    assert!(matches!(
+        sharded.plan.strategy,
+        Strategy::Sharded { k: 4, .. }
+    ));
+    assert!(sharded.plan.superspace_seed.is_none());
+    assert!(trace.span(SpanKind::CacheSeed).is_none());
+    let expect = verify::naive_skyline_on(&data, &[0, 1, 2]);
+    assert_eq!(sharded.indices(), expect.as_slice());
+    assert_eq!(plain.indices(), expect.as_slice());
+}
+
 #[test]
 fn sharded_datasets_stay_correct_under_mutation() {
     let gen_pool = ThreadPool::new(2);

@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use skybench::{
     generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, EngineError,
-    FeedbackConfig, Histogram, ManualClock, SkylineQuery, SpanKind, TelemetryConfig, ThreadPool,
+    FeedbackConfig, Histogram, ManualClock, MetricValue, PartitionerKind, PlannerConfig,
+    SkylineQuery, SpanKind, Strategy, TelemetryConfig, ThreadPool,
 };
 
 /// A 2-lane manual-dispatch engine on a shared manual clock: nothing
@@ -173,6 +174,55 @@ fn superspace_seed_prefilters_through_the_cache() {
     // And the answer is exactly the unseeded answer.
     let expect = skybench::verify::naive_skyline_on(&data, &[0, 1, 2]);
     assert_eq!(result.indices(), expect.as_slice());
+    engine.shutdown();
+}
+
+/// Sharded plans feed `dominance.tests{algo=…}` like every other
+/// computed plan: each local step and the merge land under the
+/// algorithm that ran them, so one sharded query grows the family's sum
+/// by exactly its trace's total.
+#[test]
+fn sharded_queries_reach_the_dominance_counters() {
+    let pool = ThreadPool::new(2);
+    let engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        planner: PlannerConfig {
+            tiny_n: 64,
+            small_n: 256,
+            sharded_min_n: 512,
+            ..PlannerConfig::default()
+        },
+        ..EngineConfig::default()
+    });
+    engine.register_sharded(
+        "s",
+        generate(Distribution::Anticorrelated, 6_000, 4, 11, &pool),
+        4,
+        PartitionerKind::Grid,
+    );
+    let counted = || -> u64 {
+        engine
+            .metrics()
+            .samples
+            .iter()
+            .filter(|s| s.name == "dominance.tests")
+            .map(|s| match s.value {
+                MetricValue::Counter(v) => v,
+                _ => 0,
+            })
+            .sum()
+    };
+
+    for query in [SkylineQuery::new("s"), SkylineQuery::new("s").skyband(3)] {
+        let before = counted();
+        let (result, trace) = engine.explain_analyze(&query).expect("telemetry on");
+        assert!(matches!(
+            result.plan.strategy,
+            Strategy::Sharded { k: 4, .. }
+        ));
+        assert!(trace.dominance_tests > 0);
+        assert_eq!(counted() - before, trace.dominance_tests, "{query:?}");
+    }
     engine.shutdown();
 }
 
