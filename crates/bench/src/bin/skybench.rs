@@ -1,12 +1,17 @@
 //! The SkyBench experiment harness: regenerates every table and figure of
-//! the paper's evaluation.
+//! the paper's evaluation, and the ablations of its design choices.
 //!
 //! ```text
 //! skybench <experiment> [--scale smoke|laptop|paper] [--threads N]
 //!
 //! experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!              table1 table2 table3 all
+//!              table1 table2 table3
+//!              ablation-dominance ablation-prefilter ablation-sortkeys
+//!              all
 //! ```
+//!
+//! `ablation-dominance` prints one `ABLATION_DOMINANCE level=… d=…` line
+//! per dimensionality (4, 8, 16) with the per-DT cost of each kernel.
 //!
 //! Engine, HTTP and durability numbers are not printed here: they come
 //! from the repo's benchmark (`perf`, see `BENCHMARK.json`).

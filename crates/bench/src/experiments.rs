@@ -1,17 +1,25 @@
-//! One function per table/figure of the paper's evaluation (§VII).
+//! One function per table/figure of the paper's evaluation (§VII), plus
+//! the three ablations behind its design choices (the vectorised DT of
+//! §VII-A2, the pre-filter queue size β of footnote 3, the presort key).
 //!
-//! Every function prints a markdown table whose rows/series correspond to
-//! the paper's plot. Absolute times differ from the paper (different
-//! hardware — see DESIGN.md §5); the *shape* (who wins, by what factor,
-//! where crossovers fall) is the reproduction target, recorded in
-//! EXPERIMENTS.md.
+//! Every figure function prints a markdown table whose rows/series
+//! correspond to the paper's plot. Absolute times differ from the paper
+//! (different hardware, and smaller grids below `--scale paper`); the
+//! *shape* (who wins, by what factor, where crossovers fall) is the
+//! reproduction target — see the README's "Reproduction harness".
 
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use skyline_core::algo::Algorithm;
-use skyline_core::{PivotStrategy, SkylineConfig};
-use skyline_data::{Distribution, RealDataset};
+use skyline_core::dominance::{
+    simd::{self, TileStore},
+    strictly_dominates, strictly_dominates_lanes,
+};
+use skyline_core::{PivotStrategy, SkylineConfig, SortKey};
+use skyline_data::{Distribution, RealDataset, Rng};
 use skyline_parallel::ThreadPool;
 
 use crate::workloads::{WorkloadCache, DISTRIBUTIONS};
@@ -68,6 +76,11 @@ impl ExpCtx {
             "table1" => table1(self),
             "table2" => table2(self),
             "table3" => table3(self),
+            "ablation-dominance" => {
+                ablation_dominance(self.scale);
+            }
+            "ablation-prefilter" => ablation_prefilter(self),
+            "ablation-sortkeys" => ablation_sortkeys(self),
             "all" => {
                 for e in Self::ALL_EXPERIMENTS {
                     if *e != "all" {
@@ -83,8 +96,23 @@ impl ExpCtx {
 
     /// Every experiment name the harness accepts.
     pub const ALL_EXPERIMENTS: &'static [&'static str] = &[
-        "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "table1", "table2", "table3", "all",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "table1",
+        "table2",
+        "table3",
+        "ablation-dominance",
+        "ablation-prefilter",
+        "ablation-sortkeys",
+        "all",
     ];
 }
 
@@ -559,6 +587,220 @@ fn table3(ctx: &mut ExpCtx) {
     );
 }
 
+/// Per-DT nanoseconds of each dominance kernel at one dimensionality:
+/// one `ABLATION_DOMINANCE` line.
+#[derive(Debug)]
+struct DominanceRow {
+    level: &'static str,
+    d: usize,
+    window: usize,
+    scalar_ns: f64,
+    lanes_ns: f64,
+    simd_ns: f64,
+    batch_ns: f64,
+}
+
+/// Ablation of the dominance-test kernels (paper §VII-A2, which
+/// vectorises its DTs for 1.25–2× end-to-end speedups), on window scans
+/// where every test fails *late* — the worst case for the scalar early
+/// exit, the case vectorisation is for:
+///
+/// * `scalar` — early-exit one-vs-one loop;
+/// * `lanes` — the branch-free auto-vectorised one-vs-one kernel;
+/// * `simd` — the explicit one-vs-one kernel at the active level
+///   (AVX2/SSE2/NEON; scalar when `SKYLINE_FORCE_SCALAR` is set);
+/// * `batch` — the batched one-vs-many tile scan (`TileStore`), the
+///   shape the window loops actually run.
+///
+/// Prints one machine-readable line per dimensionality (`*_ns` are
+/// per-DT nanoseconds; `batch_vs_lanes` is the speedup of the batched
+/// kernel over the `lanes` window scan) and returns the rows it printed:
+///
+/// ```text
+/// ABLATION_DOMINANCE level=avx2 d=8 window=512 scalar_ns=.. lanes_ns=.. simd_ns=.. batch_ns=.. batch_vs_lanes=..x
+/// ```
+fn ablation_dominance(scale: Scale) -> Vec<DominanceRow> {
+    let budget = match scale {
+        Scale::Smoke => Duration::from_millis(20),
+        Scale::Laptop | Scale::Paper => Duration::from_millis(200),
+    };
+    let (window, cands) = (512, 256);
+    let mut out = Vec::new();
+    for d in [4usize, 8, 16] {
+        let (win, cand) = window_workload(d, window, cands);
+        let dts = (win.len() * cand.len()) as f64;
+        // All variants use window-scan (`any`) semantics so early-exit
+        // behaviour is compared like for like.
+        let scalar_ns = ns_per_call(budget, || {
+            cand.iter()
+                .filter(|q| win.iter().any(|w| strictly_dominates(w, q)))
+                .count()
+        }) / dts;
+        let lanes_ns = ns_per_call(budget, || {
+            cand.iter()
+                .filter(|q| win.iter().any(|w| strictly_dominates_lanes(w, q)))
+                .count()
+        }) / dts;
+        let simd_ns = ns_per_call(budget, || {
+            cand.iter()
+                .filter(|q| win.iter().any(|w| simd::strictly_dominates(w, q)))
+                .count()
+        }) / dts;
+        let mut tiles = TileStore::with_capacity(d, win.len());
+        for w in &win {
+            tiles.push(w);
+        }
+        let batch_ns = ns_per_call(budget, || {
+            let mut dts_ctr = 0u64;
+            cand.iter()
+                .filter(|q| tiles.any_dominates(q, &mut dts_ctr))
+                .count()
+        }) / dts;
+
+        let row = DominanceRow {
+            level: simd::active_level().name(),
+            d,
+            window,
+            scalar_ns,
+            lanes_ns,
+            simd_ns,
+            batch_ns,
+        };
+        println!(
+            "ABLATION_DOMINANCE level={} d={} window={} scalar_ns={:.3} lanes_ns={:.3} \
+             simd_ns={:.3} batch_ns={:.3} batch_vs_lanes={:.2}x",
+            row.level,
+            row.d,
+            row.window,
+            row.scalar_ns,
+            row.lanes_ns,
+            row.simd_ns,
+            row.batch_ns,
+            row.lanes_ns / row.batch_ns,
+        );
+        out.push(row);
+    }
+    out
+}
+
+/// A window-scan workload: `window` points scanned by each of `cands`
+/// candidates — the access pattern of SFS/Q-Flow Phase I. Window points
+/// model anticorrelated skyline members: better than every candidate on
+/// all dimensions except the last, where they collapse — so every
+/// dominance test fails late and every kernel runs the full scan.
+fn window_workload(d: usize, window: usize, cands: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    let mut rng = Rng::seed_from(11);
+    let win: Vec<Vec<f32>> = (0..window)
+        .map(|_| {
+            let mut row: Vec<f32> = (0..d).map(|_| 0.5 * rng.next_f64() as f32).collect();
+            row[d - 1] = 2.0 + rng.next_f64() as f32;
+            row
+        })
+        .collect();
+    let cand: Vec<Vec<f32>> = (0..cands)
+        .map(|_| (0..d).map(|_| 0.6 + 0.4 * rng.next_f64() as f32).collect())
+        .collect();
+    (win, cand)
+}
+
+/// Mean nanoseconds per call of `f`, timed over `budget` after a warm-up.
+fn ns_per_call(budget: Duration, mut f: impl FnMut() -> usize) -> f64 {
+    let mut sink = 0usize;
+    for _ in 0..3 {
+        sink = sink.wrapping_add(f());
+    }
+    let mut rounds = 0u32;
+    let started = Instant::now();
+    while started.elapsed() < budget {
+        sink = sink.wrapping_add(f());
+        rounds += 1;
+    }
+    black_box(sink);
+    started.elapsed().as_nanos() as f64 / rounds.max(1) as f64
+}
+
+/// Ablation of the pre-filter queue size β (paper footnote 3: "β = 8
+/// empirically configured; appreciable impact only [on] correlated
+/// data"): Hybrid at the default workload across β.
+fn ablation_prefilter(ctx: &mut ExpCtx) {
+    let (n, d) = ctx.scale.default_workload();
+    let pool = ctx.pool(ctx.threads);
+    let header: Vec<String> = ["", "Pre-filter", "Total", "DTs"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    for dist in [Distribution::Correlated, Distribution::Independent] {
+        let data = ctx.data(dist, n, d);
+        let mut rows = Vec::new();
+        for beta in [1usize, 4, 8, 32, 128] {
+            let cfg = SkylineConfig {
+                prefilter_beta: beta,
+                ..Default::default()
+            };
+            let s = measure(Algorithm::Hybrid, &data, &pool, &cfg, ctx.scale).stats;
+            rows.push(vec![
+                format!("β={beta}"),
+                fmt_secs(s.prefilter),
+                fmt_secs(s.total),
+                s.dominance_tests.to_string(),
+            ]);
+        }
+        print_table(
+            &format!(
+                "Ablation: pre-filter queue size β in Hybrid (n = {n}, d = {d}, t = {}) — {}",
+                ctx.threads,
+                dist.label()
+            ),
+            &header,
+            &rows,
+        );
+    }
+}
+
+/// Ablation of the monotone presort key: SFS with L1 (the paper's
+/// choice), entropy and SaLSa's minimum coordinate, plus SaLSa's early
+/// termination as the fourth row.
+fn ablation_sortkeys(ctx: &mut ExpCtx) {
+    let (n, d) = ctx.scale.default_workload();
+    let pool = ctx.pool(ctx.threads);
+    let header: Vec<String> = ["", "Total", "DTs"].iter().map(|s| s.to_string()).collect();
+    for dist in [Distribution::Independent, Distribution::Anticorrelated] {
+        let data = ctx.data(dist, n, d);
+        let mut rows = Vec::new();
+        for (algo, key) in [
+            (Algorithm::Sfs, SortKey::L1),
+            (Algorithm::Sfs, SortKey::Entropy),
+            (Algorithm::Sfs, SortKey::MinCoord),
+            (Algorithm::Salsa, SortKey::default()), // SaLSa sorts by its own key
+        ] {
+            let cfg = SkylineConfig {
+                sort_key: key,
+                ..Default::default()
+            };
+            let s = measure(algo, &data, &pool, &cfg, ctx.scale).stats;
+            let label = if algo == Algorithm::Sfs {
+                format!("SFS {}", key.name())
+            } else {
+                algo.name().to_string()
+            };
+            rows.push(vec![
+                label,
+                fmt_secs(s.total),
+                s.dominance_tests.to_string(),
+            ]);
+        }
+        print_table(
+            &format!(
+                "Ablation: presort key (n = {n}, d = {d}, t = {}) — {}",
+                ctx.threads,
+                dist.label()
+            ),
+            &header,
+            &rows,
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +823,21 @@ mod tests {
     fn unknown_experiment_is_rejected() {
         let mut ctx = ExpCtx::new(Scale::Smoke, 1);
         assert!(!ctx.run("fig99"));
+    }
+
+    /// CI greps the `ABLATION_DOMINANCE` lines at both SIMD levels: one
+    /// row per d, labelled with the level that actually ran.
+    #[test]
+    fn ablation_dominance_reports_every_kernel_at_the_active_level() {
+        let rows = ablation_dominance(Scale::Smoke);
+        assert_eq!(rows.iter().map(|r| r.d).collect::<Vec<_>>(), [4, 8, 16]);
+        for r in &rows {
+            assert_eq!(r.level, simd::active_level().name());
+            assert_eq!(r.window, 512);
+            for ns in [r.scalar_ns, r.lanes_ns, r.simd_ns, r.batch_ns] {
+                assert!(ns.is_finite() && ns > 0.0, "d = {}: {ns}", r.d);
+            }
+        }
     }
 
     /// Table III's ratio machinery on a tiny workload.

@@ -1,8 +1,9 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§VII). The `skybench` binary drives the functions in
-//! [`experiments`]; criterion benches cover the same workloads at a fixed
-//! small scale. Engine, HTTP and durability numbers come from the repo's
-//! benchmark, the `perf` package under `src/bin/perf/`.
+//! evaluation (§VII) and its three ablations (dominance kernels,
+//! pre-filter β, presort keys). The `skybench` binary drives the
+//! functions in [`experiments`] and is the only way to run them. Engine,
+//! HTTP and durability numbers come from the repo's benchmark, the
+//! `perf` package under `src/bin/perf/`.
 
 #![warn(missing_docs)]
 
@@ -18,8 +19,10 @@ use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
 /// Scale presets. `Laptop` keeps every cell tractable on a small machine
-/// (the substitution documented in DESIGN.md §5.4); `Paper` restores the
-/// paper's parameter grid (n up to 8M, d up to 16, t up to 16).
+/// by shrinking n (to at most 200 000), t (to at most 4) and the fixed d
+/// of the single-workload and cardinality experiments (8, not 12); the d
+/// sweep stays 4..16. `Paper` restores the paper's parameter grid (n up
+/// to 8M, d up to 16, t up to 16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-long preset exercising every code path; used by the

@@ -14,13 +14,13 @@
 //!   mask filtering), Phase II resolves the batch internally; survivors
 //!   are appended to the skyline and inserted into the tree.
 //!
-//! Deviation from the authors' (unreleased) internals, documented in
-//! DESIGN.md: *all* dominance filtering is deferred to batch time against
-//! the global tree, rather than partially resolved against sibling
-//! subtrees inside the recursion. Correctness holds because a dominator
-//! always precedes its dominatee in the depth-first (level, mask) order —
-//! so it is either already in the tree or inside the same batch, where the
-//! full pairwise Phase II catches it. The cost is extra DTs at `t = 1`,
+//! Deviation from the authors' (unreleased) internals: *all* dominance
+//! filtering is deferred to batch time against the global tree, rather
+//! than partially resolved against sibling subtrees inside the recursion.
+//! Correctness holds because a dominator always precedes its dominatee in
+//! the depth-first (level, mask) order — so it is either already in the
+//! tree or inside the same batch, where the full pairwise Phase II
+//! catches it. The cost is extra DTs at `t = 1`,
 //! which is exactly the overhead the paper measures in Table III ("the
 //! last point in a work batch is potentially processed 16·t points too
 //! early").

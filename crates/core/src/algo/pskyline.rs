@@ -10,6 +10,7 @@
 //! inherits huge local skylines that were computed in isolation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::algo::sskyline::sskyline_in_place;
@@ -35,9 +36,8 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         .map(|b| (b * block_len, ((b + 1) * block_len).min(n)))
         .filter(|(s, e)| s < e)
         .collect();
-    let locals: Vec<parking_lot_free::Slot<Vec<u32>>> = (0..ranges.len())
-        .map(|_| parking_lot_free::Slot::new())
-        .collect();
+    // One write-once slot per block, filled by the lane that runs it.
+    let locals: Vec<OnceLock<Vec<u32>>> = (0..ranges.len()).map(|_| OnceLock::new()).collect();
     {
         let ranges = &ranges;
         let locals = &locals;
@@ -47,7 +47,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
                 let mut idxs: Vec<u32> = (s as u32..e as u32).collect();
                 let dts = sskyline_in_place(data, &mut idxs);
                 counters.add(lane, dts);
-                locals[b].set(idxs);
+                locals[b].set(idxs).expect("slot written twice");
             }
         });
     }
@@ -55,8 +55,8 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
 
     // ---- Phase II: fold with the parallel two-sided merge --------------
     let mut merged: Vec<u32> = Vec::new();
-    for slot in &locals {
-        let local = slot.take();
+    for slot in locals {
+        let local = slot.into_inner().expect("slot never written");
         merged = if merged.is_empty() {
             local
         } else {
@@ -131,45 +131,6 @@ pub(crate) fn pmerge(
         .collect();
     out.extend_from_slice(&b_surv);
     out
-}
-
-/// A tiny write-once slot so parallel blocks can deposit their results
-/// without locking (each slot is written by exactly one task).
-mod parking_lot_free {
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    #[derive(Debug)]
-    pub struct Slot<T> {
-        set: AtomicBool,
-        value: UnsafeCell<Option<T>>,
-    }
-
-    // SAFETY: `set` is only written by one task (the pool's dynamic
-    // scheduler hands each index to exactly one lane) and read after the
-    // parallel region has joined, which synchronises via the pool's lock.
-    unsafe impl<T: Send> Sync for Slot<T> {}
-
-    impl<T> Slot<T> {
-        pub fn new() -> Self {
-            Self {
-                set: AtomicBool::new(false),
-                value: UnsafeCell::new(None),
-            }
-        }
-
-        pub fn set(&self, v: T) {
-            assert!(!self.set.swap(true, Ordering::AcqRel), "slot written twice");
-            // SAFETY: unique writer enforced by the swap above.
-            unsafe { *self.value.get() = Some(v) };
-        }
-
-        pub fn take(&self) -> T {
-            assert!(self.set.load(Ordering::Acquire), "slot never written");
-            // SAFETY: called after the region joined; no concurrent access.
-            unsafe { (*self.value.get()).take().expect("slot already taken") }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! * [`strictly_dominates_lanes`] — a branch-free 8-lane form of the
 //!   same test that LLVM auto-vectorises; it is the portable fallback
 //!   behind the explicit kernels in [`simd`] and the scalar baseline the
-//!   ablation bench compares against;
+//!   dominance ablation compares against;
 //! * [`simd`] — the real hardware-acceleration layer: explicit AVX2 /
 //!   SSE2 / NEON implementations of the paper's hand-written vectorized
 //!   DT (§VII-A2, "8-degree data-level parallelism") behind one-time
@@ -24,9 +24,8 @@
 //! windows, which batch the same test), so every algorithm gets the same
 //! optimised DT — exactly as the paper demands "for a fair comparison".
 //! Set `SKYLINE_FORCE_SCALAR=1` to pin the process to the portable
-//! kernels (see [`simd::active_level`]). The ablation bench
-//! `ablation_dominance` reproduces the scalar-versus-vectorised
-//! comparison.
+//! kernels (see [`simd::active_level`]). `skybench ablation-dominance`
+//! reproduces the scalar-versus-vectorised comparison.
 
 pub mod simd;
 

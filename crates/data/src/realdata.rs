@@ -12,7 +12,8 @@
 //!   that `|SKY|/n` lands near the paper's Table I percentages
 //!   (NBA 10.40 %, HOUSE 4.51 %, WEATHER 11.20 %).
 //!
-//! The achieved skyline sizes are recorded in `EXPERIMENTS.md`.
+//! `skybench table1` prints the achieved skyline sizes beside the
+//! paper's (README, "Reproduction harness").
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;

@@ -1246,7 +1246,9 @@ mod tests {
         r.counter("b.count", &[("z", "1"), ("a", "2")]).add(7);
         r.gauge("a.gauge", &[]).set(0.5);
         r.histogram("c.lat", &[]).record(Duration::from_nanos(3));
-        let text = r.snapshot().render();
+        let snap = r.snapshot();
+        assert_eq!(snap.gauge("a.gauge", &[]), Some(0.5));
+        let text = snap.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines,

@@ -2,7 +2,7 @@
 //! data exploration as a core application [5]).
 //!
 //! Which pairs of criteria actually trade off against each other? A tiny
-//! subspace skyline tells you one criterion nearly decides the pair; a
+//! subspace skyline tells you one dimension nearly decides the pair; a
 //! huge one tells you the pair is strongly conflicting. This example
 //! scans every 2-D projection of a workload and ranks dimension pairs by
 //! their skyline size — an instant conflict map of the data.

@@ -14,7 +14,7 @@ use skybench::Rng;
 const CRITERIA: [&str; 4] = ["time_min", "toll_eur", "fuel_l", "climb_m"];
 
 struct RoadNetwork {
-    /// adjacency: node -> (neighbour, per-criterion edge costs)
+    /// adjacency: node -> (neighbour, edge cost in each of `CRITERIA`)
     edges: Vec<Vec<(usize, [f32; 4])>>,
 }
 
