@@ -459,6 +459,21 @@ mod tests {
         assert!(r.stats.phase1 > std::time::Duration::ZERO);
     }
 
+    /// Same work, pinned: Hybrid's dominance tests on a fixed
+    /// anticorrelated 20 000 × 6 input at T = 1 (at T > 1 the count
+    /// depends on block scheduling). It holds at every dispatch level
+    /// (`SKYLINE_FORCE_SCALAR=1` included).
+    #[test]
+    fn dominance_tests_are_pinned() {
+        let pool = ThreadPool::new(1);
+        let data = generate(Distribution::Anticorrelated, 20_000, 6, 1, &pool);
+        let r = run(&data, &pool, &SkylineConfig::default());
+        assert_eq!(
+            (r.indices.len(), r.stats.dominance_tests),
+            (9_121, 11_490_965)
+        );
+    }
+
     #[test]
     fn degenerate_inputs() {
         let pool = ThreadPool::new(2);

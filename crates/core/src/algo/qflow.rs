@@ -283,6 +283,22 @@ mod tests {
         assert!(r.stats.parallel_fraction() > 0.0);
     }
 
+    /// Same work, pinned: Q-Flow's dominance tests on a fixed
+    /// anticorrelated 20 000 × 6 input at T = 1. The count is fixed by
+    /// the algorithm and the tile-granular accounting, not by the
+    /// kernel, so it holds at every dispatch level
+    /// (`SKYLINE_FORCE_SCALAR=1` included).
+    #[test]
+    fn dominance_tests_are_pinned() {
+        let pool = ThreadPool::new(1);
+        let data = generate(Distribution::Anticorrelated, 20_000, 6, 1, &pool);
+        let r = run(&data, &pool, &SkylineConfig::default());
+        assert_eq!(
+            (r.indices.len(), r.stats.dominance_tests),
+            (9_121, 46_454_725)
+        );
+    }
+
     #[test]
     fn empty_and_singleton() {
         let pool = ThreadPool::new(2);

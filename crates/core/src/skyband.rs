@@ -192,6 +192,19 @@ mod tests {
         }
     }
 
+    /// Same work, pinned: the 4-skyband of a fixed anticorrelated
+    /// 20 000 × 6 input — band size and the counting scan's
+    /// tile-granular dominance tests, identical at every dispatch level
+    /// (`SKYLINE_FORCE_SCALAR=1` included).
+    #[test]
+    fn skyband_dominance_tests_are_pinned() {
+        let pool = ThreadPool::new(1);
+        let data = generate(Distribution::Anticorrelated, 20_000, 6, 1, &pool);
+        let mut dts = 0;
+        let band = skyband_counts(data.values(), 6, 4, &mut dts);
+        assert_eq!((band.len(), dts), (14_023, 106_874_427));
+    }
+
     #[test]
     fn duplicates_and_equal_sum_ties_are_counted_exactly() {
         // Coincident points never dominate each other; (1,3) and (3,1)

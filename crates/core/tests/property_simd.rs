@@ -226,9 +226,11 @@ proptest! {
     #[test]
     fn tile_store_scans_agree_with_row_scans(
         d in 1usize..=16,
-        n in 0usize..=40,
+        n in 0usize..=130,
         seed in 0u64..=u64::MAX / 2,
     ) {
+        // Up to 17 tiles: whole-range scans see several full iterations,
+        // odd tile counts and a lone (possibly partial) last tile.
         let mut rng = proptest::TestRng::from_seed(seed);
         let row_strat = proptest::collection::vec(coord_strategy(), d..=d);
         let rows: Vec<Vec<f32>> = (0..n).map(|_| row_strat.generate(&mut rng)).collect();
@@ -236,16 +238,128 @@ proptest! {
         for r in &rows {
             store.push(r);
         }
+        let moves_strat = proptest::collection::vec(0u8..=3, d..=d);
         for _ in 0..20 {
-            let q = row_strat.generate(&mut rng);
-            let want_any = rows.iter().any(|r| ref_sd(r, &q));
+            // Half the candidates are nudged copies of a stored row, so
+            // dominators turn up at every position, not just rarely.
+            let q: Vec<f32> = if n > 0 && rng.next_u64() % 2 == 0 {
+                let base = &rows[(rng.next_u64() as usize) % n];
+                let moves = moves_strat.generate(&mut rng);
+                base.iter()
+                    .zip(&moves)
+                    .map(|(&v, &m)| match m {
+                        0 => v,
+                        1 => v + 0.25,
+                        2 => v - 0.25,
+                        _ => -v,
+                    })
+                    .collect()
+            } else {
+                row_strat.generate(&mut rng)
+            };
+
             let mut dts = 0u64;
-            prop_assert_eq!(store.any_dominates(&q, &mut dts), want_any);
+            let got = store.any_dominates(&q, &mut dts);
+            prop_assert_eq!((got, dts), ref_any_dominates(&rows, &q));
+
             let k = (rng.next_u64() as usize) % (n + 1);
-            let want_prefix = rows[..k].iter().any(|r| ref_sd(r, &q));
             let mut dts = 0u64;
-            prop_assert_eq!(store.any_dominates_first(k, &q, &mut dts), want_prefix, "k={}", k);
-            prop_assert!(dts <= k as u64 + TILE_LANES as u64);
+            let got = store.any_dominates_first(k, &q, &mut dts);
+            prop_assert_eq!((got, dts), ref_any_dominates_range(&rows, 0, k, &q), "k={}", k);
+
+            let a = (rng.next_u64() as usize) % (n + 1);
+            let b = (rng.next_u64() as usize) % (n + 1);
+            let (start, end) = (a.min(b), a.max(b));
+            let mut dts = 0u64;
+            let got = store.any_dominates_range(start, end, &q, &mut dts);
+            prop_assert_eq!(
+                (got, dts),
+                ref_any_dominates_range(&rows, start, end, &q),
+                "range {}..{}", start, end
+            );
+
+            for cap in [1u32, 2, 4, u32::MAX] {
+                let mut dts = 0u64;
+                let got = store.count_dominators_range(start, end, &q, cap, &mut dts);
+                prop_assert_eq!(
+                    (got, dts),
+                    ref_count_dominators_range(&rows, start, end, &q, cap),
+                    "range {}..{} cap {}", start, end, cap
+                );
+            }
         }
     }
+}
+
+// Reference scans over plain rows, charging dominance tests at the
+// tile-granular accounting `TileStore` promises: `any_dominates` charges
+// the first tile alone, then tile pairs through the pair holding the
+// first dominator; a range scan charges its masked head tile, then whole
+// tile pairs (a lone last whole tile alone), then its masked tail;
+// counting charges tile by tile until the cap is reached.
+
+/// Does any row of `rows[lo..hi]` strictly dominate `q`?
+fn any_in(rows: &[Vec<f32>], lo: usize, hi: usize, q: &[f32]) -> bool {
+    rows[lo..hi].iter().any(|r| ref_sd(r, q))
+}
+
+fn ref_any_dominates(rows: &[Vec<f32>], q: &[f32]) -> (bool, u64) {
+    let n = rows.len();
+    let mut dts = 0u64;
+    let mut lo = 0;
+    let mut width = TILE_LANES;
+    while lo < n {
+        let hi = (lo + width).min(n);
+        dts += (hi - lo) as u64;
+        if any_in(rows, lo, hi, q) {
+            return (true, dts);
+        }
+        lo = hi;
+        width = 2 * TILE_LANES;
+    }
+    (false, dts)
+}
+
+fn ref_any_dominates_range(rows: &[Vec<f32>], start: usize, end: usize, q: &[f32]) -> (bool, u64) {
+    let mut dts = 0u64;
+    let mut lo = start;
+    while lo < end {
+        let hi = if lo % TILE_LANES != 0 {
+            end.min(lo.next_multiple_of(TILE_LANES))
+        } else if lo + 2 * TILE_LANES <= end {
+            lo + 2 * TILE_LANES
+        } else if lo + TILE_LANES <= end {
+            lo + TILE_LANES
+        } else {
+            end
+        };
+        dts += (hi - lo) as u64;
+        if any_in(rows, lo, hi, q) {
+            return (true, dts);
+        }
+        lo = hi;
+    }
+    (false, dts)
+}
+
+fn ref_count_dominators_range(
+    rows: &[Vec<f32>],
+    start: usize,
+    end: usize,
+    q: &[f32],
+    cap: u32,
+) -> (u32, u64) {
+    let mut dts = 0u64;
+    let mut count = 0u32;
+    let mut lo = start;
+    while lo < end {
+        let hi = end.min((lo + 1).next_multiple_of(TILE_LANES));
+        dts += (hi - lo) as u64;
+        count += rows[lo..hi].iter().filter(|r| ref_sd(r, q)).count() as u32;
+        if count >= cap {
+            return (cap, dts);
+        }
+        lo = hi;
+    }
+    (count, dts)
 }
