@@ -12,28 +12,25 @@
 //! angle we reproduce its behaviour for the small `t` it was evaluated at
 //! (the paper notes its experiments "consider d = 5 at most").
 
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::algo::pskyline::pmerge;
 use crate::algo::sskyline::sskyline_in_place;
-use crate::stats::PhaseClock;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::{par_chunks_mut, parallel_for_in_lane, ThreadPool};
 
 /// Runs APSkyline with `pool.threads()` angular partitions.
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
     let n = data.len();
     let d = data.dims();
     let t = pool.threads();
-    let counters = cfg.lane_counters(t);
-    let dt_base = counters.total();
+    let mut probe = PhaseProbe::start(cfg, t);
+    let counters = Arc::clone(probe.counters());
 
     if n == 0 {
-        return SkylineResult::finish(Vec::new(), stats, started);
+        return probe.finish(Vec::new());
     }
 
     // ---- Partitioning: equi-depth slices of the first hyperspherical
@@ -70,7 +67,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
     // correctly as u64.
     skyline_parallel::par_sort_unstable_by_key(pool, &mut keyed, |&kv| kv);
     let slice_len = n.div_ceil(t).max(1);
-    clock.lap(&mut stats.init);
+    probe.lap(AlgoPhase::Init);
 
     // ---- Phase I: local skyline per angular slice ----------------------
     let slices: Vec<(usize, usize)> = (0..t)
@@ -92,7 +89,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
             }
         });
     }
-    clock.lap(&mut stats.phase1);
+    probe.lap(AlgoPhase::PhaseOne);
 
     // ---- Phase II: fold-merge, exactly as PSkyline ----------------------
     let mut merged: Vec<u32> = Vec::new();
@@ -104,10 +101,8 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
             pmerge(data, merged, local, pool, &counters)
         };
     }
-    clock.lap(&mut stats.phase2);
-
-    stats.dominance_tests = counters.total() - dt_base;
-    SkylineResult::finish(merged, stats, started)
+    probe.lap(AlgoPhase::PhaseTwo);
+    probe.finish(merged)
 }
 
 #[cfg(test)]

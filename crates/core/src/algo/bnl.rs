@@ -14,18 +14,16 @@
 //! incomparable, so a dominator anywhere rules out evictions — one pass
 //! resolves the whole update).
 
-use std::time::Instant;
-
 use crate::dominance::simd::TileStore;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
 /// Runs BNL. `pool` is unused (sequential); `cfg` only carries the
 /// telemetry hooks.
 pub fn run(data: &Dataset, _pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
+    let mut probe = PhaseProbe::start(cfg, 1);
     let mut dts: u64 = 0;
     let mut window = TileStore::new(data.dims());
     let mut ids: Vec<u32> = Vec::new();
@@ -42,10 +40,9 @@ pub fn run(data: &Dataset, _pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRe
         }
     }
 
-    cfg.credit_dts(dts);
-    cfg.emit_phase(crate::telemetry::AlgoPhase::PhaseOne, dts);
-    stats.dominance_tests = dts;
-    SkylineResult::finish(ids, stats, started)
+    probe.counters().add(0, dts);
+    probe.lap(AlgoPhase::PhaseOne);
+    probe.finish(ids)
 }
 
 #[cfg(test)]

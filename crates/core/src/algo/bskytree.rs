@@ -16,11 +16,10 @@
 //! falls back to an incremental insertion (same tree shape, same
 //! filtering semantics) for adversarial inputs.
 
-use std::time::Instant;
-
 use crate::masks::{full_mask, is_subset, level, mask_and_eq, Mask};
 use crate::pivot::select_pivot;
-use crate::{PivotStrategy, RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{PivotStrategy, SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
@@ -134,8 +133,7 @@ impl Subset {
 /// median machinery, which BSkyTree does not use — balanced pivots are
 /// computed inline).
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
+    let mut probe = PhaseProbe::start(cfg, 1);
     let d = data.dims();
     let mut out = SkyOut::new(d);
     let mut dts = 0u64;
@@ -148,10 +146,9 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
     };
     build(root, d, &mut out, &mut dts, 0, cfg, pool);
 
-    cfg.credit_dts(dts);
-    cfg.emit_phase(crate::telemetry::AlgoPhase::PhaseOne, dts);
-    stats.dominance_tests = dts;
-    SkylineResult::finish(out.orig, stats, started)
+    probe.counters().add(0, dts);
+    probe.lap(AlgoPhase::PhaseOne);
+    probe.finish(out.orig)
 }
 
 /// Recursive bulk construction. Emits the subset's local skyline into

@@ -17,7 +17,7 @@
 //!    points enter the structure via Algorithm 2.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::sync::Arc;
 
 use super::skystruct::SkyStructure;
 use crate::dominance::dt;
@@ -26,9 +26,8 @@ use crate::masks::{can_dominate, full_mask, level, mask_and_eq, CompoundKey, Mas
 use crate::norms::f32_order_bits;
 use crate::pivot::select_pivot;
 use crate::prefilter::prefilter;
-use crate::stats::PhaseClock;
 use crate::telemetry::{AlgoPhase, PhaseProbe};
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::{
     par_chunks_mut, par_sort_unstable_by_key, parallel_for_in_lane, ThreadPool,
@@ -64,23 +63,17 @@ pub fn run_with_progress(
     cfg: &SkylineConfig,
     mut on_block: impl FnMut(&[u32]),
 ) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
+    let mut probe = PhaseProbe::start(cfg, pool.threads());
+    let counters = Arc::clone(probe.counters());
     let d = data.dims();
     let full = full_mask(d);
     let alpha = cfg.alpha_hybrid.max(1);
-    let counters = cfg.lane_counters(pool.threads());
-    let dt_base = counters.total();
-    let mut probe = PhaseProbe::new(cfg, &counters);
 
     // ---- 1. Pre-filter --------------------------------------------------
     let pf = prefilter(data.values(), d, cfg.prefilter_beta, pool, &counters);
-    clock.lap(&mut stats.prefilter);
     probe.lap(AlgoPhase::Prefilter);
     if pf.orig.is_empty() {
-        stats.dominance_tests = counters.total() - dt_base;
-        return SkylineResult::finish(Vec::new(), stats, started);
+        return probe.finish(Vec::new());
     }
 
     // ---- 2. Pivot selection & partitioning -------------------------------
@@ -110,7 +103,6 @@ pub fn run_with_progress(
         // one DT each under the paper's accounting.
         counters.add(0, npf as u64);
     }
-    clock.lap(&mut stats.pivot);
     probe.lap(AlgoPhase::Pivot);
 
     // ---- 3. Sort by (level, mask, L1) -------------------------------------
@@ -152,7 +144,6 @@ pub fn run_with_progress(
     }
     drop(items);
     drop(masks);
-    clock.lap(&mut stats.init);
     probe.lap(AlgoPhase::Init);
 
     // ---- 4. α-block processing -------------------------------------------
@@ -179,11 +170,9 @@ pub fn run_with_progress(
                 counters.add(lane, dts);
             });
         }
-        clock.lap(&mut stats.phase1);
         probe.lap(AlgoPhase::PhaseOne);
 
         let survivors = compress(&mut ws, blk_start, blk_len, &flags);
-        clock.lap(&mut stats.compress);
         probe.lap(AlgoPhase::Compress);
 
         // Phase II: compareToPeers (Algorithm 4). The compressed
@@ -224,11 +213,9 @@ pub fn run_with_progress(
                 counters.add(lane, dts);
             });
         }
-        clock.lap(&mut stats.phase2);
         probe.lap(AlgoPhase::PhaseTwo);
 
         let confirmed = compress(&mut ws, blk_start, survivors, &flags);
-        clock.lap(&mut stats.compress);
         probe.lap(AlgoPhase::Compress);
 
         // Update S and M(S) (Algorithm 2).
@@ -248,8 +235,7 @@ pub fn run_with_progress(
     }
 
     probe.lap(AlgoPhase::Compress); // trailing structure updates
-    stats.dominance_tests = counters.total() - dt_base;
-    SkylineResult::finish(sky.into_indices(), stats, started)
+    probe.finish(sky.into_indices())
 }
 
 /// Algorithm 4: is block point `me` (relative index, position

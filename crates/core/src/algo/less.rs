@@ -9,33 +9,27 @@
 //! pre-filter (§VI-A1 cites the same idea), followed by the L1 sort and
 //! the SFS window scan over the survivors.
 
-use std::time::Instant;
-
 use crate::config::SortKey;
 use crate::dominance::dt;
 use crate::prefilter::prefilter;
 use crate::sorted::build_workset;
-use crate::stats::PhaseClock;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
 /// Runs LESS with an EF window of `cfg.prefilter_beta` points per thread.
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
+    let mut probe = PhaseProbe::start(cfg, pool.threads());
     let d = data.dims();
-    let counters = cfg.lane_counters(pool.threads());
-    let dt_base = counters.total();
 
     // Elimination-filter pass: drops the easily dominated bulk during the
     // "sort's first pass" (here: before the sort).
-    let pf = prefilter(data.values(), d, cfg.prefilter_beta, pool, &counters);
-    clock.lap(&mut stats.prefilter);
+    let pf = prefilter(data.values(), d, cfg.prefilter_beta, pool, probe.counters());
+    probe.lap(AlgoPhase::Prefilter);
 
     let ws = build_workset(&pf.values, d, Some(&pf.orig), SortKey::L1, pool);
-    clock.lap(&mut stats.init);
+    probe.lap(AlgoPhase::Init);
 
     // SFS-style window scan over the survivors.
     let mut dts: u64 = 0;
@@ -50,12 +44,11 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         }
         sky.push(i as u32);
     }
-    clock.lap(&mut stats.phase1);
+    probe.counters().add(0, dts);
+    probe.lap(AlgoPhase::PhaseOne);
 
-    counters.add(0, dts);
-    stats.dominance_tests = counters.total() - dt_base;
     let indices = sky.into_iter().map(|s| ws.orig[s as usize]).collect();
-    SkylineResult::finish(indices, stats, started)
+    probe.finish(indices)
 }
 
 #[cfg(test)]

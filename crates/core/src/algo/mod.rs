@@ -165,6 +165,51 @@ mod tests {
         assert_eq!(Algorithm::parse("unknown"), None);
     }
 
+    /// One phase clock: the span sink and `RunStats` are fed by the same
+    /// laps, so for every algorithm the sink's DTs sum to the run's
+    /// count (which is what the external handle gained), and the sink
+    /// names exactly the phases with time in `RunStats`.
+    #[test]
+    fn sink_agrees_with_run_stats_for_every_algorithm() {
+        use crate::telemetry::{AlgoPhase, Recorder, SpanSink};
+        use skyline_data::{generate, Distribution};
+        use skyline_parallel::LaneCounters;
+        use std::sync::Arc;
+
+        let data = generate(
+            Distribution::Anticorrelated,
+            3_000,
+            4,
+            5,
+            &ThreadPool::new(2),
+        );
+        for t in [1, 2] {
+            let pool = ThreadPool::new(t);
+            for algo in Algorithm::ALL {
+                let sink = Arc::new(Recorder::default());
+                let handle = Arc::new(LaneCounters::new(2));
+                let cfg = SkylineConfig {
+                    alpha_qflow: 256,
+                    alpha_hybrid: 128,
+                    dt_counters: Some(Arc::clone(&handle)),
+                    span_sink: Some(sink.clone() as Arc<dyn SpanSink>),
+                    ..SkylineConfig::default()
+                };
+                let stats = algo.run(&data, &pool, &cfg).stats;
+                let events = sink.events.lock().unwrap();
+                let sink_dts: u64 = events.iter().map(|&(_, dts)| dts).sum();
+                assert_eq!(sink_dts, stats.dominance_tests, "{algo} T={t}");
+                assert_eq!(handle.total(), stats.dominance_tests, "{algo} T={t}");
+                assert!(stats.dominance_tests > 0, "{algo} T={t}");
+                for phase in AlgoPhase::ALL {
+                    let timed = !stats.phase(phase).is_zero();
+                    let reported = events.iter().any(|&(p, _)| p == phase);
+                    assert_eq!(timed, reported, "{algo} T={t} {phase:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn paper_five_are_distinct() {
         let mut names: Vec<_> = Algorithm::PAPER_FIVE.iter().map(|a| a.name()).collect();

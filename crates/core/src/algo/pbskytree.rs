@@ -24,28 +24,31 @@
 //! which is exactly the overhead the paper measures in Table III ("the
 //! last point in a work batch is potentially processed 16·t points too
 //! early").
+//!
+//! Phase accounting: everything the recursion does — L1 norms, pivot
+//! selection, partitioning, and gathering rows into regions and batches
+//! — is charged to Pivot; the batch's tree probe and the insertion of
+//! its survivors into the tree (the index the next probe reads) to
+//! Phase I; the in-batch pairwise resolution to Phase II.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::time::{Duration, Instant};
 
 use super::bskytree::{subset_from_parts, SkyNode, SkyOut, Subset};
 use crate::dominance::dt;
 use crate::masks::{full_mask, level, mask_and_eq, Mask};
 use crate::pivot::select_pivot;
-use crate::{PivotStrategy, RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{PivotStrategy, SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
-use skyline_parallel::{parallel_for_in_lane, LaneCounters, ThreadPool};
+use skyline_parallel::{parallel_for_in_lane, ThreadPool};
 
 /// Stack-depth guard: below this the region is simply batched whole.
 const MAX_DEPTH: usize = 512;
 
 /// Runs PBSkyTree on `pool`.
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
+    let probe = PhaseProbe::start(cfg, pool.threads());
     let d = data.dims();
-    let counters = cfg.lane_counters(pool.threads());
-    let dt_base = counters.total();
 
     let l1: Vec<f32> = data.rows().map(crate::norms::l1).collect();
     let root = subset_from_parts(data.values().to_vec(), (0..data.len() as u32).collect(), l1);
@@ -60,20 +63,12 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         pend_values: Vec::new(),
         pend_orig: Vec::new(),
         pool,
-        counters: &counters,
+        probe,
         seed: cfg.seed,
-        pivot_time: Duration::ZERO,
-        phase1: Duration::ZERO,
-        phase2: Duration::ZERO,
     };
     state.visit(root, 0);
     state.flush();
-
-    stats.pivot = state.pivot_time;
-    stats.phase1 = state.phase1;
-    stats.phase2 = state.phase2;
-    stats.dominance_tests = counters.total() - dt_base;
-    SkylineResult::finish(state.out.orig, stats, started)
+    state.probe.finish(state.out.orig)
 }
 
 struct PbRun<'a> {
@@ -86,11 +81,8 @@ struct PbRun<'a> {
     pend_values: Vec<f32>,
     pend_orig: Vec<u32>,
     pool: &'a ThreadPool,
-    counters: &'a LaneCounters,
+    probe: PhaseProbe<'a>,
     seed: u64,
-    pivot_time: Duration,
-    phase1: Duration,
-    phase2: Duration,
 }
 
 impl PbRun<'_> {
@@ -136,7 +128,6 @@ impl PbRun<'_> {
         }
 
         // Pivot selection is sequential ("it incurs negligible cost").
-        let t0 = Instant::now();
         let pivot = select_pivot(
             PivotStrategy::Balanced,
             &sub.values,
@@ -156,17 +147,17 @@ impl PbRun<'_> {
         // carries the coincidence flag (d ≤ 20 keeps it free).
         let masks: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         {
-            let (values, coords, masks) = (&sub.values, &pivot.coords, &masks);
+            let (values, coords, masks, counters) =
+                (&sub.values, &pivot.coords, &masks, self.probe.counters());
             parallel_for_in_lane(self.pool, n, 1 << 10, |lane, range| {
                 let len = range.len() as u64;
                 for i in range {
                     let (m, eq) = mask_and_eq(&values[i * d..(i + 1) * d], coords);
                     masks[i].store(m | (u32::from(eq) << 31), Ordering::Relaxed);
                 }
-                self.counters.add(lane, len);
+                counters.add(lane, len);
             });
         }
-        self.pivot_time += t0.elapsed();
 
         // Gather mask regions; emit coincident twins right after the
         // pivot, drop the dominated all-ones region.
@@ -190,9 +181,10 @@ impl PbRun<'_> {
             }
             keyed.push(((level(m) << d) | m, i as u32));
         }
+        keyed.sort_unstable();
+        self.probe.lap(AlgoPhase::Pivot);
         // The pivot + its coincident twins form one group.
         self.end_group();
-        keyed.sort_unstable();
 
         let mut b = 0;
         while b < keyed.len() {
@@ -221,12 +213,13 @@ impl PbRun<'_> {
             return;
         }
         let row = |i: usize| &self.pend_values[i * d..(i + 1) * d];
+        // Leaf rows and regions gathered since the last lap.
+        self.probe.lap(AlgoPhase::Pivot);
 
         // ---- Phase I ----------------------------------------------------
-        let t0 = Instant::now();
         let flags1: Vec<AtomicBool> = (0..b).map(|_| AtomicBool::new(false)).collect();
         if let Some(tree) = &self.tree {
-            let (out, full, counters) = (&self.out, self.full, self.counters);
+            let (out, full, counters) = (&self.out, self.full, self.probe.counters());
             let (pend_values, flags1ref) = (&self.pend_values, &flags1);
             parallel_for_in_lane(self.pool, b, 4, |lane, range| {
                 let mut dts = 0u64;
@@ -239,16 +232,15 @@ impl PbRun<'_> {
                 counters.add(lane, dts);
             });
         }
-        self.phase1 += t0.elapsed();
+        self.probe.lap(AlgoPhase::PhaseOne);
 
         // ---- Phase II: full pairwise within the batch --------------------
         // Batch order within a leaf region is arbitrary, so unlike
         // Q-Flow's sorted blocks both directions must be checked.
-        let t1 = Instant::now();
         let flags2: Vec<AtomicBool> = (0..b).map(|_| AtomicBool::new(false)).collect();
         {
             let (pend_values, flags1ref, flags2ref, counters) =
-                (&self.pend_values, &flags1, &flags2, self.counters);
+                (&self.pend_values, &flags1, &flags2, self.probe.counters());
             parallel_for_in_lane(self.pool, b, 4, |lane, range| {
                 let mut dts = 0u64;
                 for i in range {
@@ -278,7 +270,7 @@ impl PbRun<'_> {
                 counters.add(lane, dts);
             });
         }
-        self.phase2 += t1.elapsed();
+        self.probe.lap(AlgoPhase::PhaseTwo);
 
         // ---- Survivors into the skyline and the global tree --------------
         let mut ins_dts = 0u64;
@@ -297,7 +289,8 @@ impl PbRun<'_> {
                 Some(root) => root.insert(pos, &self.out, self.full, &mut ins_dts),
             }
         }
-        self.counters.add(0, ins_dts);
+        self.probe.counters().add(0, ins_dts);
+        self.probe.lap(AlgoPhase::PhaseOne);
         self.pend_values.clear();
         self.pend_orig.clear();
     }

@@ -12,30 +12,27 @@
 //! kernel.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::config::SortKey;
 use crate::dominance::simd::TileStore;
 use crate::sorted::build_workset;
-use crate::stats::PhaseClock;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::{parallel_for_in_lane, ThreadPool};
 
 /// Runs PSFS with block size `cfg.alpha_qflow`.
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
+    let mut probe = PhaseProbe::start(cfg, pool.threads());
+    let counters = Arc::clone(probe.counters());
     let d = data.dims();
     let alpha = cfg.alpha_qflow.max(1);
 
     let ws = build_workset(data.values(), d, None, SortKey::L1, pool);
-    clock.lap(&mut stats.init);
+    probe.lap(AlgoPhase::Init);
 
     let n = ws.len();
-    let counters = cfg.lane_counters(pool.threads());
-    let dt_base = counters.total();
     let mut sky_tiles = TileStore::new(d);
     let mut sky_orig: Vec<u32> = Vec::new();
     let flags: Vec<AtomicBool> = (0..alpha).map(|_| AtomicBool::new(false)).collect();
@@ -63,7 +60,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
                 counters.add(lane, dts);
             });
         }
-        clock.lap(&mut stats.phase1);
+        probe.lap(AlgoPhase::PhaseOne);
 
         // Sequential resolution of the block's survivors (the "weaker"
         // part): a plain SFS window over the survivors.
@@ -87,13 +84,12 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
             sky_tiles.push(ws.row(s));
             sky_orig.push(ws.orig[s]);
         }
-        clock.lap(&mut stats.phase2);
+        probe.lap(AlgoPhase::PhaseTwo);
 
         blk_start = blk_end;
     }
 
-    stats.dominance_tests = counters.total() - dt_base;
-    SkylineResult::finish(sky_orig, stats, started)
+    probe.finish(sky_orig)
 }
 
 #[cfg(test)]

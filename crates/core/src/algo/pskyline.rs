@@ -10,25 +10,21 @@
 //! inherits huge local skylines that were computed in isolation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 use crate::algo::sskyline::sskyline_in_place;
 use crate::dominance::dt;
-use crate::stats::PhaseClock;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::{parallel_for_in_lane, LaneCounters, ThreadPool};
 
 /// Runs PSkyline on `pool.threads()` blocks.
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
     let n = data.len();
     let t = pool.threads();
-    let counters = cfg.lane_counters(t);
-    let dt_base = counters.total();
+    let mut probe = PhaseProbe::start(cfg, t);
+    let counters = Arc::clone(probe.counters());
 
     // ---- Phase I: local skylines, one block per thread ----------------
     let block_len = n.div_ceil(t.max(1)).max(1);
@@ -51,7 +47,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
             }
         });
     }
-    clock.lap(&mut stats.phase1);
+    probe.lap(AlgoPhase::PhaseOne);
 
     // ---- Phase II: fold with the parallel two-sided merge --------------
     let mut merged: Vec<u32> = Vec::new();
@@ -63,10 +59,8 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
             pmerge(data, merged, local, pool, &counters)
         };
     }
-    clock.lap(&mut stats.phase2);
-
-    stats.dominance_tests = counters.total() - dt_base;
-    SkylineResult::finish(merged, stats, started)
+    probe.lap(AlgoPhase::PhaseTwo);
+    probe.finish(merged)
 }
 
 /// The parallel merge of Im et al.: prune `b` against `a` (in parallel

@@ -25,15 +25,14 @@
 //! pays for the handful of redundant lane tests.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::config::SortKey;
 use crate::dominance::dt;
 use crate::dominance::simd::TileStore;
 use crate::sorted::{build_workset, WorkSet};
-use crate::stats::PhaseClock;
 use crate::telemetry::{AlgoPhase, PhaseProbe};
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::{parallel_for_in_lane, ThreadPool};
 
@@ -51,19 +50,13 @@ pub fn run_with_progress(
     cfg: &SkylineConfig,
     mut on_block: impl FnMut(&[u32]),
 ) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
+    let mut probe = PhaseProbe::start(cfg, pool.threads());
+    let counters = Arc::clone(probe.counters());
     let d = data.dims();
     let alpha = cfg.alpha_qflow.max(1);
 
-    let counters = cfg.lane_counters(pool.threads());
-    let dt_base = counters.total();
-    let mut probe = PhaseProbe::new(cfg, &counters);
-
     // Initialization: compute L1 norms and sort (paper: "Init.").
     let mut ws = build_workset(data.values(), d, None, SortKey::L1, pool);
-    clock.lap(&mut stats.init);
     probe.lap(AlgoPhase::Init);
 
     let n = ws.len();
@@ -93,11 +86,9 @@ pub fn run_with_progress(
                 counters.add(lane, dts);
             });
         }
-        clock.lap(&mut stats.phase1);
         probe.lap(AlgoPhase::PhaseOne);
 
         let survivors = compress_block(&mut ws, blk_start, blk_len, &flags);
-        clock.lap(&mut stats.compress);
         probe.lap(AlgoPhase::Compress);
 
         // ---- Phase II: compare to surviving peers (Fig. 2b) -----------
@@ -140,7 +131,6 @@ pub fn run_with_progress(
                 counters.add(lane, dts);
             });
         }
-        clock.lap(&mut stats.phase2);
         probe.lap(AlgoPhase::PhaseTwo);
 
         let confirmed = compress_block(&mut ws, blk_start, survivors, &flags);
@@ -150,15 +140,13 @@ pub fn run_with_progress(
         }
         let first_new = sky_orig.len();
         sky_orig.extend_from_slice(&ws.orig[blk_start..blk_start + confirmed]);
-        clock.lap(&mut stats.compress);
         probe.lap(AlgoPhase::Compress);
         on_block(&sky_orig[first_new..]);
 
         blk_start += blk_len;
     }
 
-    stats.dominance_tests = counters.total() - dt_base;
-    SkylineResult::finish(sky_orig, stats, started)
+    probe.finish(sky_orig)
 }
 
 #[inline]

@@ -7,25 +7,21 @@
 //! point's `minC` exceeds it — `p*` then strictly dominates every
 //! remaining point, because all of their coordinates exceed all of `p*`'s.
 
-use std::time::Instant;
-
 use crate::config::SortKey;
 use crate::dominance::dt;
 use crate::norms::max_coord;
 use crate::sorted::build_workset;
-use crate::stats::PhaseClock;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
 /// Runs SaLSa (sequential scan; the sort uses `pool`).
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
+    let mut probe = PhaseProbe::start(cfg, 1);
 
     let ws = build_workset(data.values(), data.dims(), None, SortKey::MinCoord, pool);
-    clock.lap(&mut stats.init);
+    probe.lap(AlgoPhase::Init);
 
     let mut dts: u64 = 0;
     let mut sky: Vec<u32> = Vec::new();
@@ -49,13 +45,11 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         sup = sup.min(max_coord(p));
         sky.push(i as u32);
     }
-    clock.lap(&mut stats.phase1);
+    probe.counters().add(0, dts);
+    probe.lap(AlgoPhase::PhaseOne);
 
-    cfg.credit_dts(dts);
-    cfg.emit_phase(crate::telemetry::AlgoPhase::PhaseOne, dts);
-    stats.dominance_tests = dts;
     let indices = sky.into_iter().map(|s| ws.orig[s as usize]).collect();
-    SkylineResult::finish(indices, stats, started)
+    probe.finish(indices)
 }
 
 #[cfg(test)]

@@ -11,25 +11,20 @@
 //! each scan step tests the candidate against 8 window points with the
 //! batched SIMD kernel instead of 8 one-vs-one row scans.
 
-use std::time::Instant;
-
 use crate::dominance::simd::TileStore;
 use crate::sorted::build_workset;
-use crate::stats::PhaseClock;
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
 /// Runs SFS with `cfg.sort_key` (the sort uses `pool`; the scan itself is
 /// sequential).
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::start();
+    let mut probe = PhaseProbe::start(cfg, 1);
 
     let ws = build_workset(data.values(), data.dims(), None, cfg.sort_key, pool);
-    clock.lap(&mut stats.init);
-    cfg.emit_phase(crate::telemetry::AlgoPhase::Init, 0);
+    probe.lap(AlgoPhase::Init);
 
     let mut dts: u64 = 0;
     let mut sky: Vec<u32> = Vec::new(); // positions into ws, ascending
@@ -44,13 +39,11 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         window.push(p);
         sky.push(i as u32);
     }
-    clock.lap(&mut stats.phase1);
+    probe.counters().add(0, dts);
+    probe.lap(AlgoPhase::PhaseOne);
 
-    cfg.credit_dts(dts);
-    cfg.emit_phase(crate::telemetry::AlgoPhase::PhaseOne, dts);
-    stats.dominance_tests = dts;
     let indices = sky.into_iter().map(|s| ws.orig[s as usize]).collect();
-    SkylineResult::finish(indices, stats, started)
+    probe.finish(indices)
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 //! When the inner point dominates the head, the head is *replaced* by it
 //! and the inner scan restarts — the published SSkyline control flow.
 
-use std::time::Instant;
-
 use crate::dominance::{compare, DomRelation};
-use crate::{RunStats, SkylineConfig, SkylineResult};
+use crate::telemetry::{AlgoPhase, PhaseProbe};
+use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
@@ -46,13 +45,12 @@ pub(crate) fn sskyline_in_place(data: &Dataset, idxs: &mut Vec<u32>) -> u64 {
 /// Runs SSkyline over the whole dataset (sequential; `pool` unused,
 /// `cfg` only carries the telemetry hooks).
 pub fn run(data: &Dataset, _pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
-    let started = Instant::now();
-    let mut stats = RunStats::default();
+    let mut probe = PhaseProbe::start(cfg, 1);
     let mut idxs: Vec<u32> = (0..data.len() as u32).collect();
-    stats.dominance_tests = sskyline_in_place(data, &mut idxs);
-    cfg.credit_dts(stats.dominance_tests);
-    cfg.emit_phase(crate::telemetry::AlgoPhase::PhaseOne, stats.dominance_tests);
-    SkylineResult::finish(idxs, stats, started)
+    let dts = sskyline_in_place(data, &mut idxs);
+    probe.counters().add(0, dts);
+    probe.lap(AlgoPhase::PhaseOne);
+    probe.finish(idxs)
 }
 
 #[cfg(test)]

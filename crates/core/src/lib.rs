@@ -65,4 +65,4 @@ pub mod verify;
 
 pub use config::{PivotStrategy, SkylineConfig, SortKey};
 pub use stats::{RunStats, SkylineResult};
-pub use telemetry::{AlgoPhase, PhaseProbe, SpanSink};
+pub use telemetry::{AlgoPhase, SpanSink};

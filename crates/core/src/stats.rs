@@ -4,9 +4,14 @@
 //! into initialization, pre-filtering, pivot selection, the two parallel
 //! phases, compression, and "other". Every algorithm in this crate fills a
 //! [`RunStats`] with exactly those categories so the harness can reprint
-//! the paper's stacked-bar data as tables.
+//! the paper's stacked-bar data as tables. The phase slots are filled by
+//! the laps of the run's one phase clock — the same laps that report to
+//! a span sink (see [`crate::telemetry`]) — and "other" is whatever the
+//! run spent after its last lap.
 
 use std::time::{Duration, Instant};
+
+use crate::telemetry::AlgoPhase;
 
 /// Timing and counting breakdown of a single skyline computation.
 #[derive(Debug, Clone, Default)]
@@ -36,10 +41,43 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The wall time attributed to `phase`.
+    pub fn phase(&self, phase: AlgoPhase) -> Duration {
+        match phase {
+            AlgoPhase::Init => self.init,
+            AlgoPhase::Prefilter => self.prefilter,
+            AlgoPhase::Pivot => self.pivot,
+            AlgoPhase::PhaseOne => self.phase1,
+            AlgoPhase::PhaseTwo => self.phase2,
+            AlgoPhase::Compress => self.compress,
+        }
+    }
+
+    pub(crate) fn phase_mut(&mut self, phase: AlgoPhase) -> &mut Duration {
+        match phase {
+            AlgoPhase::Init => &mut self.init,
+            AlgoPhase::Prefilter => &mut self.prefilter,
+            AlgoPhase::Pivot => &mut self.pivot,
+            AlgoPhase::PhaseOne => &mut self.phase1,
+            AlgoPhase::PhaseTwo => &mut self.phase2,
+            AlgoPhase::Compress => &mut self.compress,
+        }
+    }
+
+    /// Adds `other`'s work to this run's: every phase, the total and
+    /// the dominance tests (the skyline size is left alone — a sum of
+    /// partial skylines is not a skyline size).
+    pub fn accumulate(&mut self, other: &RunStats) {
+        for phase in AlgoPhase::ALL {
+            *self.phase_mut(phase) += other.phase(phase);
+        }
+        self.total += other.total;
+        self.dominance_tests += other.dominance_tests;
+    }
+
     /// Everything not attributed to a named phase.
     pub fn other(&self) -> Duration {
-        let named =
-            self.init + self.prefilter + self.pivot + self.phase1 + self.phase2 + self.compress;
+        let named: Duration = AlgoPhase::ALL.iter().map(|&p| self.phase(p)).sum();
         self.total.saturating_sub(named)
     }
 
@@ -71,27 +109,6 @@ impl SkylineResult {
         stats.total = started.elapsed();
         stats.skyline_size = indices.len();
         SkylineResult { indices, stats }
-    }
-}
-
-/// Accumulates wall-clock time into a `Duration` field across many blocks.
-#[derive(Debug)]
-pub(crate) struct PhaseClock {
-    last: Instant,
-}
-
-impl PhaseClock {
-    pub fn start() -> Self {
-        Self {
-            last: Instant::now(),
-        }
-    }
-
-    /// Adds the time since the previous lap to `slot` and restarts.
-    pub fn lap(&mut self, slot: &mut Duration) {
-        let now = Instant::now();
-        *slot += now - self.last;
-        self.last = now;
     }
 }
 
@@ -140,11 +157,25 @@ mod tests {
     }
 
     #[test]
-    fn phase_clock_accumulates() {
-        let mut slot = Duration::ZERO;
-        let mut clock = PhaseClock::start();
-        std::thread::sleep(Duration::from_millis(2));
-        clock.lap(&mut slot);
-        assert!(slot >= Duration::from_millis(1));
+    fn accumulate_sums_every_phase_total_and_dts() {
+        let part = RunStats {
+            prefilter: Duration::from_millis(1),
+            pivot: Duration::from_millis(2),
+            compress: Duration::from_millis(3),
+            total: Duration::from_millis(10),
+            dominance_tests: 7,
+            skyline_size: 4,
+            ..Default::default()
+        };
+        let mut sum = RunStats::default();
+        sum.accumulate(&part);
+        sum.accumulate(&part);
+        for phase in AlgoPhase::ALL {
+            assert_eq!(sum.phase(phase), part.phase(phase) * 2, "{phase:?}");
+        }
+        assert_eq!(sum.total, Duration::from_millis(20));
+        assert_eq!(sum.dominance_tests, 14);
+        assert_eq!(sum.skyline_size, 0);
+        assert_eq!(sum.other(), Duration::from_millis(8));
     }
 }

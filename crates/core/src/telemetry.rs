@@ -1,33 +1,38 @@
-//! Phase-boundary hooks for external observers.
+//! Phase-boundary hooks for external observers, and the one per-run
+//! instrument that drives them.
 //!
 //! The paper's analysis (Figures 7–8) is all about *where* time and
 //! dominance tests go — Phase I versus Phase II, pre-filtering versus
-//! compression. [`RunStats`](crate::RunStats) already reports per-phase
-//! wall time, but it is measured on [`Instant`](std::time::Instant) and
-//! only carries a single whole-run DT total. A query engine that wants
-//! deterministic, per-span traces needs two extra seams, both threaded
-//! through [`SkylineConfig`]:
+//! compression. Every algorithm laps one `PhaseProbe` at each phase
+//! boundary it crosses; each lap charges the wall time since the
+//! previous lap to that phase's [`RunStats`] slot **and** reports the
+//! phase, with the dominance tests spent since the previous lap, to the
+//! span sink. The per-phase stats and an external trace therefore come
+//! from the same laps and agree by construction. Two optional seams,
+//! both threaded through [`SkylineConfig`], let a query engine observe
+//! a run:
 //!
 //! * **an external DT counter handle** ([`SkylineConfig::dt_counters`]):
 //!   when present, algorithms accumulate dominance tests into the
 //!   caller's [`LaneCounters`] instead of a run-local set, so the caller
 //!   can attribute DTs to exactly one query even when several run
 //!   concurrently;
-//! * **a span sink** ([`SkylineConfig::span_sink`]): algorithms report
-//!   each phase boundary as they cross it, together with the DTs spent
-//!   since the previous boundary. The *sink* supplies the timestamps
-//!   (on whatever clock it likes), which is what makes externally
-//!   driven manual-clock tests exact.
+//! * **a span sink** ([`SkylineConfig::span_sink`]): receives every lap.
+//!   The *sink* supplies its own timestamps (on whatever clock it
+//!   likes), which is what makes externally driven manual-clock tests
+//!   exact.
 //!
-//! Both hooks default to `None` and cost nothing when absent.
+//! Both default to `None`; without a sink a lap costs one `Instant`
+//! read.
 
 use skyline_parallel::LaneCounters;
 use std::sync::Arc;
+use std::time::Instant;
 
-use crate::SkylineConfig;
+use crate::{RunStats, SkylineConfig, SkylineResult};
 
 /// A named execution phase of a skyline algorithm, mirroring the
-/// categories of [`RunStats`](crate::RunStats) (the paper's "Init.",
+/// categories of [`RunStats`] (the paper's "Init.",
 /// "Pre-filter", "Pivot", "Phase I", "Phase II", "Compress").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgoPhase {
@@ -85,91 +90,107 @@ pub trait SpanSink: Send + Sync + std::fmt::Debug {
     fn phase_end(&self, phase: AlgoPhase, dominance_tests: u64);
 }
 
-/// Per-run helper that mirrors the internal `PhaseClock` laps as
-/// [`SpanSink`] events, attributing DT deltas by snapshotting a
-/// [`LaneCounters`] total at each boundary.
+/// The one per-run instrument of every algorithm: it owns the run's
+/// start and last-lap [`Instant`], the [`RunStats`] being filled, the
+/// run's DT counter set ([`SkylineConfig::lane_counters`]) with its
+/// total at run start, and the configured sink.
 ///
-/// Free when no sink is configured: `lap` is a no-op without even a
-/// counter read.
+/// Parallel phases add their DTs to the counter set per lane;
+/// sequential ones add their local tally to lane 0 before they lap.
 #[derive(Debug)]
-pub struct PhaseProbe<'a> {
+pub(crate) struct PhaseProbe<'a> {
     sink: Option<&'a dyn SpanSink>,
-    counters: &'a LaneCounters,
+    counters: Arc<LaneCounters>,
+    dt_base: u64,
     dt_mark: u64,
+    started: Instant,
+    last: Instant,
+    stats: RunStats,
 }
 
 impl<'a> PhaseProbe<'a> {
-    /// A probe for one algorithm run: reports to `cfg.span_sink` (if
-    /// any) and reads DT totals from `counters`.
-    pub fn new(cfg: &'a SkylineConfig, counters: &'a LaneCounters) -> Self {
-        let sink = cfg.span_sink.as_deref();
-        let dt_mark = if sink.is_some() { counters.total() } else { 0 };
+    /// Starts the clock of one run whose parallel phases use `lanes`
+    /// lanes.
+    pub(crate) fn start(cfg: &'a SkylineConfig, lanes: usize) -> Self {
+        let started = Instant::now();
+        let counters = cfg.lane_counters(lanes);
+        let dt_base = counters.total();
         Self {
-            sink,
+            sink: cfg.span_sink.as_deref(),
             counters,
-            dt_mark,
+            dt_base,
+            dt_mark: dt_base,
+            started,
+            last: started,
+            stats: RunStats::default(),
         }
     }
 
-    /// Marks the end of (one block's) `phase` work.
+    /// The run's DT counter set.
+    pub(crate) fn counters(&self) -> &Arc<LaneCounters> {
+        &self.counters
+    }
+
+    /// Marks the end of (one block's) `phase` work: charges the time
+    /// since the previous lap to the phase's [`RunStats`] slot and
+    /// reports the DTs spent since then to the sink, if any.
     #[inline]
-    pub fn lap(&mut self, phase: AlgoPhase) {
+    pub(crate) fn lap(&mut self, phase: AlgoPhase) {
+        let now = Instant::now();
+        *self.stats.phase_mut(phase) += now - self.last;
+        self.last = now;
         if let Some(sink) = self.sink {
             let total = self.counters.total();
             sink.phase_end(phase, total.saturating_sub(self.dt_mark));
             self.dt_mark = total;
         }
     }
+
+    /// Seals the run: its dominance tests are everything the counter
+    /// set gained since [`start`](Self::start), all of which the laps
+    /// have already reported.
+    pub(crate) fn finish(mut self, indices: Vec<u32>) -> SkylineResult {
+        let total = self.counters.total();
+        debug_assert!(
+            self.sink.is_none() || total == self.dt_mark,
+            "dominance tests after the last lap never reach the sink"
+        );
+        self.stats.dominance_tests = total - self.dt_base;
+        SkylineResult::finish(indices, self.stats, self.started)
+    }
 }
 
 impl SkylineConfig {
     /// The DT counter set for one run: the externally supplied handle
     /// when one is present (and wide enough for `lanes`), otherwise a
-    /// fresh run-local set. Algorithms must snapshot the total at run
-    /// start ([`LaneCounters::total`]) and report the *difference* in
-    /// their [`RunStats`](crate::RunStats), since a shared handle may
-    /// carry counts from an earlier run of the same query.
+    /// fresh run-local set. A shared handle may carry counts from an
+    /// earlier run of the same query, which is why `PhaseProbe`
+    /// reports the *difference* from its total at run start.
     pub fn lane_counters(&self, lanes: usize) -> Arc<LaneCounters> {
         match &self.dt_counters {
             Some(handle) if handle.lanes() >= lanes.max(1) => Arc::clone(handle),
             _ => Arc::new(LaneCounters::new(lanes)),
         }
     }
+}
 
-    /// Credits `dts` dominance tests from a sequential (plain-`u64`)
-    /// algorithm to the external counter handle, if one is attached.
-    #[inline]
-    pub fn credit_dts(&self, dts: u64) {
-        if let Some(handle) = &self.dt_counters {
-            handle.add(0, dts);
-        }
-    }
+/// A sink that records every event, for tests.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct Recorder {
+    pub(crate) events: std::sync::Mutex<Vec<(AlgoPhase, u64)>>,
+}
 
-    /// Reports a phase boundary of a sequential algorithm directly to
-    /// the configured sink, if any.
-    #[inline]
-    pub fn emit_phase(&self, phase: AlgoPhase, dominance_tests: u64) {
-        if let Some(sink) = &self.span_sink {
-            sink.phase_end(phase, dominance_tests);
-        }
+#[cfg(test)]
+impl SpanSink for Recorder {
+    fn phase_end(&self, phase: AlgoPhase, dominance_tests: u64) {
+        self.events.lock().unwrap().push((phase, dominance_tests));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    #[derive(Debug, Default)]
-    struct Recorder {
-        events: Mutex<Vec<(AlgoPhase, u64)>>,
-    }
-
-    impl SpanSink for Recorder {
-        fn phase_end(&self, phase: AlgoPhase, dominance_tests: u64) {
-            self.events.lock().unwrap().push((phase, dominance_tests));
-        }
-    }
 
     #[test]
     fn probe_reports_dt_deltas_not_totals() {
@@ -178,8 +199,8 @@ mod tests {
             span_sink: Some(sink.clone() as Arc<dyn SpanSink>),
             ..Default::default()
         };
-        let counters = LaneCounters::new(2);
-        let mut probe = PhaseProbe::new(&cfg, &counters);
+        let mut probe = PhaseProbe::start(&cfg, 2);
+        let counters = Arc::clone(probe.counters());
         counters.add(0, 10);
         probe.lap(AlgoPhase::PhaseOne);
         counters.add(1, 5);
@@ -193,21 +214,24 @@ mod tests {
                 (AlgoPhase::Compress, 0)
             ]
         );
+        assert_eq!(probe.finish(Vec::new()).stats.dominance_tests, 15);
     }
 
     #[test]
     fn probe_accounts_for_preexisting_counts() {
         let sink = Arc::new(Recorder::default());
-        let counters = LaneCounters::new(1);
+        let counters = Arc::new(LaneCounters::new(1));
         counters.add(0, 100); // an earlier run of the same query
         let cfg = SkylineConfig {
+            dt_counters: Some(Arc::clone(&counters)),
             span_sink: Some(sink.clone() as Arc<dyn SpanSink>),
             ..Default::default()
         };
-        let mut probe = PhaseProbe::new(&cfg, &counters);
+        let mut probe = PhaseProbe::start(&cfg, 1);
         counters.add(0, 7);
         probe.lap(AlgoPhase::PhaseOne);
         assert_eq!(*sink.events.lock().unwrap(), vec![(AlgoPhase::PhaseOne, 7)]);
+        assert_eq!(probe.finish(Vec::new()).stats.dominance_tests, 7);
     }
 
     #[test]
@@ -216,8 +240,6 @@ mod tests {
         // No handle: fresh counters of the requested width.
         let c = cfg.lane_counters(4);
         assert_eq!(c.lanes(), 4);
-        cfg.credit_dts(9); // no-op
-        cfg.emit_phase(AlgoPhase::PhaseOne, 3); // no-op
 
         // A wide-enough handle is reused; a too-narrow one is not.
         let handle = Arc::new(LaneCounters::new(2));
@@ -227,7 +249,5 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&cfg.lane_counters(2), &handle));
         assert!(!Arc::ptr_eq(&cfg.lane_counters(8), &handle));
-        cfg.credit_dts(11);
-        assert_eq!(handle.total(), 11);
     }
 }

@@ -58,9 +58,9 @@ pub struct EngineConfig {
     /// size per dispatch pass, and whether a background dispatcher
     /// thread runs.
     pub admission: AdmissionConfig,
-    /// The telemetry layer: metrics registry, per-query traces, and the
-    /// slow-query log. Enabled by default (see
-    /// [`TelemetryConfig::enabled`] for what disabling turns off).
+    /// The slow-query log's threshold and capacity. The rest of the
+    /// telemetry layer — metrics registry and per-query traces — is
+    /// always on.
     pub telemetry: TelemetryConfig,
 }
 
@@ -175,13 +175,11 @@ pub(crate) struct EngineShared {
     /// [`ManualClock`](crate::ManualClock) makes all three
     /// deterministic under test.
     pub(crate) clock: Arc<dyn Clock>,
-    /// Present iff [`TelemetryConfig::enabled`]: the metrics registry,
-    /// trace machinery, and slow-query ring.
-    pub(crate) telemetry: Option<Arc<Telemetry>>,
+    /// The metrics registry, trace machinery, and slow-query ring.
+    pub(crate) telemetry: Arc<Telemetry>,
     /// The per-class `session.queue_wait` histograms — the single
     /// source of queue-wait truth, shared with the feedback loop and
-    /// (when enabled) exposed through the registry. Always present:
-    /// three lock-free histograms cost nothing measurable.
+    /// exposed through the registry.
     pub(crate) queue_waits: Arc<QueueWaitHistograms>,
     /// Set once by [`Engine::open_durable`] **after** recovery replay
     /// completes: while unset, registrations and mutations skip the
@@ -294,10 +292,7 @@ impl Engine {
                 Arc::clone(&queue_waits),
             ))
         });
-        let telemetry = cfg
-            .telemetry
-            .enabled
-            .then(|| Arc::new(Telemetry::new(cfg.telemetry.clone(), &queue_waits)));
+        let telemetry = Arc::new(Telemetry::new(cfg.telemetry, &queue_waits));
         let shared = Arc::new(EngineShared {
             pool,
             catalog: Catalog::new(),
@@ -534,9 +529,7 @@ impl Engine {
             Ok(result) => result?,
             Err(_) => return Err(EngineError::Internal),
         };
-        if let Some(tel) = &shared.telemetry {
-            tel.on_stats_rescans(out.stats_rescans);
-        }
+        shared.telemetry.on_stats_rescans(out.stats_rescans);
         let (patched, dropped) = if out.compacted {
             let dropped = shared
                 .cache
@@ -684,13 +677,10 @@ impl Engine {
     /// A merged snapshot of every telemetry instrument — query latency,
     /// per-class queue waits, per-algorithm dominance-test counters,
     /// session activity — plus the derived `cache.*` and `feedback.*`
-    /// families. Empty when telemetry is disabled;
-    /// [`MetricsSnapshot::render`] turns it into the text exposition.
+    /// families. [`MetricsSnapshot::render`] turns it into the text
+    /// exposition.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let Some(tel) = &self.shared.telemetry else {
-            return MetricsSnapshot::default();
-        };
-        let mut snap = tel.registry().snapshot();
+        let mut snap = self.shared.telemetry.registry().snapshot();
         let c = self.cache_stats();
         snap.push_counter("cache.hits", &[], c.hits);
         snap.push_counter("cache.misses", &[], c.misses);
@@ -716,24 +706,15 @@ impl Engine {
     /// registers its per-connection counters and request histograms
     /// here, and one [`metrics`](Self::metrics) snapshot (and its
     /// [`MetricsSnapshot::render`] text) covers the whole process.
-    /// `None` when telemetry is disabled.
-    pub fn metrics_registry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.shared
-            .telemetry
-            .as_ref()
-            .map(|tel| tel.registry_handle())
+    pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
+        self.shared.telemetry.registry_handle()
     }
 
     /// Removes and returns every trace retained by the slow-query ring
     /// (queries whose end-to-end latency met
-    /// [`TelemetryConfig::slow_query_threshold`]), oldest first. Empty
-    /// when telemetry is disabled.
+    /// [`TelemetryConfig::slow_query_threshold`]), oldest first.
     pub fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        self.shared
-            .telemetry
-            .as_ref()
-            .map(|tel| tel.slow_log().drain())
-            .unwrap_or_default()
+        self.shared.telemetry.slow_log().drain()
     }
 
     /// Executes one query and returns its result **with** the full
@@ -746,21 +727,16 @@ impl Engine {
     /// production behaviour rather than an instrumented replay.
     ///
     /// # Errors
-    /// [`EngineError::TelemetryDisabled`] when the engine was built
-    /// with [`TelemetryConfig::enabled`] `= false`, plus anything
-    /// [`execute`](Self::execute) can fail with.
+    /// Anything [`execute`](Self::execute) can fail with.
     pub fn explain_analyze(
         &self,
         query: &SkylineQuery,
     ) -> Result<(QueryResult, Arc<QueryTrace>), EngineError> {
-        if self.shared.telemetry.is_none() {
-            return Err(EngineError::TelemetryDisabled);
-        }
         let ticket = self.submit_direct_blocking(query)?;
         let result = ticket.wait()?;
         let trace = ticket
             .trace()
-            .expect("telemetry is enabled: successful tickets carry a trace");
+            .expect("successful tickets always carry a trace");
         Ok((result, trace))
     }
 
@@ -941,12 +917,7 @@ impl EngineShared {
         batch: Vec<Arc<TicketState>>,
         steal: bool,
     ) {
-        type Planned = (
-            Arc<TicketState>,
-            QueryPlan,
-            Duration,
-            Option<Arc<ActiveTrace>>,
-        );
+        type Planned = (Arc<TicketState>, QueryPlan, Duration, Arc<ActiveTrace>);
         let mut seq: Vec<Planned> = Vec::new();
         let mut par: Vec<Planned> = Vec::new();
         for ticket in batch {
@@ -957,7 +928,7 @@ impl EngineShared {
             }
             let trace = self.begin_trace(&ticket, wait);
             if let Some(full) = self.cache.get_uncounted(&ticket.prepared.key) {
-                let hit_started = self.clock.now();
+                let hit_started = trace.now();
                 let hit = self.hit_result(
                     &ticket.prepared,
                     full,
@@ -965,16 +936,9 @@ impl EngineShared {
                     self.clock_now(),
                     wait,
                 );
-                if let Some(tr) = &trace {
-                    tr.add_span(
-                        SpanKind::CacheHit,
-                        hit_started,
-                        self.clock.now().saturating_sub(hit_started),
-                        0,
-                    );
-                }
-                let sealed = self.seal_trace(trace, &ticket, &hit, wait);
-                self.complete_ticket(runtime, &ticket, Ok(hit), wait, sealed);
+                trace.close_span(SpanKind::CacheHit, hit_started, 0);
+                let sealed = self.seal_trace(&trace, &ticket, &hit, wait);
+                self.complete_ticket(runtime, &ticket, Ok(hit), wait, Some(sealed));
                 continue;
             }
             if let Some(hit) = self.try_ancestor(
@@ -982,22 +946,15 @@ impl EngineShared {
                 Instant::now(),
                 self.clock_now(),
                 wait,
-                trace.as_ref(),
+                &trace,
             ) {
-                let sealed = self.seal_trace(trace, &ticket, &hit, wait);
-                self.complete_ticket(runtime, &ticket, Ok(hit), wait, sealed);
+                let sealed = self.seal_trace(&trace, &ticket, &hit, wait);
+                self.complete_ticket(runtime, &ticket, Ok(hit), wait, Some(sealed));
                 continue;
             }
-            let plan_started = self.clock.now();
+            let plan_started = trace.now();
             let plan = self.plan_prepared(&ticket.prepared, self.threads());
-            if let Some(tr) = &trace {
-                tr.add_span(
-                    SpanKind::Plan,
-                    plan_started,
-                    self.clock.now().saturating_sub(plan_started),
-                    0,
-                );
-            }
+            trace.close_span(SpanKind::Plan, plan_started, 0);
             let parallel = matches!(plan.strategy, Strategy::Algorithm(a) if a.is_parallel())
                 || matches!(plan.strategy, Strategy::Sharded { .. });
             if parallel {
@@ -1025,7 +982,7 @@ impl EngineShared {
                         plan.clone(),
                         *wait,
                         &lane_pool,
-                        trace.clone(),
+                        Arc::clone(trace),
                     );
                 }
             });
@@ -1044,41 +1001,38 @@ impl EngineShared {
         }
     }
 
-    /// Starts a trace for an admitted ticket (telemetry enabled only),
-    /// seeded with its admission-wait span.
-    fn begin_trace(&self, ticket: &TicketState, wait: Duration) -> Option<Arc<ActiveTrace>> {
-        self.telemetry.as_ref().map(|_| {
-            let tr = Arc::new(ActiveTrace::new(Arc::clone(&self.clock)));
-            tr.add_span(SpanKind::AdmissionWait, ticket.submitted_at, wait, 0);
-            tr
-        })
+    /// Starts the trace of an admitted ticket, seeded with its
+    /// admission-wait span.
+    fn begin_trace(&self, ticket: &TicketState, wait: Duration) -> Arc<ActiveTrace> {
+        let trace = Arc::new(ActiveTrace::new(Arc::clone(&self.clock)));
+        trace.add_span(SpanKind::AdmissionWait, ticket.submitted_at, wait, 0);
+        trace
     }
 
     /// Seals an active trace against the finished result.
     fn seal_trace(
         &self,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: &ActiveTrace,
         ticket: &TicketState,
         result: &QueryResult,
         queue_wait: Duration,
-    ) -> Option<Arc<QueryTrace>> {
-        trace.map(|tr| {
-            tr.finish(
-                ticket.id,
-                ticket.prepared.entry.name(),
-                PlanKind::from(&result.plan.strategy).name(),
-                result.plan.reason,
-                result.plan.candidates.clone(),
-                queue_wait,
-                self.clock.now().saturating_sub(ticket.submitted_at),
-                result.cache_hit,
-            )
-        })
+    ) -> Arc<QueryTrace> {
+        trace.finish(
+            ticket.id,
+            ticket.prepared.entry.name(),
+            PlanKind::from(&result.plan.strategy).name(),
+            result.plan.reason,
+            result.plan.candidates.clone(),
+            queue_wait,
+            self.clock.now().saturating_sub(ticket.submitted_at),
+            result.cache_hit,
+        )
     }
 
     /// Terminates a ticket: records its queue wait and (on success) the
     /// completion counters, end-to-end latency, and slow-log offer,
-    /// then publishes the outcome and trace to the waiter.
+    /// then publishes the outcome and trace to the waiter. Only
+    /// successful outcomes carry a trace.
     fn complete_ticket(
         &self,
         runtime: &SessionRuntime,
@@ -1089,12 +1043,11 @@ impl EngineShared {
     ) {
         if outcome.is_ok() {
             self.queue_waits.record(ticket.priority, queue_wait);
-            if let Some(tel) = &self.telemetry {
-                tel.on_completed(ticket.priority);
-                tel.record_latency(self.clock.now().saturating_sub(ticket.submitted_at));
-                if let Some(tr) = &trace {
-                    tel.slow_log().offer(tr);
-                }
+            self.telemetry.on_completed(ticket.priority);
+            self.telemetry
+                .record_latency(self.clock.now().saturating_sub(ticket.submitted_at));
+            if let Some(tr) = &trace {
+                self.telemetry.slow_log().offer(tr);
             }
         }
         runtime.complete(ticket, outcome, queue_wait, trace);
@@ -1122,7 +1075,7 @@ impl EngineShared {
         plan: QueryPlan,
         queue_wait: Duration,
         pool: &ThreadPool,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: Arc<ActiveTrace>,
     ) {
         if let Some(outcome) = self.preflight(ticket) {
             self.complete_ticket(runtime, ticket, outcome, queue_wait, None);
@@ -1131,7 +1084,7 @@ impl EngineShared {
         let clock_started = self.clock_now();
         let outcome = match self.cache.get_uncounted(&ticket.prepared.key) {
             Some(full) => {
-                let hit_started = self.clock.now();
+                let hit_started = trace.now();
                 let hit = self.hit_result(
                     &ticket.prepared,
                     full,
@@ -1139,14 +1092,7 @@ impl EngineShared {
                     clock_started,
                     queue_wait,
                 );
-                if let Some(tr) = &trace {
-                    tr.add_span(
-                        SpanKind::CacheHit,
-                        hit_started,
-                        self.clock.now().saturating_sub(hit_started),
-                        0,
-                    );
-                }
+                trace.close_span(SpanKind::CacheHit, hit_started, 0);
                 hit
             }
             None => match self.try_ancestor(
@@ -1154,14 +1100,14 @@ impl EngineShared {
                 Instant::now(),
                 clock_started,
                 queue_wait,
-                trace.as_ref(),
+                &trace,
             ) {
                 Some(hit) => hit,
-                None => self.run_plan(&ticket.prepared, plan, pool, queue_wait, trace.as_ref()),
+                None => self.run_plan(&ticket.prepared, plan, pool, queue_wait, &trace),
             },
         };
-        let sealed = self.seal_trace(trace, ticket, &outcome, queue_wait);
-        self.complete_ticket(runtime, ticket, Ok(outcome), queue_wait, sealed);
+        let sealed = self.seal_trace(&trace, ticket, &outcome, queue_wait);
+        self.complete_ticket(runtime, ticket, Ok(outcome), queue_wait, Some(sealed));
     }
 
     /// Resolves the dataset and canonicalises the query.
@@ -1312,7 +1258,7 @@ impl EngineShared {
         started: Instant,
         clock_started: Option<Duration>,
         queue_wait: Duration,
-        trace: Option<&Arc<ActiveTrace>>,
+        trace: &ActiveTrace,
     ) -> Option<QueryResult> {
         let kind = prepared.key.kind;
         if matches!(
@@ -1323,7 +1269,7 @@ impl EngineShared {
             return None;
         }
         let (_, anc) = self.cache.find_ancestor(&prepared.key)?;
-        let span_t0 = trace.map(|_| self.clock.now());
+        let span_t0 = trace.now();
         let (value, reason) = match kind {
             QueryKind::Skyline | QueryKind::Skyband { .. } => {
                 let counts = anc.counts.as_ref()?;
@@ -1356,14 +1302,7 @@ impl EngineShared {
             }
         };
         self.cache.insert(prepared.key, value.clone());
-        if let (Some(tr), Some(t0)) = (trace, span_t0) {
-            tr.add_span(
-                SpanKind::CacheAncestor,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                0,
-            );
-        }
+        trace.close_span(SpanKind::CacheAncestor, span_t0, 0);
         let mut hit = self.hit_result(prepared, value, started, clock_started, queue_wait);
         hit.plan.reason = reason;
         Some(hit)
@@ -1414,7 +1353,7 @@ impl EngineShared {
         mut plan: QueryPlan,
         pool: &ThreadPool,
         queue_wait: Duration,
-        trace: Option<&Arc<ActiveTrace>>,
+        trace: &Arc<ActiveTrace>,
     ) -> QueryResult {
         let started = Instant::now();
         // Runtime observed for the feedback loop is measured on the
@@ -1422,15 +1361,13 @@ impl EngineShared {
         // recorded runtimes — and therefore every refit decision —
         // fully deterministic in tests.
         let clock_started = self.feedback.as_ref().map(|fb| fb.clock().now());
-        if let Some(tr) = trace {
-            // Give the algorithm a query-scoped dominance tally and the
-            // span sink, and re-base the trace's phase mark so the
-            // first phase is not charged for engine-side time.
-            plan.config.dt_counters = Some(Arc::new(LaneCounters::new(pool.threads())));
-            plan.config.span_sink = Some(Arc::clone(tr) as Arc<dyn SpanSink>);
-            tr.set_mark();
-        }
-        let exec_started = trace.map(|_| self.clock.now());
+        // Give the algorithm a query-scoped dominance tally and the span
+        // sink, and re-base the trace's phase mark so the first phase is
+        // not charged for engine-side time.
+        plan.config.dt_counters = Some(Arc::new(LaneCounters::new(pool.threads())));
+        plan.config.span_sink = Some(Arc::clone(trace) as Arc<dyn SpanSink>);
+        trace.set_mark();
+        let exec_started = trace.now();
         let entry = &prepared.entry;
         let kind = prepared.key.kind;
         let mut shard_merge = None;
@@ -1487,7 +1424,7 @@ impl EngineShared {
                 // Counting kinds: the sum-sorted counting kernel over the
                 // same input an algorithm would get — one SFS-shaped
                 // pass, whatever the nominal algorithm.
-                let exec_t0 = trace.map(|_| self.clock.now());
+                let exec_t0 = trace.now();
                 let width = plan.effective_dims.len();
                 let (view, id_map) =
                     self.algorithm_input(entry, &plan.effective_dims, prepared.max_mask, pool);
@@ -1507,17 +1444,8 @@ impl EngineShared {
                         *id = live[*id as usize];
                     }
                 }
-                if let (Some(tr), Some(t0)) = (trace, exec_t0) {
-                    tr.add_span(
-                        SpanKind::Execute,
-                        t0,
-                        self.clock.now().saturating_sub(t0),
-                        dts,
-                    );
-                }
-                if let Some(tel) = &self.telemetry {
-                    tel.record_dominance(*algo, dts);
-                }
+                trace.close_span(SpanKind::Execute, exec_t0, dts);
+                self.telemetry.record_dominance(*algo, dts);
                 counts = Some(cnts);
                 let stats = RunStats {
                     dominance_tests: dts,
@@ -1568,24 +1496,21 @@ impl EngineShared {
                         (indices, result.stats)
                     }
                 };
-                if let Some(tel) = &self.telemetry {
-                    tel.record_dominance(*algo, stats.dominance_tests);
-                }
+                self.telemetry
+                    .record_dominance(*algo, stats.dominance_tests);
                 (indices, Some(stats))
             }
         };
 
-        if let (Some(tr), Some(t0)) = (trace, exec_started) {
-            // Algorithms stream their own phase spans through the sink;
-            // the non-algorithmic strategies get one covering span here.
-            let kind = match &plan.strategy {
-                Strategy::Trivial | Strategy::MinScan { .. } => Some(SpanKind::Execute),
-                Strategy::Delta { .. } => Some(SpanKind::CachePatch),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                tr.add_span(kind, t0, self.clock.now().saturating_sub(t0), 0);
-            }
+        // Algorithms stream their own phase spans through the sink; the
+        // non-algorithmic strategies get one covering span here.
+        let covering = match &plan.strategy {
+            Strategy::Trivial | Strategy::MinScan { .. } => Some(SpanKind::Execute),
+            Strategy::Delta { .. } => Some(SpanKind::CachePatch),
+            _ => None,
+        };
+        if let Some(kind) = covering {
+            trace.close_span(kind, exec_started, 0);
         }
 
         // Feedback observations fit the planner's *skyline* thresholds;
@@ -1613,7 +1538,7 @@ impl EngineShared {
             .get(entry.name())
             .is_some_and(|current| current.version() == entry.version());
         if still_current {
-            let insert_started = trace.map(|_| self.clock.now());
+            let insert_started = trace.now();
             self.cache.insert(
                 prepared.key,
                 CachedValue {
@@ -1621,14 +1546,7 @@ impl EngineShared {
                     counts: counts.clone(),
                 },
             );
-            if let (Some(tr), Some(t0)) = (trace, insert_started) {
-                tr.add_span(
-                    SpanKind::CacheInsert,
-                    t0,
-                    self.clock.now().saturating_sub(t0),
-                    0,
-                );
-            }
+            trace.close_span(SpanKind::CacheInsert, insert_started, 0);
         }
         QueryResult {
             full,
@@ -1693,7 +1611,7 @@ impl EngineShared {
         prepared: &Prepared,
         dims: &[usize],
         seed_mask: u32,
-        trace: Option<&Arc<ActiveTrace>>,
+        trace: &ActiveTrace,
     ) -> Option<(Dataset, Vec<u32>, u64)> {
         let entry = &prepared.entry;
         let members = self
@@ -1710,7 +1628,7 @@ impl EngineShared {
             return None;
         }
         let width = dims.len();
-        let started = trace.map(|_| self.clock.now());
+        let started = trace.now();
         let max_mask = prepared.max_mask;
         let mut filter = TileStore::with_capacity(width, members.len());
         let mut folded = vec![0.0f32; width];
@@ -1729,14 +1647,7 @@ impl EngineShared {
                 values.extend_from_slice(&folded);
             }
         }
-        if let (Some(tr), Some(t0)) = (trace, started) {
-            tr.add_span(
-                SpanKind::CacheSeed,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                dts,
-            );
-        }
+        trace.close_span(SpanKind::CacheSeed, started, dts);
         let view = Dataset::from_flat(values, width).expect("folded projection of a valid dataset");
         Some((view, kept, dts))
     }
@@ -1758,14 +1669,16 @@ impl EngineShared {
     /// merge's under one [`SpanKind::ShardMerge`]; each step's tests
     /// also go to `dominance.tests{algo}` under the algorithm that ran
     /// them. Returns `(stable id, exact global dominator count)` pairs
-    /// sorted by id.
+    /// sorted by id, with the locals' [`RunStats`] summed phase by
+    /// phase, the scatter and the merge added to the total and the
+    /// merge's tests to the dominance tests.
     fn run_sharded(
         &self,
         prepared: &Prepared,
         plan: &QueryPlan,
         store: &ShardedStore,
         pool: &ThreadPool,
-        trace: Option<&Arc<ActiveTrace>>,
+        trace: &ActiveTrace,
     ) -> (Vec<(u32, u32)>, RunStats, MergeStats) {
         /// One shard's fan-out slot: shard index, stable ids, folded
         /// coordinates, and the local result filled in by its lane.
@@ -1780,7 +1693,8 @@ impl EngineShared {
 
         // Dead ids are not in the live list, so no bucket ever sees a
         // tombstone.
-        let scatter_t0 = trace.map(|_| self.clock.now());
+        let scatter_started = Instant::now();
+        let scatter_t0 = trace.now();
         let mut work: Vec<ShardSlot> = (0..k).map(|i| (i, Vec::new(), Vec::new(), None)).collect();
         let mut folded = vec![0.0f32; width];
         for &id in entry.live_ids().iter() {
@@ -1790,14 +1704,8 @@ impl EngineShared {
             slot.1.push(id);
             slot.2.extend_from_slice(&folded);
         }
-        if let (Some(tr), Some(t0)) = (trace, scatter_t0) {
-            tr.add_span(
-                SpanKind::ShardScatter,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                0,
-            );
-        }
+        trace.close_span(SpanKind::ShardScatter, scatter_t0, 0);
+        let scatter = scatter_started.elapsed();
 
         // Local results: each shard runs a regular algorithm (the tile
         // kernels untouched) tuned to its own cardinality, on a working
@@ -1807,7 +1715,7 @@ impl EngineShared {
         cfg.dt_counters = None;
         let run_local = |lane: &ThreadPool, i: usize, ids: Vec<u32>, values: Vec<f32>| {
             let n = ids.len();
-            let started = self.clock.now();
+            let started = trace.now();
             let data =
                 Dataset::from_flat(values, width).expect("folded projection of a valid dataset");
             let (members, stats, algo) = if n == 0 {
@@ -1828,18 +1736,14 @@ impl EngineShared {
                 let members = pairs.into_iter().map(|(pos, _)| pos).collect();
                 (members, stats, Algorithm::Sfs)
             };
-            if let Some(tel) = &self.telemetry {
-                tel.record_dominance(algo, stats.dominance_tests);
-            }
-            if let Some(tr) = trace {
-                tr.add_span_sharded(
-                    SpanKind::ShardLocal,
-                    Some(i as u32),
-                    started,
-                    self.clock.now().saturating_sub(started),
-                    stats.dominance_tests,
-                );
-            }
+            self.telemetry.record_dominance(algo, stats.dominance_tests);
+            trace.add_span_sharded(
+                SpanKind::ShardLocal,
+                Some(i as u32),
+                started,
+                trace.now().saturating_sub(started),
+                stats.dominance_tests,
+            );
             let mut local = ShardLocal {
                 shard: i,
                 ids: Vec::with_capacity(members.len()),
@@ -1871,31 +1775,23 @@ impl EngineShared {
         let mut stats = RunStats::default();
         for (_, _, _, out) in work {
             let (local, s) = out.expect("every shard ran");
-            stats.dominance_tests += s.dominance_tests;
-            stats.init += s.init;
-            stats.phase1 += s.phase1;
-            stats.phase2 += s.phase2;
-            stats.total += s.total;
+            stats.accumulate(&s);
             locals.push(local);
         }
 
         // Merge: witness probe, then SFS/Hybrid on the pool (skyline) or
         // the sum-sorted counting scan (skyband) over the concatenated
         // local results; never revisits base data.
-        let merge_t0 = trace.map(|_| self.clock.now());
+        let merge_started = Instant::now();
+        let merge_t0 = trace.now();
         let (mut merged, mstats) = merge_locals(width, band_k, &locals, pool);
         merged.sort_unstable();
-        if let (Some(tel), Some(algo)) = (&self.telemetry, mstats.algorithm) {
-            tel.record_dominance(algo, mstats.dominance_tests);
+        if let Some(algo) = mstats.algorithm {
+            self.telemetry
+                .record_dominance(algo, mstats.dominance_tests);
         }
-        if let (Some(tr), Some(t0)) = (trace, merge_t0) {
-            tr.add_span(
-                SpanKind::ShardMerge,
-                t0,
-                self.clock.now().saturating_sub(t0),
-                mstats.dominance_tests,
-            );
-        }
+        trace.close_span(SpanKind::ShardMerge, merge_t0, mstats.dominance_tests);
+        stats.total += scatter + merge_started.elapsed();
         stats.dominance_tests += mstats.dominance_tests;
         stats.skyline_size = merged.len();
         (merged, stats, mstats)

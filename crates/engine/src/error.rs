@@ -143,10 +143,6 @@ pub enum EngineError {
     /// recovers and later tickets run normally), but this query's
     /// outcome is unknown.
     Internal,
-    /// A telemetry entry point was used on an engine built with
-    /// [`TelemetryConfig::enabled`](crate::TelemetryConfig::enabled)
-    /// set to `false`.
-    TelemetryDisabled,
     /// Recovery found unrepairable corruption (a checksum-failing
     /// interior WAL record or snapshot) in this dataset's durable
     /// files, so it is quarantined: queries and mutations against it
@@ -223,9 +219,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::Internal => {
                 write!(f, "internal error: the dispatch batch panicked mid-run")
-            }
-            EngineError::TelemetryDisabled => {
-                write!(f, "telemetry is disabled on this engine")
             }
             EngineError::DatasetQuarantined(name) => {
                 write!(
@@ -308,7 +301,7 @@ mod tests {
         assert!(!EngineError::Cancelled.is_retryable());
         assert!(!EngineError::DeadlineExceeded.is_retryable());
         assert!(!EngineError::UnknownDataset("x".into()).is_retryable());
-        assert!(!EngineError::TelemetryDisabled.is_retryable());
+        assert!(!EngineError::Internal.is_retryable());
         assert!(!EngineError::DatasetQuarantined("x".into()).is_retryable());
         assert!(!EngineError::Persist("enospc".into()).is_retryable());
     }

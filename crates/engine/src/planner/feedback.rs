@@ -144,7 +144,7 @@ pub enum PlanKind {
     Cached,
     /// Definitional answer, nothing computed.
     Trivial,
-    /// Sorted-projection scan.
+    /// One pass over the live rows for the extreme of one dimension.
     MinScan,
     /// Delta maintenance over a prior cached result.
     Delta,

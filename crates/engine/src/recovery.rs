@@ -475,14 +475,13 @@ pub(crate) fn open(
     recover_feedback(&engine, &durability, &mut report);
     report.quarantined.sort();
 
-    if let Some(reg) = engine.metrics_registry() {
-        reg.counter("wal.records_replayed", &[])
-            .add(report.records_replayed);
-        reg.counter("wal.torn_tail_truncations", &[])
-            .add(report.torn_tail_truncations);
-        reg.counter("recovery.quarantined", &[])
-            .add(report.quarantined.len() as u64);
-    }
+    let reg = engine.metrics_registry();
+    reg.counter("wal.records_replayed", &[])
+        .add(report.records_replayed);
+    reg.counter("wal.torn_tail_truncations", &[])
+        .add(report.torn_tail_truncations);
+    reg.counter("recovery.quarantined", &[])
+        .add(report.quarantined.len() as u64);
 
     engine
         .shared()

@@ -257,8 +257,8 @@ pub struct SessionStats {
 pub(crate) struct TicketInner {
     pub(crate) outcome: Option<Result<QueryResult, EngineError>>,
     pub(crate) queue_wait: Option<Duration>,
-    /// The sealed execution trace, present once terminal on an engine
-    /// with telemetry enabled (successful outcomes only).
+    /// The sealed execution trace, present once terminal with a
+    /// successful outcome.
     pub(crate) trace: Option<Arc<QueryTrace>>,
 }
 
@@ -644,9 +644,7 @@ impl SessionRuntime {
         // Telemetry counts every attempt that reaches admission with a
         // resolved class — including the ones rejected below — mirroring
         // the client's view of "submissions".
-        if let Some(tel) = &shared.telemetry {
-            tel.on_submitted(priority);
-        }
+        shared.telemetry.on_submitted(priority);
 
         // Counted cache probe: hits short-circuit admission — no queue
         // slot, no quota consumption — but still feed the feedback loop
@@ -655,30 +653,27 @@ impl SessionRuntime {
             self.short_circuits.fetch_add(1, Ordering::Relaxed);
             let submitted_at = shared.clock.now();
             shared.queue_waits.record(priority, Duration::ZERO);
-            let trace = shared.telemetry.as_ref().map(|tel| {
-                let trace = Arc::new(QueryTrace {
-                    query_id: id,
-                    dataset: prepared.entry.name().to_string(),
-                    strategy: "cache",
-                    reason: hit.plan.reason,
-                    candidates: Vec::new(),
-                    spans: vec![TraceSpan {
-                        kind: SpanKind::CacheHit,
-                        shard: None,
-                        start: submitted_at,
-                        duration: Duration::ZERO,
-                        dominance_tests: 0,
-                    }],
-                    queue_wait: Duration::ZERO,
-                    total: Duration::ZERO,
+            let trace = Arc::new(QueryTrace {
+                query_id: id,
+                dataset: prepared.entry.name().to_string(),
+                strategy: "cache",
+                reason: hit.plan.reason,
+                candidates: Vec::new(),
+                spans: vec![TraceSpan {
+                    kind: SpanKind::CacheHit,
+                    shard: None,
+                    start: submitted_at,
+                    duration: Duration::ZERO,
                     dominance_tests: 0,
-                    cache_hit: true,
-                });
-                tel.on_completed(priority);
-                tel.record_latency(Duration::ZERO);
-                tel.slow_log().offer(&trace);
-                trace
+                }],
+                queue_wait: Duration::ZERO,
+                total: Duration::ZERO,
+                dominance_tests: 0,
+                cache_hit: true,
             });
+            shared.telemetry.on_completed(priority);
+            shared.telemetry.record_latency(Duration::ZERO);
+            shared.telemetry.slow_log().offer(&trace);
             let state = Arc::new(TicketState {
                 id,
                 tenant: tenant.to_string(),
@@ -690,7 +685,7 @@ impl SessionRuntime {
                 inner: Mutex::new(TicketInner {
                     outcome: Some(Ok(hit)),
                     queue_wait: Some(Duration::ZERO),
-                    trace,
+                    trace: Some(trace),
                 }),
                 done: Condvar::new(),
             });
@@ -721,9 +716,7 @@ impl SessionRuntime {
                 if bucket.tokens < TOKEN {
                     drop(st);
                     self.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &shared.telemetry {
-                        tel.on_rejected_quota(priority);
-                    }
+                    shared.telemetry.on_rejected_quota(priority);
                     return Err(EngineError::Rejected(RejectReason::QuotaExceeded {
                         tenant: tenant.to_string(),
                         quota: QuotaKind::Rate,
@@ -734,9 +727,7 @@ impl SessionRuntime {
                 if tstate.in_flight >= cap {
                     drop(st);
                     self.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &shared.telemetry {
-                        tel.on_rejected_quota(priority);
-                    }
+                    shared.telemetry.on_rejected_quota(priority);
                     return Err(EngineError::Rejected(RejectReason::QuotaExceeded {
                         tenant: tenant.to_string(),
                         quota: QuotaKind::InFlight,
@@ -748,9 +739,7 @@ impl SessionRuntime {
         if queued >= self.cfg.queue_capacity {
             drop(st);
             self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            if let Some(tel) = &shared.telemetry {
-                tel.on_rejected_queue_full(priority);
-            }
+            shared.telemetry.on_rejected_queue_full(priority);
             return Err(EngineError::Rejected(RejectReason::QueueFull { queued }));
         }
         // Admitted: commit the quota usage and enqueue.
@@ -1125,10 +1114,8 @@ impl QueryTicket {
     /// The query's execution trace: per-stage spans with wall time on
     /// the engine clock and dominance-test counts, the planner's
     /// decision, and the cache verdict. Present once the ticket
-    /// terminated successfully on an engine with
-    /// [`TelemetryConfig::enabled`](crate::TelemetryConfig::enabled);
-    /// `None` while pending, after a failed outcome, or with telemetry
-    /// off.
+    /// terminated successfully; `None` while pending or after a failed
+    /// outcome.
     pub fn trace(&self) -> Option<Arc<QueryTrace>> {
         self.state
             .inner

@@ -50,17 +50,11 @@ use crate::session::Priority;
 // ---------------------------------------------------------------------------
 
 /// Construction-time telemetry knobs, carried by
-/// [`EngineConfig`](crate::EngineConfig).
+/// [`EngineConfig`](crate::EngineConfig). Telemetry itself is always
+/// on — every engine has a metrics registry and every dispatched query
+/// a trace — so the knobs only size the slow-query ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
-    /// Master switch. When `false` the engine allocates no registry, no
-    /// traces, and no slow-query ring;
-    /// [`Engine::metrics`](crate::Engine::metrics) returns an empty
-    /// snapshot and
-    /// [`Engine::explain_analyze`](crate::Engine::explain_analyze)
-    /// fails with
-    /// [`EngineError::TelemetryDisabled`](crate::EngineError::TelemetryDisabled).
-    pub enabled: bool,
     /// Queries whose end-to-end latency (admission wait included) is at
     /// least this threshold have their full trace retained in the
     /// slow-query ring. `Duration::ZERO` retains every query.
@@ -73,7 +67,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             slow_query_threshold: Duration::from_millis(100),
             slow_log_capacity: 64,
         }
@@ -485,12 +478,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Whether the snapshot carries no samples at all (telemetry
-    /// disabled).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricSample> {
         let id = MetricId::new(name, labels);
         self.samples
@@ -828,6 +815,18 @@ impl ActiveTrace {
         }
     }
 
+    /// The trace clock's current reading: the start of a span that
+    /// [`close_span`](Self::close_span) ends later.
+    pub(crate) fn now(&self) -> Duration {
+        self.clock.now()
+    }
+
+    /// Adds an engine-side span of `kind` from `start` until now.
+    pub(crate) fn close_span(&self, kind: SpanKind, start: Duration, dominance_tests: u64) {
+        let duration = self.clock.now().saturating_sub(start);
+        self.add_span(kind, start, duration, dominance_tests);
+    }
+
     /// Adds an engine-side span with explicit bounds.
     pub(crate) fn add_span(
         &self,
@@ -996,9 +995,8 @@ impl SlowQueryLog {
 /// session layer records into it on every successful completion, the
 /// metrics registry exposes it, and the feedback loop derives its
 /// [`FeedbackStats`](crate::planner::feedback::FeedbackStats) wait
-/// aggregates from it instead of keeping a parallel tally. It exists
-/// even when telemetry is disabled (the feedback loop needs it), which
-/// is cheap: three histograms, written lock-free.
+/// aggregates from it instead of keeping a parallel tally. Three
+/// histograms, written lock-free.
 #[derive(Debug)]
 pub struct QueueWaitHistograms {
     per_class: [Arc<Histogram>; 3],

@@ -132,16 +132,15 @@ impl Default for ServeConfig {
 }
 
 /// Server-side instruments, registered into the engine's metrics
-/// exposition so `GET /metrics` covers both layers. All `None` when
-/// the engine was built without telemetry.
-#[derive(Debug, Default)]
+/// exposition so `GET /metrics` covers both layers.
+#[derive(Debug)]
 struct ServeMetrics {
-    connections: Option<Arc<Counter>>,
-    active: Option<Arc<Gauge>>,
-    requests: Option<Arc<Counter>>,
-    rejected: Option<Arc<Counter>>,
-    streamed_chunks: Option<Arc<Counter>>,
-    latency: Option<Arc<Histogram>>,
+    connections: Arc<Counter>,
+    active: Arc<Gauge>,
+    requests: Arc<Counter>,
+    rejected: Arc<Counter>,
+    streamed_chunks: Arc<Counter>,
+    latency: Arc<Histogram>,
 }
 
 struct Inner {
@@ -163,9 +162,7 @@ impl Drop for ConnGuard {
         let mut n = lock.lock().unwrap_or_else(|e| e.into_inner());
         *n = n.saturating_sub(1);
         cvar.notify_all();
-        if let Some(g) = &self.0.metrics.active {
-            g.set(*n as f64);
-        }
+        self.0.metrics.active.set(*n as f64);
     }
 }
 
@@ -193,16 +190,14 @@ impl SkylineServer {
     pub fn start(engine: Arc<skyline_engine::Engine>, cfg: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let metrics = match engine.metrics_registry() {
-            Some(reg) => ServeMetrics {
-                connections: Some(reg.counter("serve.connections", &[])),
-                active: Some(reg.gauge("serve.connections.active", &[])),
-                requests: Some(reg.counter("serve.requests", &[])),
-                rejected: Some(reg.counter("serve.requests.rejected", &[])),
-                streamed_chunks: Some(reg.counter("serve.streamed.chunks", &[])),
-                latency: Some(reg.histogram("serve.request.latency", &[])),
-            },
-            None => ServeMetrics::default(),
+        let reg = engine.metrics_registry();
+        let metrics = ServeMetrics {
+            connections: reg.counter("serve.connections", &[]),
+            active: reg.gauge("serve.connections.active", &[]),
+            requests: reg.counter("serve.requests", &[]),
+            rejected: reg.counter("serve.requests.rejected", &[]),
+            streamed_chunks: reg.counter("serve.streamed.chunks", &[]),
+            latency: reg.histogram("serve.request.latency", &[]),
         };
         let inner = Arc::new(Inner {
             engine,
@@ -314,13 +309,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                 continue;
             }
             *n += 1;
-            if let Some(g) = &inner.metrics.active {
-                g.set(*n as f64);
-            }
+            inner.metrics.active.set(*n as f64);
         }
-        if let Some(c) = &inner.metrics.connections {
-            c.inc();
-        }
+        inner.metrics.connections.inc();
         let inner = Arc::clone(&inner);
         // Detached on purpose: ConnGuard's decrement is what `shutdown`
         // waits on, so joining individual handles is unnecessary.
@@ -390,12 +381,8 @@ fn handle_connection(mut stream: TcpStream, inner: Arc<Inner>) {
         let close = request.close;
         let start = Instant::now();
         let ok = dispatch(&mut stream, &request, &inner, &mut sessions);
-        if let Some(h) = &inner.metrics.latency {
-            h.record(start.elapsed());
-        }
-        if let Some(c) = &inner.metrics.requests {
-            c.inc();
-        }
+        inner.metrics.latency.record(start.elapsed());
+        inner.metrics.requests.inc();
         if !ok || close {
             return;
         }
@@ -694,9 +681,7 @@ fn write_result(stream: &mut TcpStream, result: &QueryResult, inner: &Inner) -> 
                     text.push_str(&v.to_string());
                 }
                 w.chunk(text.as_bytes())?;
-                if let Some(c) = &inner.metrics.streamed_chunks {
-                    c.inc();
-                }
+                inner.metrics.streamed_chunks.inc();
             }
             Ok(())
         };
@@ -733,10 +718,7 @@ fn status_for(err: &EngineError) -> (u16, Option<u64>) {
         // client mistake: 503 without Retry-After (waiting won't fix
         // corruption; an operator must re-register).
         EngineError::DatasetQuarantined(_) => (503, None),
-        EngineError::Cancelled
-        | EngineError::Internal
-        | EngineError::TelemetryDisabled
-        | EngineError::Persist(_) => (500, None),
+        EngineError::Cancelled | EngineError::Internal | EngineError::Persist(_) => (500, None),
     }
 }
 
@@ -753,9 +735,7 @@ fn respond_error(
     inner: &Inner,
 ) -> bool {
     if matches!(status, 429 | 503) {
-        if let Some(c) = &inner.metrics.rejected {
-            c.inc();
-        }
+        inner.metrics.rejected.inc();
     }
     let body = format!("{{\"error\":\"{}\"}}", json::escape(message));
     let retry = retry_after.map(|secs| secs.to_string());

@@ -59,7 +59,7 @@ fn main() {
     //    phase with wall time and dominance-test counts.
     let (result, trace) = engine
         .explain_analyze(&SkylineQuery::new("flights"))
-        .expect("telemetry is enabled");
+        .expect("valid query");
     println!("=== explain analyze ===");
     println!(
         "strategy {} ({}), {} skyline points, {} dominance tests",

@@ -84,9 +84,7 @@ fn sharded_trace_carries_per_shard_spans() {
     // The skyline and the skyband run the same executor: one scatter,
     // one local span per shard, one merge.
     for query in [SkylineQuery::new("s"), SkylineQuery::new("s").skyband(3)] {
-        let (result, trace) = engine
-            .explain_analyze(&query)
-            .expect("telemetry is on by default");
+        let (result, trace) = engine.explain_analyze(&query).expect("valid query");
         assert!(matches!(
             result.plan.strategy,
             Strategy::Sharded { k: 4, .. }
@@ -116,6 +114,33 @@ fn sharded_trace_carries_per_shard_spans() {
     }
 }
 
+/// A sharded query's `RunStats` carry every phase of its locals —
+/// shards over 4 096 rows run Hybrid, so pre-filter and pivot time must
+/// survive the fold — and its total covers them plus scatter and merge.
+#[test]
+fn sharded_stats_fold_every_local_phase() {
+    let gen_pool = ThreadPool::new(2);
+    let data = generate(Distribution::Anticorrelated, 20_000, 4, 11, &gen_pool);
+    let engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        planner: sharded_planner(),
+        ..EngineConfig::default()
+    });
+    engine.register_sharded("s", data, 2, PartitionerKind::Grid);
+
+    let result = engine.execute(&SkylineQuery::new("s")).unwrap();
+    assert!(matches!(
+        result.plan.strategy,
+        Strategy::Sharded { k: 2, .. }
+    ));
+    let stats = result.stats.expect("computed plans carry stats");
+    assert!(!stats.prefilter.is_zero(), "{stats:?}");
+    assert!(!stats.pivot.is_zero(), "{stats:?}");
+    let named =
+        stats.init + stats.prefilter + stats.pivot + stats.phase1 + stats.phase2 + stats.compress;
+    assert!(stats.total >= named, "{stats:?}");
+}
+
 /// A cached subspace skyline seeds superspace queries on a plain
 /// entry, but a sharded plan scatters every live row and never reads a
 /// seed — so its plan must not carry one, and no pre-filter is traced.
@@ -141,7 +166,7 @@ fn sharded_plans_never_claim_a_superspace_seed() {
     let superspace = |name: &str| {
         engine
             .explain_analyze(&SkylineQuery::new(name).dims([0, 1, 2]))
-            .expect("telemetry is on by default")
+            .expect("valid query")
     };
 
     let (plain, _) = superspace("p");

@@ -1,7 +1,6 @@
 //! Deterministic tests of the telemetry layer: trace spans timed on a
 //! [`ManualClock`], histogram bucket arithmetic, the slow-query ring's
-//! threshold and capacity, per-query counter isolation, and the
-//! zero-overhead guarantee when telemetry is disabled.
+//! threshold and capacity, and per-query counter isolation.
 
 mod common;
 
@@ -9,9 +8,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skybench::{
-    generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, EngineError,
-    FeedbackConfig, Histogram, ManualClock, MetricValue, PartitionerKind, PlannerConfig,
-    SkylineQuery, SpanKind, Strategy, TelemetryConfig, ThreadPool,
+    generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, FeedbackConfig,
+    Histogram, ManualClock, MetricValue, PartitionerKind, PlannerConfig, SkylineQuery, SpanKind,
+    Strategy, TelemetryConfig, ThreadPool,
 };
 
 /// A 2-lane manual-dispatch engine on a shared manual clock: nothing
@@ -151,7 +150,7 @@ fn superspace_seed_prefilters_through_the_cache() {
 
     // The wider query plans with the seed and traces the filter pass.
     let query = SkylineQuery::new("corr").dims([0, 1, 2]);
-    let (result, trace) = engine.explain_analyze(&query).expect("telemetry on");
+    let (result, trace) = engine.explain_analyze(&query).expect("valid query");
     let seed = result
         .plan
         .superspace_seed
@@ -215,7 +214,7 @@ fn sharded_queries_reach_the_dominance_counters() {
 
     for query in [SkylineQuery::new("s"), SkylineQuery::new("s").skyband(3)] {
         let before = counted();
-        let (result, trace) = engine.explain_analyze(&query).expect("telemetry on");
+        let (result, trace) = engine.explain_analyze(&query).expect("valid query");
         assert!(matches!(
             result.plan.strategy,
             Strategy::Sharded { k: 4, .. }
@@ -255,7 +254,6 @@ fn slow_query_log_applies_threshold_and_capacity() {
     let (engine, clock) = manual_engine(TelemetryConfig {
         slow_query_threshold: Duration::from_millis(1),
         slow_log_capacity: 2,
-        ..TelemetryConfig::default()
     });
     let session = engine.open_session(skybench::SessionOptions::new("t"));
 
@@ -304,7 +302,7 @@ fn concurrent_traces_isolate_their_dominance_counts() {
             scope.spawn(move || {
                 let (result, trace) = engine
                     .explain_analyze(&SkylineQuery::new(name))
-                    .expect("telemetry is enabled");
+                    .expect("valid query");
                 assert_eq!(trace.dataset, name);
                 assert!(!trace.cache_hit);
                 // The trace's DT total is the sum of its spans' counts
@@ -327,37 +325,6 @@ fn concurrent_traces_isolate_their_dominance_counts() {
 }
 
 #[test]
-fn disabled_telemetry_is_inert_but_queries_still_run() {
-    let engine = Engine::with_config(EngineConfig {
-        threads: 2,
-        telemetry: TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        },
-        ..EngineConfig::default()
-    });
-    engine.register(
-        "d",
-        Dataset::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0], vec![3.0, 3.0]]).unwrap(),
-    );
-
-    let result = engine.execute(&SkylineQuery::new("d")).unwrap();
-    assert_eq!(result.indices(), &[0, 1]);
-    assert!(engine.metrics().is_empty());
-    assert!(engine.slow_queries().is_empty());
-    assert!(matches!(
-        engine.explain_analyze(&SkylineQuery::new("d")),
-        Err(EngineError::TelemetryDisabled)
-    ));
-
-    let session = engine.open_session(skybench::SessionOptions::new("t"));
-    let ticket = session.submit(&SkylineQuery::new("d").dims([0])).unwrap();
-    assert!(ticket.wait().is_ok());
-    assert!(ticket.trace().is_none(), "no traces when disabled");
-    engine.shutdown();
-}
-
-#[test]
 fn cold_hybrid_query_traces_every_phase() {
     let pool = ThreadPool::new(4);
     let engine = Engine::with_config(EngineConfig {
@@ -371,7 +338,7 @@ fn cold_hybrid_query_traces_every_phase() {
 
     let (result, trace) = engine
         .explain_analyze(&SkylineQuery::new("anti"))
-        .expect("telemetry is enabled");
+        .expect("valid query");
     assert_eq!(trace.strategy, "Hybrid", "dense anticorrelated → Hybrid");
     assert!(!trace.cache_hit);
 

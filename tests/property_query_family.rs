@@ -314,7 +314,7 @@ fn skyband_ancestor_serves_skyline_without_scanning() {
 
     let (got, trace) = engine
         .explain_analyze(&SkylineQuery::new("m"))
-        .expect("telemetry is enabled");
+        .expect("valid query");
     assert!(
         got.plan.reason.contains("ancestor"),
         "expected an ancestor-served plan, got {:?} ({:?})",
