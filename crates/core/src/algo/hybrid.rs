@@ -4,8 +4,9 @@
 //! technique layered in: *region-wise incomparability* via point-based
 //! partitioning. The pipeline is
 //!
-//! 1. **pre-filter** (§VI-A1): two parallel passes with per-thread
-//!    β-queues drop the easily dominated bulk;
+//! 1. **pre-filter** (§VI-A1): two parallel tile-kernel passes with one
+//!    β-queue per fixed stripe of the input drop the easily dominated
+//!    bulk, the same rows at every thread count (see [`crate::prefilter`]);
 //! 2. **pivot & partition** (§VI-A2): every survivor gets a bitmask
 //!    relative to a (possibly virtual) pivot; for concrete skyline-point
 //!    pivots, the all-ones region is dropped outright;
@@ -30,7 +31,7 @@ use crate::telemetry::{AlgoPhase, PhaseProbe};
 use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::{
-    par_chunks_mut, par_sort_unstable_by_key, parallel_for_in_lane, ThreadPool,
+    par_chunks_mut, par_collect, par_sort_unstable_by_key, parallel_for_in_lane, ThreadPool,
 };
 
 /// Hybrid's working set after initialization: rows gathered in
@@ -77,46 +78,31 @@ pub fn run_with_progress(
     }
 
     // ---- 2. Pivot selection & partitioning -------------------------------
+    // Each survivor becomes a sort item keyed [compound (level, mask) : 32]
+    // [L1 order bits : 32], with its position as an explicit
+    // deterministic tiebreaker; the mask is read back from the key.
     let pivot = select_pivot(cfg.pivot, &pf.values, d, &pf.l1, cfg.seed, pool);
     let npf = pf.orig.len();
-    let mut masks: Vec<Mask> = vec![0; npf];
-    let pruned: Vec<AtomicBool> = (0..npf).map(|_| AtomicBool::new(false)).collect();
-    {
-        let (pf_values, pivot_coords, pruned) = (&pf.values, &pivot.coords, &pruned);
-        let concrete = pivot.concrete;
-        par_chunks_mut(pool, &mut masks, 1 << 12, |offset, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let i = offset + k;
-                let row = &pf_values[i * d..(i + 1) * d];
-                let (m, eq) = mask_and_eq(row, pivot_coords);
-                *slot = m;
-                // A concrete pivot is a known skyline point: everything
-                // (non-coincident) in its all-ones region is dominated by
-                // it and can be dropped before sorting ("2^d − 1
-                // regions"). Virtual pivots (Median) give no such licence.
-                if concrete && m == full && !eq {
-                    pruned[i].store(true, Ordering::Relaxed);
-                }
+    let mut items = par_collect(pool, npf, 1 << 12, |range, keep| {
+        for i in range {
+            let (m, eq) = mask_and_eq(&pf.values[i * d..(i + 1) * d], &pivot.coords);
+            // A concrete pivot is a known skyline point: everything
+            // (non-coincident) in its all-ones region is dominated by it
+            // and can be dropped before sorting ("2^d − 1 regions").
+            // Virtual pivots (Median) give no such licence.
+            if pivot.concrete && m == full && !eq {
+                continue;
             }
-        });
-        // Mask computations against the pivot are part() evaluations —
-        // one DT each under the paper's accounting.
-        counters.add(0, npf as u64);
-    }
+            let key = ((CompoundKey::new(m, d).0 as u64) << 32) | f32_order_bits(pf.l1[i]) as u64;
+            keep.push((key, i as u32));
+        }
+    });
+    // Mask computations against the pivot are part() evaluations — one DT
+    // each under the paper's accounting.
+    counters.add(0, npf as u64);
     probe.lap(AlgoPhase::Pivot);
 
     // ---- 3. Sort by (level, mask, L1) -------------------------------------
-    // Packed key: [compound (level,mask) : 32][L1 order bits : 32], with
-    // the survivor's position as an explicit deterministic tiebreaker.
-    let mut items: Vec<(u64, u32)> = Vec::with_capacity(npf);
-    for i in 0..npf {
-        if pruned[i].load(Ordering::Relaxed) {
-            continue;
-        }
-        let key =
-            ((CompoundKey::new(masks[i], d).0 as u64) << 32) | f32_order_bits(pf.l1[i]) as u64;
-        items.push((key, i as u32));
-    }
     par_sort_unstable_by_key(pool, &mut items, |&t| t);
 
     let n = items.len();
@@ -137,13 +123,17 @@ pub fn run_with_progress(
             }
         });
     }
-    for (r, item) in items.iter().enumerate() {
-        let src = item.1 as usize;
-        ws.masks[r] = masks[src];
-        ws.orig[r] = pf.orig[src];
-    }
+    par_chunks_mut(pool, &mut ws.masks, 1 << 12, |offset, chunk| {
+        for (slot, item) in chunk.iter_mut().zip(&items[offset..]) {
+            *slot = CompoundKey((item.0 >> 32) as u32).mask(d);
+        }
+    });
+    par_chunks_mut(pool, &mut ws.orig, 1 << 12, |offset, chunk| {
+        for (slot, item) in chunk.iter_mut().zip(&items[offset..]) {
+            *slot = pf.orig[item.1 as usize];
+        }
+    });
     drop(items);
-    drop(masks);
     probe.lap(AlgoPhase::Init);
 
     // ---- 4. α-block processing -------------------------------------------
@@ -206,7 +196,7 @@ pub fn run_with_progress(
             parallel_for_in_lane(pool, survivors, 8, |lane, range| {
                 let mut dts = 0u64;
                 for r in range {
-                    if dominated_by_peers(ws, peer_tiles, blk_start, r, flags, &mut dts) {
+                    if dominated_by_peers(ws, peer_tiles, blk_start, r, &mut dts) {
                         flags[r].store(true, Ordering::Relaxed);
                     }
                 }
@@ -252,14 +242,19 @@ pub fn run_with_progress(
 ///    through `peer_tiles` (tile `t` holds survivors `8t..8t+8`, so
 ///    the run `[i, me)` is covered by masked head/tail tiles and whole
 ///    tiles in between), short runs stay scalar with per-peer early
-///    exit and flag skip.
+///    exit.
+///
+/// Peers that another lane flags concurrently are still tested: a
+/// dominated peer's dominator chain ends at an undominated earlier peer
+/// (chains cannot leave the block — Phase I survivors are not dominated
+/// by anything older), so testing them changes no answer, and not
+/// skipping them keeps the DT count independent of the schedule.
 #[inline]
 fn dominated_by_peers(
     ws: &HybridWork,
     peer_tiles: &TileStore,
     blk_start: usize,
     me: usize,
-    flags: &[AtomicBool],
     dts: &mut u64,
 ) -> bool {
     let me_mask = ws.masks[blk_start + me];
@@ -272,11 +267,7 @@ fn dominated_by_peers(
         if level(m) >= me_level {
             break;
         }
-        // Peers already flagged by concurrent Phase II work are safe to
-        // skip: their dominator chain ends at an unflagged earlier peer
-        // (chains cannot leave the block — Phase I survivors are not
-        // dominated by anything older).
-        if !flags[i].load(Ordering::Relaxed) && can_dominate(m, me_mask) {
+        if can_dominate(m, me_mask) {
             *dts += 1;
             if dt(ws.row(blk_start + i), q) {
                 return true;
@@ -289,17 +280,14 @@ fn dominated_by_peers(
         i += 1;
     }
     // Same partition: no assumption possible. Long runs go through the
-    // batched kernel (flagged peers are tested too; harmless by
-    // transitivity); short runs keep the scalar early exit.
+    // batched kernel; short runs keep the scalar early exit.
     if me - i >= 2 * TILE_LANES && !peer_tiles.is_empty() {
         return peer_tiles.any_dominates_range(i, me, q, dts);
     }
     while i < me {
-        if !flags[i].load(Ordering::Relaxed) {
-            *dts += 1;
-            if dt(ws.row(blk_start + i), q) {
-                return true;
-            }
+        *dts += 1;
+        if dt(ws.row(blk_start + i), q) {
+            return true;
         }
         i += 1;
     }
@@ -446,18 +434,27 @@ mod tests {
     }
 
     /// Same work, pinned: Hybrid's dominance tests on a fixed
-    /// anticorrelated 20 000 × 6 input at T = 1 (at T > 1 the count
-    /// depends on block scheduling). It holds at every dispatch level
-    /// (`SKYLINE_FORCE_SCALAR=1` included).
+    /// anticorrelated 20 000 × 6 input, the same number at T = 1 and
+    /// T = 2. It holds at every dispatch level (`SKYLINE_FORCE_SCALAR=1`
+    /// included).
     #[test]
     fn dominance_tests_are_pinned() {
-        let pool = ThreadPool::new(1);
-        let data = generate(Distribution::Anticorrelated, 20_000, 6, 1, &pool);
-        let r = run(&data, &pool, &SkylineConfig::default());
-        assert_eq!(
-            (r.indices.len(), r.stats.dominance_tests),
-            (9_121, 11_490_965)
+        let data = generate(
+            Distribution::Anticorrelated,
+            20_000,
+            6,
+            1,
+            &ThreadPool::new(1),
         );
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let r = run(&data, &pool, &SkylineConfig::default());
+            assert_eq!(
+                (r.indices.len(), r.stats.dominance_tests),
+                (9_121, 11_340_111),
+                "T = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
 
-/// Runs LESS with an EF window of `cfg.prefilter_beta` points per thread.
+/// Runs LESS with an EF window of `cfg.prefilter_beta` points per fixed
+/// stripe of the input (the pre-filter's queues).
 pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineResult {
     let mut probe = PhaseProbe::start(cfg, pool.threads());
     let d = data.dims();

@@ -101,14 +101,22 @@ fn gather(
             }
         });
     }
+    // The keys are recomputed from the gathered, contiguous rows: the
+    // same floats as the sort saw, without a second random read.
     let mut keys = vec![0.0f32; n];
+    par_chunks_mut(pool, &mut keys, 1 << 12, |offset, chunk| {
+        let rows = out_values[offset * d..].chunks_exact(d);
+        for (slot, row) in chunk.iter_mut().zip(rows) {
+            *slot = eval_sort_key(sort_key, row);
+        }
+    });
     let mut orig = vec![0u32; n];
-    // Small arrays; fill sequentially (cost is O(n) scalar work).
-    for (r, item) in items.iter().enumerate() {
-        let pos = item.1 as usize;
-        keys[r] = eval_sort_key(sort_key, &values[pos * d..(pos + 1) * d]);
-        orig[r] = source_orig.map_or(pos as u32, |m| m[pos]);
-    }
+    par_chunks_mut(pool, &mut orig, 1 << 12, |offset, chunk| {
+        for (slot, item) in chunk.iter_mut().zip(&items[offset..]) {
+            let pos = item.1 as usize;
+            *slot = source_orig.map_or(pos as u32, |m| m[pos]);
+        }
+    });
     WorkSet {
         d,
         values: out_values,

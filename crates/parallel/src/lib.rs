@@ -11,6 +11,7 @@
 //! * [`parallel_for`] — dynamically scheduled chunked loops (like
 //!   `#pragma omp for schedule(dynamic, grain)`),
 //! * [`par_chunks_mut`] — the mutable-output variant,
+//! * [`par_collect`] — a parallel filter whose output keeps index order,
 //! * [`for_each_lane`] — per-thread scratch initialisation,
 //! * [`par_sort_unstable_by_key`] — a parallel merge sort,
 //! * [`LaneCounters`] — cache-padded per-thread metric counters.
@@ -25,7 +26,10 @@
 //! The calling thread always participates as **lane 0**; a pool of `t`
 //! threads therefore spawns `t − 1` workers, mirroring OpenMP. Closures
 //! receive their lane index so that algorithms can keep per-thread scratch
-//! (e.g. the pre-filter's β-queues) without synchronisation.
+//! (e.g. dominance-test counters) without synchronisation. Anything whose
+//! *result* must not depend on the schedule — the pre-filter's β-queues,
+//! survivor lists — is kept per fixed chunk of the input instead, never per
+//! lane.
 
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -38,7 +42,7 @@ mod psort;
 
 pub use cache_padded::CachePadded;
 pub use metrics::LaneCounters;
-pub use par::{for_each_lane, par_chunks_mut, parallel_for, parallel_for_in_lane};
+pub use par::{for_each_lane, par_chunks_mut, par_collect, parallel_for, parallel_for_in_lane};
 pub use pool::ThreadPool;
 pub use psort::par_sort_unstable_by_key;
 

@@ -61,8 +61,10 @@ where
 ///
 /// Lane 0 always participates; under nested parallelism or a 1-thread pool
 /// it may be the *only* participant, so callers must treat per-lane results
-/// as "some subset of lanes contributed" (e.g. merge all non-empty β-queues
-/// rather than expecting exactly `threads()` of them).
+/// as "some subset of lanes contributed" (e.g. fold all non-empty per-lane
+/// partial results rather than expecting exactly `threads()` of them).
+/// Work whose result must not depend on the schedule belongs in fixed
+/// chunks instead ([`par_collect`]).
 pub fn for_each_lane<F>(pool: &ThreadPool, body: F)
 where
     F: Fn(usize) + Sync,
@@ -132,6 +134,44 @@ where
     });
 }
 
+/// Parallel filter over `0..n` in fixed chunks of `grain`: `body`
+/// appends what it keeps from its half-open range to that chunk's own
+/// `Vec`, and the chunk outputs are concatenated in chunk order. The
+/// result equals a serial loop's over `0..n`, whatever lanes claim
+/// which chunks — the compaction primitive for survivor lists.
+///
+/// ```
+/// use skyline_parallel::{par_collect, ThreadPool};
+///
+/// let pool = ThreadPool::new(2);
+/// let odd = par_collect(&pool, 1_000, 64, |range, keep| {
+///     keep.extend(range.filter(|i| i % 2 == 1));
+/// });
+/// assert_eq!(odd, (1..1_000).step_by(2).collect::<Vec<_>>());
+/// ```
+pub fn par_collect<T, F>(pool: &ThreadPool, n: usize, grain: usize, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut Vec<T>) + Sync,
+{
+    let grain = grain.max(1);
+    let mut parts: Vec<Vec<T>> = (0..n.div_ceil(grain)).map(|_| Vec::new()).collect();
+    par_chunks_mut(pool, &mut parts, 1, |first, chunk| {
+        for (c, part) in chunk.iter_mut().enumerate() {
+            let start = (first + c) * grain;
+            body(start..(start + grain).min(n), part);
+        }
+    });
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +235,23 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut v: Vec<u32> = vec![];
         par_chunks_mut(&pool, &mut v, 8, |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    fn par_collect_keeps_serial_order_at_every_thread_count() {
+        let serial: Vec<usize> = (0..10_000).filter(|i| i % 7 < 3).collect();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for grain in [1, 37, 1_024, 20_000] {
+                let got = par_collect(&pool, 10_000, grain, |range, keep| {
+                    keep.extend(range.filter(|i| i % 7 < 3));
+                });
+                assert_eq!(got, serial, "t={threads} grain={grain}");
+            }
+        }
+        let pool = ThreadPool::new(2);
+        let none: Vec<u8> = par_collect(&pool, 0, 8, |_, _| panic!("must not be called"));
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -263,3 +263,42 @@ fn sharded_datasets_stay_correct_under_mutation() {
     }
     check("compacted");
 }
+
+/// The same sharded query does the same work at every thread count: the
+/// locals run Hybrid@1 and the merge runs Hybrid@T over the probe
+/// survivors, whose pre-filter and Phase II no longer depend on the
+/// schedule, so the merge's DTs and the query's total repeat to the unit.
+#[test]
+fn sharded_dominance_tests_repeat_at_every_thread_count() {
+    let gen_pool = ThreadPool::new(2);
+    let data = generate(Distribution::Anticorrelated, 60_000, 6, 3, &gen_pool);
+    let work = |threads: usize| {
+        let engine = Engine::with_config(EngineConfig {
+            threads,
+            cache_bytes: 0,
+            planner: sharded_planner(),
+            ..EngineConfig::default()
+        });
+        engine.register_sharded("s", data.clone(), 4, PartitionerKind::Grid);
+        let result = engine.execute(&SkylineQuery::new("s")).unwrap();
+        assert!(matches!(
+            result.plan.strategy,
+            Strategy::Sharded { k: 4, .. }
+        ));
+        let merge = result.shard_merge.as_ref().expect("merge accounting");
+        // Over 4 096 probe survivors, so the merge runs Hybrid, and over
+        // 17 × 1 024, so its tuned α is the same at T = 1 and T = 2.
+        assert!(
+            merge.candidates - merge.witness_kills > 17 * 1_024,
+            "{merge:?}"
+        );
+        (
+            result.indices().to_vec(),
+            merge.dominance_tests,
+            result.stats.as_ref().expect("computed").dominance_tests,
+        )
+    };
+    let (one, two) = (work(1), work(2));
+    assert!(one.0 == two.0, "the answers differ");
+    assert_eq!((one.1, one.2), (two.1, two.2), "(merge DTs, total DTs)");
+}
