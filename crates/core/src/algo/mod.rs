@@ -210,6 +210,100 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the sorted skyline indices: one number that changes
+    /// when any member does.
+    fn answer_hash(indices: &[u32]) -> u64 {
+        let mut sorted = indices.to_vec();
+        sorted.sort_unstable();
+        sorted
+            .iter()
+            .flat_map(|i| i.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The work every algorithm does, pinned to the unit: for each
+    /// algorithm and distribution at 2 000 × 4, the skyline size, the
+    /// hash of its members, and the dominance tests at T = 1 and T = 2.
+    /// PSkyline and APSkyline partition by T and PBSkyTree batches
+    /// `batch_factor × T` points, so their counts differ between the
+    /// two; every other count is the same at both. A change to any
+    /// count is a change to the work and is stated with it. The counts
+    /// hold at every dispatch level (`SKYLINE_FORCE_SCALAR=1`
+    /// included).
+    #[test]
+    fn work_is_pinned() {
+        use skyline_data::{generate, Distribution};
+        use Distribution::{Anticorrelated as A, Correlated as C, Independent as I};
+
+        #[rustfmt::skip]
+        const TABLE: [(Algorithm, Distribution, usize, u64, u64, u64); 36] = [
+            (Algorithm::Bnl, I, 81,  4945883330662033751, 24_597, 24_597),
+            (Algorithm::Bnl, C, 51, 11757837537181168758, 19_852, 19_852),
+            (Algorithm::Bnl, A, 674,  8808726691111015224, 491_043, 491_043),
+            (Algorithm::Sfs, I, 81,  4945883330662033751, 20_326, 20_326),
+            (Algorithm::Sfs, C, 51, 11757837537181168758, 17_276, 17_276),
+            (Algorithm::Sfs, A, 674,  8808726691111015224, 294_689, 294_689),
+            (Algorithm::Salsa, I, 81,  4945883330662033751, 9_424, 9_424),
+            (Algorithm::Salsa, C, 51, 11757837537181168758, 6_370, 6_370),
+            (Algorithm::Salsa, A, 674,  8808726691111015224, 516_334, 516_334),
+            (Algorithm::Less, I, 81,  4945883330662033751, 29_560, 29_560),
+            (Algorithm::Less, C, 51, 11757837537181168758, 22_667, 22_667),
+            (Algorithm::Less, A, 674,  8808726691111015224, 360_610, 360_610),
+            (Algorithm::SSkyline, I, 81,  4945883330662033751, 8_903, 8_903),
+            (Algorithm::SSkyline, C, 51, 11757837537181168758, 5_971, 5_971),
+            (Algorithm::SSkyline, A, 674,  8808726691111015224, 374_925, 374_925),
+            (Algorithm::BSkyTree, I, 81,  4945883330662033751, 4_257, 4_257),
+            (Algorithm::BSkyTree, C, 51, 11757837537181168758, 2_930, 2_930),
+            (Algorithm::BSkyTree, A, 674,  8808726691111015224, 34_589, 34_589),
+            (Algorithm::PSkyline, I, 81,  4945883330662033751, 8_903, 14_223),
+            (Algorithm::PSkyline, C, 51, 11757837537181168758, 5_971, 9_048),
+            (Algorithm::PSkyline, A, 674,  8808726691111015224, 374_925, 568_793),
+            (Algorithm::APSkyline, I, 81,  4945883330662033751, 12_510, 11_914),
+            (Algorithm::APSkyline, C, 51, 11757837537181168758, 8_123, 8_131),
+            (Algorithm::APSkyline, A, 674,  8808726691111015224, 475_174, 461_988),
+            (Algorithm::Psfs, I, 81,  4945883330662033751, 20_330, 20_330),
+            (Algorithm::Psfs, C, 51, 11757837537181168758, 17_276, 17_276),
+            (Algorithm::Psfs, A, 674,  8808726691111015224, 294_694, 294_694),
+            (Algorithm::PBSkyTree, I, 81,  4945883330662033751, 6_102, 6_447),
+            (Algorithm::PBSkyTree, C, 51, 11757837537181168758, 4_206, 4_639),
+            (Algorithm::PBSkyTree, A, 674,  8808726691111015224, 49_985, 56_141),
+            (Algorithm::QFlow, I, 81,  4945883330662033751, 24_674, 24_674),
+            (Algorithm::QFlow, C, 51, 11757837537181168758, 20_467, 20_467),
+            (Algorithm::QFlow, A, 674,  8808726691111015224, 295_810, 295_810),
+            (Algorithm::Hybrid, I, 81,  4945883330662033751, 27_273, 27_273),
+            (Algorithm::Hybrid, C, 51, 11757837537181168758, 22_024, 22_024),
+            (Algorithm::Hybrid, A, 674,  8808726691111015224, 198_860, 198_860),
+        ];
+        let cfg = SkylineConfig {
+            alpha_qflow: 256,
+            alpha_hybrid: 64,
+            ..SkylineConfig::default()
+        };
+        let gen_pool = ThreadPool::new(2);
+        let data = [I, C, A].map(|dist| (dist, generate(dist, 2_000, 4, 9, &gen_pool)));
+        let pools = [ThreadPool::new(1), ThreadPool::new(2)];
+        let mut got = Vec::new();
+        for algo in Algorithm::ALL {
+            for (dist, data) in &data {
+                let runs = pools.each_ref().map(|pool| algo.run(data, pool, &cfg));
+                let hash = answer_hash(&runs[0].indices);
+                assert_eq!(hash, answer_hash(&runs[1].indices), "{algo} {dist:?}");
+                got.push((
+                    algo,
+                    *dist,
+                    runs[0].indices.len(),
+                    hash,
+                    runs[0].stats.dominance_tests,
+                    runs[1].stats.dominance_tests,
+                ));
+            }
+        }
+        let rows: Vec<String> = got.iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(got, TABLE, "actual table:\n{}", rows.join("\n"));
+    }
+
     #[test]
     fn paper_five_are_distinct() {
         let mut names: Vec<_> = Algorithm::PAPER_FIVE.iter().map(|a| a.name()).collect();

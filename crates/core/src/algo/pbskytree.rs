@@ -237,6 +237,10 @@ impl PbRun<'_> {
         // ---- Phase II: full pairwise within the batch --------------------
         // Batch order within a leaf region is arbitrary, so unlike
         // Q-Flow's sorted blocks both directions must be checked.
+        // Peers flagged by Phase II are still tested: whether another
+        // lane has flagged one yet is a race, and skipping on it would
+        // make the work depend on the schedule. A flagged peer that
+        // dominates us is still a dominator, so answers are unchanged.
         let flags2: Vec<AtomicBool> = (0..b).map(|_| AtomicBool::new(false)).collect();
         {
             let (pend_values, flags1ref, flags2ref, counters) =
@@ -249,15 +253,10 @@ impl PbRun<'_> {
                     }
                     let q = &pend_values[i * d..(i + 1) * d];
                     for j in 0..b {
-                        if j == i
-                            // Peers dominated in Phase I imply a tree point
-                            // dominating them — and transitively us, which
-                            // Phase I would have caught; skip them.
-                            || flags1ref[j].load(Ordering::Relaxed)
-                            // Racy Phase-II skips are safe: the dominator
-                            // chain ends at a never-flagged batch point.
-                            || flags2ref[j].load(Ordering::Relaxed)
-                        {
+                        // Peers dominated in Phase I imply a tree point
+                        // dominating them — and transitively us, which
+                        // Phase I would have caught; skip them.
+                        if j == i || flags1ref[j].load(Ordering::Relaxed) {
                             continue;
                         }
                         dts += 1;

@@ -5,8 +5,7 @@
 //! sort-based (they order their input per query and keep nothing
 //! between queries), so a precomputed order would be paid for on every
 //! write and read by nobody. Registration is one pass over the rows —
-//! per-dimension min/max/mean and a deterministic strided sample for
-//! the planner's density estimator. Mutation batches
+//! per-dimension min/max/mean. Mutation batches
 //! ([`Catalog::mutate`]) then *patch* that state, at a cost
 //! proportional to the rows they touch:
 //!
@@ -71,14 +70,7 @@ const EMPTY_DIM: DimStats = DimStats {
 pub struct DatasetStats {
     /// Per-dimension summaries over the live rows.
     pub per_dim: Vec<DimStats>,
-    /// Deterministic strided sample of live row ids, used by the
-    /// planner's skyline-density estimator.
-    pub sample: Vec<u32>,
 }
-
-/// Maximum rows in the planner's sample. 256 keeps the O(sample²)
-/// density estimate under ~10⁵ dominance tests — microseconds.
-const SAMPLE_CAP: usize = 256;
 
 /// Mutation batches kept in the delta log. Cached results older than
 /// the log's reach are purged by the engine; 16 batches of headroom
@@ -348,16 +340,6 @@ fn compute_stats(data: &Dataset) -> (Vec<DimStats>, Vec<f64>) {
     (per_dim, sums)
 }
 
-/// Deterministic strided sample over a sorted live-id list.
-fn strided_sample_of(live: &[u32]) -> Vec<u32> {
-    let n = live.len();
-    let take = n.min(SAMPLE_CAP);
-    // Ceiling division so the stride spans the WHOLE dataset (a floor
-    // stride samples only a prefix — badly biased on sorted inputs).
-    let stride = if take == 0 { 1 } else { n.div_ceil(take) };
-    live.iter().copied().step_by(stride).take(take).collect()
-}
-
 /// The outcome of one applied mutation batch.
 #[derive(Debug)]
 pub struct MutationOutcome {
@@ -427,10 +409,10 @@ impl Catalog {
     }
 
     /// Registers (or replaces) `name`: one pass over the rows for the
-    /// per-dimension stats and the planner's sample, nothing else is
-    /// precomputed. Returns the new entry. The pass runs outside the
-    /// `entries` lock, so concurrent queries keep serving the previous
-    /// version until the swap.
+    /// per-dimension stats, nothing else is precomputed. Returns the
+    /// new entry. The pass runs outside the `entries` lock, so
+    /// concurrent queries keep serving the previous version until the
+    /// swap.
     pub fn register(&self, name: &str, data: Dataset) -> Arc<DatasetEntry> {
         self.register_inner(name, data, None)
     }
@@ -643,10 +625,7 @@ fn pristine_entry(
         base: Arc::new(data),
         segment: Arc::new(Vec::new()),
         tombstones: Arc::new(Tombstones::default()),
-        stats: DatasetStats {
-            per_dim,
-            sample: strided_sample_of(&live),
-        },
+        stats: DatasetStats { per_dim },
         live: Arc::new(live),
         sums: Arc::new(sums),
         deltas: Vec::new(),
@@ -743,10 +722,7 @@ fn patched_entry(
         base: Arc::clone(&old.base),
         segment,
         tombstones,
-        stats: DatasetStats {
-            per_dim,
-            sample: strided_sample_of(&live),
-        },
+        stats: DatasetStats { per_dim },
         live: Arc::new(live),
         sums: Arc::new(sums),
         deltas,
@@ -823,7 +799,6 @@ mod tests {
         assert_eq!(s.per_dim[0].max, 3.0);
         assert!((s.per_dim[0].mean - 2.0).abs() < 1e-6);
         assert!(s.per_dim[1].is_constant());
-        assert_eq!(s.sample.len(), 3);
         assert!(e.is_pristine());
     }
 
@@ -859,7 +834,7 @@ mod tests {
     fn empty_dataset_registers_cleanly() {
         let catalog = Catalog::new();
         let e = catalog.register("empty", Dataset::from_flat(vec![], 3).unwrap());
-        assert_eq!(e.stats().sample.len(), 0);
+        assert!(e.stats().per_dim.iter().all(DimStats::is_constant));
         assert_eq!(e.extreme_rows(1, false), Vec::<u32>::new());
     }
 

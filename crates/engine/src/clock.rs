@@ -1,11 +1,11 @@
 //! Time abstracted behind a trait, so every time-driven decision in
-//! the engine (today: the feedback loop's refit cadence and its
-//! runtime observations) can be driven deterministically in tests.
+//! the engine (deadline expiry, quota windows, trace spans) can be
+//! driven deterministically in tests.
 //!
 //! Production code uses [`MonotonicClock`], a thin wrapper over
 //! [`Instant`]. Tests use [`ManualClock`] and advance time explicitly:
-//! no wall-clock sleeps, no flaky timing assertions — a refit either
-//! is or is not due after an `advance`, decidable exactly.
+//! no wall-clock sleeps, no flaky timing assertions — a deadline
+//! either has or has not passed after an `advance`, decidable exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

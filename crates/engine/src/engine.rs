@@ -20,9 +20,6 @@ use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
 use crate::merge::{merge_locals, skyline_algorithm, MergeStats, ShardLocal};
-use crate::planner::feedback::{
-    FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind,
-};
 use crate::planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed};
 use crate::query::{QueryKind, QueryResult, SkylineQuery};
 use crate::recovery::{Durability, DurabilityOptions, RecoveryReport};
@@ -47,13 +44,8 @@ pub struct EngineConfig {
     /// dataset (rebuilds the base, renumbering the surviving rows).
     /// Values above `1.0` disable compaction.
     pub compact_fraction: f32,
-    /// Planner thresholds — the *starting point*; with feedback
-    /// enabled they are re-fitted online from observed runtimes.
+    /// Planner thresholds.
     pub planner: PlannerConfig,
-    /// The planner feedback loop: whether completed queries are
-    /// recorded and the planner thresholds re-fitted from them, and at
-    /// what cadence. Disabled by default.
-    pub feedback: FeedbackConfig,
     /// The session layer's admission queue: per-class capacity, batch
     /// size per dispatch pass, and whether a background dispatcher
     /// thread runs.
@@ -71,7 +63,6 @@ impl Default for EngineConfig {
             cache_bytes: 8 << 20,
             compact_fraction: 0.25,
             planner: PlannerConfig::default(),
-            feedback: FeedbackConfig::default(),
             admission: AdmissionConfig::default(),
             telemetry: TelemetryConfig::default(),
         }
@@ -167,19 +158,14 @@ pub(crate) struct EngineShared {
     pub(crate) cache: ResultCache,
     pub(crate) planner: Planner,
     pub(crate) compact_fraction: f32,
-    /// Present iff [`FeedbackConfig::enabled`]: records completed
-    /// queries and periodically re-fits the planner's thresholds.
-    pub(crate) feedback: Option<Arc<FeedbackLoop>>,
     /// The engine's time source: drives deadline expiry, quota windows,
-    /// and the feedback loop's measurements. A
-    /// [`ManualClock`](crate::ManualClock) makes all three
-    /// deterministic under test.
+    /// and trace spans. A [`ManualClock`](crate::ManualClock) makes all
+    /// three deterministic under test.
     pub(crate) clock: Arc<dyn Clock>,
     /// The metrics registry, trace machinery, and slow-query ring.
     pub(crate) telemetry: Arc<Telemetry>,
     /// The per-class `session.queue_wait` histograms — the single
-    /// source of queue-wait truth, shared with the feedback loop and
-    /// exposed through the registry.
+    /// source of queue-wait truth, exposed through the registry.
     pub(crate) queue_waits: Arc<QueueWaitHistograms>,
     /// Set once by [`Engine::open_durable`] **after** recovery replay
     /// completes: while unset, registrations and mutations skip the
@@ -229,9 +215,9 @@ impl Engine {
     }
 
     /// An engine with explicit configuration and time source. The
-    /// clock drives the feedback loop's runtime measurements and refit
-    /// cadence; hand in a [`ManualClock`](crate::ManualClock) to test
-    /// adaptive behaviour deterministically.
+    /// clock drives deadlines, quota windows and trace spans; hand in a
+    /// [`ManualClock`](crate::ManualClock) to test them
+    /// deterministically.
     pub fn with_clock(cfg: EngineConfig, clock: Arc<dyn Clock>) -> Self {
         let threads = if cfg.threads == 0 {
             available_threads()
@@ -245,9 +231,10 @@ impl Engine {
     /// recovers every dataset from its snapshot + write-ahead log,
     /// truncates torn WAL tails, quarantines datasets with real
     /// corruption (the engine still boots and serves the healthy
-    /// ones), warms the planner from the last persisted feedback fit,
-    /// and from then on makes every registration and mutation durable
-    /// before acknowledging it. The report says what recovery found.
+    /// ones), and from then on makes every registration and mutation
+    /// durable before acknowledging it. The report says what recovery
+    /// found. A planner-fit log left in the directory by an older
+    /// version is ignored.
     ///
     /// See [`crate::recovery`] for the durability contract and the
     /// corruption taxonomy.
@@ -285,13 +272,6 @@ impl Engine {
 
     fn build(cfg: EngineConfig, pool: Arc<ThreadPool>, clock: Arc<dyn Clock>) -> Self {
         let queue_waits = Arc::new(QueueWaitHistograms::new());
-        let feedback = cfg.feedback.enabled.then(|| {
-            Arc::new(FeedbackLoop::with_waits(
-                cfg.feedback,
-                Arc::clone(&clock),
-                Arc::clone(&queue_waits),
-            ))
-        });
         let telemetry = Arc::new(Telemetry::new(cfg.telemetry, &queue_waits));
         let shared = Arc::new(EngineShared {
             pool,
@@ -299,7 +279,6 @@ impl Engine {
             cache: ResultCache::new(cfg.cache_bytes),
             planner: Planner::new(cfg.planner),
             compact_fraction: cfg.compact_fraction,
-            feedback,
             clock,
             telemetry,
             queue_waits,
@@ -638,47 +617,15 @@ impl Engine {
         self.shared.cache.stats()
     }
 
-    /// The feedback loop, when enabled. Tests and tooling use it to
-    /// inject synthetic observations and inspect the aggregates.
-    pub fn feedback(&self) -> Option<&Arc<FeedbackLoop>> {
-        self.shared.feedback.as_ref()
-    }
-
-    /// Feedback activity counters; all zero when feedback is disabled.
-    pub fn feedback_stats(&self) -> FeedbackStats {
-        self.shared
-            .feedback
-            .as_ref()
-            .map(|fb| fb.stats())
-            .unwrap_or_default()
-    }
-
-    /// Forces a feedback refit right now, ignoring the cadence.
-    /// Returns whether the planner's live thresholds changed; always
-    /// `false` when feedback is disabled.
-    pub fn refit_feedback(&self) -> bool {
-        let changed = self
-            .shared
-            .feedback
-            .as_ref()
-            .is_some_and(|fb| fb.refit_now(&self.shared.planner));
-        if changed {
-            self.shared.persist_planner_fit();
-        }
-        changed
-    }
-
-    /// A consistent snapshot of the planner's live thresholds (the
-    /// fitted config once feedback has installed one).
-    pub fn planner_config(&self) -> Arc<PlannerConfig> {
+    /// The planner's thresholds.
+    pub fn planner_config(&self) -> &PlannerConfig {
         self.shared.planner.config()
     }
 
     /// A merged snapshot of every telemetry instrument — query latency,
     /// per-class queue waits, per-algorithm dominance-test counters,
-    /// session activity — plus the derived `cache.*` and `feedback.*`
-    /// families. [`MetricsSnapshot::render`] turns it into the text
-    /// exposition.
+    /// session activity — plus the derived `cache.*` family.
+    /// [`MetricsSnapshot::render`] turns it into the text exposition.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.telemetry.registry().snapshot();
         let c = self.cache_stats();
@@ -691,11 +638,6 @@ impl Engine {
         snap.push_gauge("cache.entries", &[], c.entries as f64);
         snap.push_gauge("cache.bytes", &[], c.bytes as f64);
         snap.push_gauge("cache.budget_bytes", &[], c.budget_bytes as f64);
-        let f = self.feedback_stats();
-        snap.push_counter("feedback.observations", &[], f.observations);
-        snap.push_counter("feedback.refits", &[], f.refits);
-        snap.push_counter("feedback.installs", &[], f.installs);
-        snap.push_counter("feedback.explorations", &[], f.explorations);
         snap.samples
             .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         snap
@@ -719,8 +661,8 @@ impl Engine {
 
     /// Executes one query and returns its result **with** the full
     /// execution trace: per-stage spans timed on the engine clock, the
-    /// planner's decision and rejected candidates, and per-span
-    /// dominance-test counts.
+    /// planner's decision and its reason, and per-span dominance-test
+    /// counts.
     ///
     /// The query runs exactly as [`execute`](Self::execute) runs it
     /// (same session, cache, and scheduling), so the trace reflects
@@ -741,8 +683,8 @@ impl Engine {
     }
 
     /// Plans a query without executing it (introspection; no cache
-    /// probe beyond the prior-version lookup, no side effects beyond
-    /// the planner's sampling pass).
+    /// probe beyond the prior-version and subspace-seed lookups, no
+    /// side effects).
     pub fn plan(&self, query: &SkylineQuery) -> Result<QueryPlan, EngineError> {
         let prepared = self.shared.prepare(query)?;
         Ok(self.shared.plan_prepared(&prepared, self.threads()))
@@ -791,10 +733,10 @@ impl Engine {
     ///
     /// Scheduling (inside the dispatcher's batch core): cache hits are
     /// answered at submission; misses whose plan is sequential
-    /// (BNL/SFS/BSkyTree/min-scan/delta) run **next to each other**,
-    /// one query per lane, so the pool is saturated by inter-query
-    /// parallelism; misses with parallel plans (Q-Flow/Hybrid) then run
-    /// one at a time, each spanning the whole pool. Either way the pool
+    /// (SFS/min-scan/delta) run **next to each other**, one query per
+    /// lane, so the pool is saturated by inter-query parallelism;
+    /// misses with parallel plans (Hybrid, sharded) then run one at a
+    /// time, each spanning the whole pool. Either way the pool
     /// is never oversubscribed.
     ///
     /// Each query is planned once and probes the cache once for the
@@ -867,33 +809,6 @@ impl EngineShared {
         (patched, 0)
     }
 
-    /// Feeds one completed query into the feedback loop and gives the
-    /// refitter its time-gated chance to run.
-    fn observe(&self, obs: Observation) {
-        if let Some(fb) = &self.feedback {
-            fb.record(obs);
-            self.refit_tick(fb);
-        }
-    }
-
-    /// Gives the refitter its time-gated chance to run, persisting the
-    /// freshly installed thresholds when it changes them (so a durable
-    /// engine restarts with a warm planner).
-    fn refit_tick(&self, fb: &FeedbackLoop) {
-        if fb.maybe_refit(&self.planner) {
-            self.persist_planner_fit();
-        }
-    }
-
-    /// Best-effort append of the planner's current thresholds to the
-    /// durable feedback log; a no-op on non-durable engines. Never in
-    /// a mutation's acknowledgement path.
-    pub(crate) fn persist_planner_fit(&self) {
-        if let Some(d) = self.durability.get() {
-            d.log_planner_fit(&self.planner.config());
-        }
-    }
-
     /// Executes one dispatch batch of admitted tickets against the
     /// shared pool — the batch core behind both
     /// [`Engine::execute_batch`] and the session dispatcher.
@@ -929,25 +844,13 @@ impl EngineShared {
             let trace = self.begin_trace(&ticket, wait);
             if let Some(full) = self.cache.get_uncounted(&ticket.prepared.key) {
                 let hit_started = trace.now();
-                let hit = self.hit_result(
-                    &ticket.prepared,
-                    full,
-                    Instant::now(),
-                    self.clock_now(),
-                    wait,
-                );
+                let hit = self.hit_result(&ticket.prepared, full, Instant::now());
                 trace.close_span(SpanKind::CacheHit, hit_started, 0);
                 let sealed = self.seal_trace(&trace, &ticket, &hit, wait);
                 self.complete_ticket(runtime, &ticket, Ok(hit), wait, Some(sealed));
                 continue;
             }
-            if let Some(hit) = self.try_ancestor(
-                &ticket.prepared,
-                Instant::now(),
-                self.clock_now(),
-                wait,
-                &trace,
-            ) {
+            if let Some(hit) = self.try_ancestor(&ticket.prepared, Instant::now(), &trace) {
                 let sealed = self.seal_trace(&trace, &ticket, &hit, wait);
                 self.complete_ticket(runtime, &ticket, Ok(hit), wait, Some(sealed));
                 continue;
@@ -1020,9 +923,8 @@ impl EngineShared {
         trace.finish(
             ticket.id,
             ticket.prepared.entry.name(),
-            PlanKind::from(&result.plan.strategy).name(),
+            result.plan.strategy.name(),
             result.plan.reason,
-            result.plan.candidates.clone(),
             queue_wait,
             self.clock.now().saturating_sub(ticket.submitted_at),
             result.cache_hit,
@@ -1081,29 +983,16 @@ impl EngineShared {
             self.complete_ticket(runtime, ticket, outcome, queue_wait, None);
             return;
         }
-        let clock_started = self.clock_now();
         let outcome = match self.cache.get_uncounted(&ticket.prepared.key) {
             Some(full) => {
                 let hit_started = trace.now();
-                let hit = self.hit_result(
-                    &ticket.prepared,
-                    full,
-                    Instant::now(),
-                    clock_started,
-                    queue_wait,
-                );
+                let hit = self.hit_result(&ticket.prepared, full, Instant::now());
                 trace.close_span(SpanKind::CacheHit, hit_started, 0);
                 hit
             }
-            None => match self.try_ancestor(
-                &ticket.prepared,
-                Instant::now(),
-                clock_started,
-                queue_wait,
-                &trace,
-            ) {
+            None => match self.try_ancestor(&ticket.prepared, Instant::now(), &trace) {
                 Some(hit) => hit,
-                None => self.run_plan(&ticket.prepared, plan, pool, queue_wait, &trace),
+                None => self.run_plan(&ticket.prepared, plan, pool, &trace),
             },
         };
         let sealed = self.seal_trace(&trace, ticket, &outcome, queue_wait);
@@ -1175,61 +1064,19 @@ impl EngineShared {
                 })
             })
         };
-        self.planner.plan_kind(
-            &prepared.entry,
-            &prepared.dims,
-            prepared.max_mask,
-            threads,
-            kind,
-            prior,
-            seed,
-        )
-    }
-
-    /// A reading of the feedback clock, when feedback is enabled —
-    /// taken at the start of a path whose runtime will be observed.
-    pub(crate) fn clock_now(&self) -> Option<Duration> {
-        self.feedback.as_ref().map(|fb| fb.clock().now())
+        self.planner
+            .plan_kind(&prepared.entry, &prepared.dims, threads, kind, prior, seed)
     }
 
     /// Counted cache probe; on a hit builds the full result without
     /// planning.
-    pub(crate) fn probe(
-        &self,
-        prepared: &Prepared,
-        started: Instant,
-        clock_started: Option<Duration>,
-    ) -> Option<QueryResult> {
+    pub(crate) fn probe(&self, prepared: &Prepared, started: Instant) -> Option<QueryResult> {
         let value = self.cache.get(&prepared.key)?;
-        Some(self.hit_result(prepared, value, started, clock_started, Duration::ZERO))
+        Some(self.hit_result(prepared, value, started))
     }
 
     /// Wraps a cached value as a hit result.
-    fn hit_result(
-        &self,
-        prepared: &Prepared,
-        value: CachedValue,
-        started: Instant,
-        clock_started: Option<Duration>,
-        queue_wait: Duration,
-    ) -> QueryResult {
-        // Hits are observed too (the feedback report shows how much of
-        // the workload never reaches an algorithm). Like run_plan, the
-        // observed runtime comes off the engine's clock — never
-        // `Instant` — so `ManualClock` tests stay deterministic;
-        // `Cached` buckets never participate in threshold fits.
-        if let (Some(fb), Some(t0)) = (&self.feedback, clock_started) {
-            self.observe(Observation {
-                kind: PlanKind::Cached,
-                n: prepared.entry.live_len(),
-                d: prepared.dims.len(),
-                max_mask: prepared.max_mask,
-                sample_skyline_frac: None,
-                alpha: None,
-                runtime: fb.clock().now().saturating_sub(t0),
-                queue_wait,
-            });
-        }
+    fn hit_result(&self, prepared: &Prepared, value: CachedValue, started: Instant) -> QueryResult {
         QueryResult {
             full: value.ids,
             counts: value.counts,
@@ -1256,8 +1103,6 @@ impl EngineShared {
         &self,
         prepared: &Prepared,
         started: Instant,
-        clock_started: Option<Duration>,
-        queue_wait: Duration,
         trace: &ActiveTrace,
     ) -> Option<QueryResult> {
         let kind = prepared.key.kind;
@@ -1303,7 +1148,7 @@ impl EngineShared {
         };
         self.cache.insert(prepared.key, value.clone());
         trace.close_span(SpanKind::CacheAncestor, span_t0, 0);
-        let mut hit = self.hit_result(prepared, value, started, clock_started, queue_wait);
+        let mut hit = self.hit_result(prepared, value, started);
         hit.plan.reason = reason;
         Some(hit)
     }
@@ -1343,24 +1188,15 @@ impl EngineShared {
 
     /// Runs an already-made plan on `pool` (the shared pool, or a
     /// lane-local single-threaded pool inside a dispatch batch) and
-    /// fills the cache with the result. `queue_wait` is the time the
-    /// ticket spent in the admission queue — recorded on the feedback
-    /// observation *separately* from the compute runtime, so threshold
-    /// fits are never polluted by queueing delay.
+    /// fills the cache with the result.
     fn run_plan(
         &self,
         prepared: &Prepared,
         mut plan: QueryPlan,
         pool: &ThreadPool,
-        queue_wait: Duration,
         trace: &Arc<ActiveTrace>,
     ) -> QueryResult {
         let started = Instant::now();
-        // Runtime observed for the feedback loop is measured on the
-        // engine's clock (not `Instant`), so a `ManualClock` makes the
-        // recorded runtimes — and therefore every refit decision —
-        // fully deterministic in tests.
-        let clock_started = self.feedback.as_ref().map(|fb| fb.clock().now());
         // Give the algorithm a query-scoped dominance tally and the span
         // sink, and re-base the trace's phase mark so the first phase is
         // not charged for engine-side time.
@@ -1402,10 +1238,15 @@ impl EngineShared {
                     // The prior entry was evicted (or the log rotated)
                     // between planning and execution: replan without
                     // it. A fresh plan can never be Delta again.
-                    let plan =
-                        self.planner
-                            .plan(entry, &prepared.dims, prepared.max_mask, pool.threads());
-                    return self.run_plan(prepared, plan, pool, queue_wait, trace);
+                    let plan = self.planner.plan_kind(
+                        entry,
+                        &prepared.dims,
+                        pool.threads(),
+                        kind,
+                        None,
+                        None,
+                    );
+                    return self.run_plan(prepared, plan, pool, trace);
                 }
             },
             Strategy::Sharded { .. } => {
@@ -1511,19 +1352,6 @@ impl EngineShared {
         };
         if let Some(kind) = covering {
             trace.close_span(kind, exec_started, 0);
-        }
-
-        // Feedback observations fit the planner's *skyline* thresholds;
-        // counting-kind runtimes would pollute those buckets.
-        if kind.is_skyline() {
-            if let (Some(fb), Some(t0)) = (&self.feedback, clock_started) {
-                let runtime = fb.clock().now().saturating_sub(t0);
-                let obs =
-                    Observation::from_plan(&plan, entry.live_len(), prepared.max_mask, runtime)
-                        .queued(queue_wait);
-                fb.record(obs);
-                self.refit_tick(fb);
-            }
         }
 
         let full = Arc::new(indices);

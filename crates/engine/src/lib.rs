@@ -12,16 +12,11 @@
 //!   inserts land in an append segment, deletes tombstone stable row
 //!   ids, and a compaction threshold rebuilds the base when tombstones
 //!   pile up;
-//! * [`Planner`] — picks the strategy per query (a one-pass scan for
-//!   one-dimensional queries, delta maintenance over a prior cached
-//!   result,
-//!   sequential BNL/SFS/BSkyTree, or parallel Q-Flow/Hybrid with tuned
-//!   α) from cardinality, subspace dimensionality, thread budget, a
-//!   sampled skyline density, and the dataset's mutation delta log —
-//!   its thresholds start at the paper's constants and, with the
-//!   [`planner::feedback`] loop enabled, are **re-fitted online** from
-//!   observed runtimes and swapped in atomically (the [`Clock`] seam
-//!   makes every refit decision deterministic under test);
+//! * [`Planner`] — picks the strategy per query from its shape alone:
+//!   a one-pass scan for one-dimensional queries, delta maintenance
+//!   over a prior cached result, SFS up to `small_n` rows, the sharded
+//!   fan-out when a partitioner is attached, and otherwise Hybrid on
+//!   every lane with α tuned to the input;
 //! * [`SkylineQuery`] — subspace selection (`dims`), per-dimension
 //!   `Min`/`Max` preferences, and result limits, so one registered
 //!   dataset serves many projections;
@@ -121,10 +116,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Engine, EngineConfig, MutationReport};
 pub use error::{EngineError, QuotaKind, RejectReason};
 pub use merge::{merge_locals, MergeStats, ShardLocal};
-pub use planner::feedback::{FeedbackConfig, FeedbackLoop, FeedbackStats, Observation, PlanKind};
-pub use planner::{
-    PlanCandidate, Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed,
-};
+pub use planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed};
 pub use query::{QueryKind, QueryOptions, QueryResult, SkylineQuery};
 pub use recovery::{DurabilityOptions, RecoveryReport};
 pub use session::{AdmissionConfig, Priority, QueryTicket, Session, SessionOptions, SessionStats};

@@ -6,9 +6,8 @@
 //! * **Operators** read the [`MetricsRegistry`] — counters, gauges and
 //!   log-bucketed latency [`Histogram`]s behind stable names
 //!   (`engine.query.latency`, `session.queue_wait{class=…}`,
-//!   `dominance.tests{algo=…}`, `catalog.stats.rescans`, `cache.*`,
-//!   `feedback.*`) — via
-//!   [`Engine::metrics`](crate::Engine::metrics), whose
+//!   `dominance.tests{algo=…}`, `catalog.stats.rescans`, `cache.*`) —
+//!   via [`Engine::metrics`](crate::Engine::metrics), whose
 //!   [`MetricsSnapshot::render`] emits a Prometheus-style text
 //!   exposition.
 //! * **Users** debugging one query read its [`QueryTrace`]: typed
@@ -16,8 +15,8 @@
 //!   → cache insert) with per-span wall time on the engine
 //!   [`Clock`] — exact under
 //!   [`ManualClock`](crate::ManualClock) — and per-span dominance-test
-//!   counts, plus the planner's chosen strategy and the cost estimates
-//!   of the [candidates it rejected](PlanCandidate). Retrieved from
+//!   counts, plus the planner's chosen strategy and its reason.
+//!   Retrieved from
 //!   [`QueryTicket::trace`](crate::session::QueryTicket::trace) or
 //!   [`Engine::explain_analyze`](crate::Engine::explain_analyze).
 //! * **On-call** reads the [`SlowQueryLog`]: a bounded ring of full
@@ -42,7 +41,6 @@ use skyline_core::telemetry::{AlgoPhase, SpanSink};
 use skyline_parallel::CachePadded;
 
 use crate::clock::Clock;
-use crate::planner::PlanCandidate;
 use crate::session::Priority;
 
 // ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ impl MetricsRegistry {
 
     /// Registers a pre-built histogram handle under `name` + `labels`
     /// (used to expose histograms that must exist even when no registry
-    /// does, like the queue-wait family shared with the feedback loop).
+    /// does, like the queue-wait family the session layer records into).
     pub(crate) fn adopt_histogram(
         &self,
         name: &str,
@@ -470,7 +468,7 @@ pub struct MetricSample {
 }
 
 /// A point-in-time view of the whole registry, plus any derived
-/// samples the engine appends (cache and feedback families).
+/// samples the engine appends (the cache family).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Every sample, sorted by name then labels.
@@ -715,10 +713,6 @@ pub struct QueryTrace {
     pub strategy: &'static str,
     /// The planner's one-line justification.
     pub reason: &'static str,
-    /// Every strategy the planner's final cost comparison considered,
-    /// with its estimated cost; empty for rule-based (non-costed)
-    /// decisions.
-    pub candidates: Vec<PlanCandidate>,
     /// Aggregated spans in first-entry order.
     pub spans: Vec<TraceSpan>,
     /// Time spent queued before dispatch.
@@ -884,7 +878,6 @@ impl ActiveTrace {
         dataset: &str,
         strategy: &'static str,
         reason: &'static str,
-        candidates: Vec<PlanCandidate>,
         queue_wait: Duration,
         total: Duration,
         cache_hit: bool,
@@ -897,7 +890,6 @@ impl ActiveTrace {
             dataset: dataset.to_string(),
             strategy,
             reason,
-            candidates,
             spans,
             queue_wait,
             total,
@@ -986,17 +978,15 @@ impl SlowQueryLog {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-wait histograms (shared with the feedback loop)
+// Queue-wait histograms
 // ---------------------------------------------------------------------------
 
 /// The per-class `session.queue_wait` histogram family.
 ///
 /// This is the **single source of truth** for queue-wait time: the
-/// session layer records into it on every successful completion, the
-/// metrics registry exposes it, and the feedback loop derives its
-/// [`FeedbackStats`](crate::planner::feedback::FeedbackStats) wait
-/// aggregates from it instead of keeping a parallel tally. Three
-/// histograms, written lock-free.
+/// session layer records into it on every successful completion and
+/// the metrics registry exposes it. Three histograms, written
+/// lock-free.
 #[derive(Debug)]
 pub struct QueueWaitHistograms {
     per_class: [Arc<Histogram>; 3],
@@ -1019,21 +1009,6 @@ impl QueueWaitHistograms {
     /// The histogram for `class`.
     pub fn class(&self, class: Priority) -> &Arc<Histogram> {
         &self.per_class[class.index()]
-    }
-
-    /// Across all classes: how many completions waited a nonzero time,
-    /// and their summed wait — the pair
-    /// [`FeedbackStats`](crate::planner::feedback::FeedbackStats)
-    /// reports as `queued_observations` / `queue_wait`.
-    pub fn queued_total(&self) -> (u64, Duration) {
-        let mut queued = 0u64;
-        let mut sum = Duration::ZERO;
-        for h in &self.per_class {
-            let s = h.snapshot();
-            queued += s.count - s.zeros;
-            sum += s.sum;
-        }
-        (queued, sum)
     }
 }
 
@@ -1271,16 +1246,7 @@ mod tests {
         trace.phase_end(AlgoPhase::Compress, 0);
         clock.advance(Duration::from_millis(3));
         trace.phase_end(AlgoPhase::PhaseOne, 5); // second α-block
-        let t = trace.finish(
-            1,
-            "d",
-            "qflow",
-            "",
-            Vec::new(),
-            Duration::ZERO,
-            clock.now(),
-            false,
-        );
+        let t = trace.finish(1, "d", "qflow", "", Duration::ZERO, clock.now(), false);
         let p1 = t.span(SpanKind::PhaseOne).unwrap();
         assert_eq!(p1.duration, Duration::from_millis(4));
         assert_eq!(p1.dominance_tests, 15);
@@ -1302,7 +1268,6 @@ mod tests {
                 dataset: "d".into(),
                 strategy: "trivial",
                 reason: "",
-                candidates: Vec::new(),
                 spans: Vec::new(),
                 queue_wait: Duration::ZERO,
                 total: Duration::from_millis(ms),
@@ -1329,9 +1294,10 @@ mod tests {
         w.record(Priority::High, Duration::ZERO);
         w.record(Priority::High, Duration::from_millis(2));
         w.record(Priority::Low, Duration::from_millis(3));
-        let (queued, sum) = w.queued_total();
-        assert_eq!(queued, 2);
-        assert_eq!(sum, Duration::from_millis(5));
-        assert_eq!(w.class(Priority::High).snapshot().count, 2);
+        let high = w.class(Priority::High).snapshot();
+        let low = w.class(Priority::Low).snapshot();
+        assert_eq!((high.count, high.zeros), (2, 1));
+        assert_eq!(high.count - high.zeros + low.count - low.zeros, 2);
+        assert_eq!(high.sum + low.sum, Duration::from_millis(5));
     }
 }

@@ -55,8 +55,8 @@ fn main() {
     );
 
     // 2. Explain-analyze: run one cold query and get its full trace —
-    //    the plan decision (winner and priced rejects) plus a span per
-    //    phase with wall time and dominance-test counts.
+    //    the plan decision and its reason plus a span per phase with
+    //    wall time and dominance-test counts.
     let (result, trace) = engine
         .explain_analyze(&SkylineQuery::new("flights"))
         .expect("valid query");
@@ -68,14 +68,6 @@ fn main() {
         result.indices().len(),
         trace.dominance_tests
     );
-    for c in &trace.candidates {
-        println!(
-            "  candidate {:<9} est. cost {:>14.0} {}",
-            c.strategy,
-            c.estimated_cost,
-            if c.chosen { "← chosen" } else { "" }
-        );
-    }
     for span in &trace.spans {
         println!(
             "  span {:<14} {:>10?} {:>12} DTs",

@@ -47,8 +47,8 @@
 //!
 //! One-shot calls recompute everything. For query workloads — many
 //! subspace projections of a few registered datasets — use
-//! [`Engine`]: it plans each query adaptively (picking the algorithm
-//! and tuning from the data's shape), answers repeats from an LRU
+//! [`Engine`]: it plans each query from its shape (SFS on small
+//! inputs, Hybrid with tuned α above them), answers repeats from an LRU
 //! result cache, and runs everything on one shared pool.
 //!
 //! ```
@@ -117,10 +117,9 @@ pub use skyline_data::{
 };
 pub use skyline_engine::{
     AdmissionConfig, CacheStats, Clock, Counter, DatasetEntry, DurabilityOptions, Engine,
-    EngineConfig, EngineError, FeedbackConfig, FeedbackLoop, FeedbackStats, Gauge, Histogram,
-    HistogramSnapshot, ManualClock, MergeStats, MetricSample, MetricValue, MetricsRegistry,
-    MetricsSnapshot, MonotonicClock, MutationReport, Observation, PartitionerKind, PlanCandidate,
-    PlanKind, PlannerConfig, Priority, QueryKind, QueryOptions, QueryPlan, QueryResult,
+    EngineConfig, EngineError, Gauge, Histogram, HistogramSnapshot, ManualClock, MergeStats,
+    MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, MonotonicClock, MutationReport,
+    PartitionerKind, PlannerConfig, Priority, QueryKind, QueryOptions, QueryPlan, QueryResult,
     QueryTicket, QueryTrace, QuotaKind, RecoveryReport, RejectReason, Session, SessionOptions,
     SessionStats, SkylineQuery, SlowQueryLog, SpanKind, Strategy, SuperspaceSeed, TelemetryConfig,
     TraceSpan,

@@ -3,7 +3,7 @@
 
 /// The engine's documented stable metric names (histogram
 /// `_bucket`/`_sum`/`_count` suffixes stripped).
-const ENGINE_NAMES: [&str; 9] = [
+const ENGINE_NAMES: [&str; 8] = [
     "engine.query.latency",
     "session.queue_wait",
     "catalog.stats.rescans",
@@ -12,7 +12,6 @@ const ENGINE_NAMES: [&str; 9] = [
     "cache.patches",
     "cache.bytes",
     "dominance.tests",
-    "feedback.refits",
 ];
 
 /// Asserts every line of a `MetricsSnapshot::render` text parses as

@@ -1,6 +1,6 @@
 //! Deterministic integration tests for the durability subsystem:
 //! WAL + snapshot roundtrips, idempotent double replay, torn-tail
-//! truncation, checkpointing, planner-fit persistence, corruption
+//! truncation, checkpointing, an old planner-fit log ignored, corruption
 //! quarantine with re-registration lifting it, and panic containment
 //! on the mutation path.
 //!
@@ -16,11 +16,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use skybench::persist::{FaultInjector, FaultPlan, MemIo, StdIo, WalIo};
+use skybench::persist::{append_record, FaultInjector, FaultPlan, MemIo, StdIo, WalIo};
 use skybench::prelude::*;
-use skybench::{
-    verify, DurabilityOptions, EngineError, FeedbackConfig, MetricValue, Observation, PlanKind,
-};
+use skybench::{verify, DurabilityOptions, EngineError, MetricValue, PlannerConfig};
 
 const DIR: &str = "/durable";
 
@@ -238,50 +236,63 @@ fn tiny_checkpoint_threshold_auto_checkpoints_every_batch() {
     assert_eq!(engine.dataset("a").unwrap().live_ids().len(), 6);
 }
 
+/// Older versions kept a planner-fit log at the durable root. A
+/// reopened engine ignores one: it keeps the `PlannerConfig` it was
+/// opened with, and its answers are the oracle's.
 #[test]
-fn planner_fit_survives_restart() {
+fn leftover_planner_fit_log_is_ignored() {
     let mem = MemIo::new();
-    let feedback_cfg = || EngineConfig {
-        feedback: FeedbackConfig {
-            enabled: true,
-            min_observations: 8,
-            ..FeedbackConfig::default()
-        },
-        ..cfg()
-    };
-    let fitted;
+    let data = Dataset::from_rows(&rows(600, 3, 50)).unwrap();
     {
-        let (engine, _) =
-            Engine::open_durable_with_io(DIR, feedback_cfg(), Arc::new(mem.clone())).unwrap();
-        let fb = engine.feedback().expect("feedback is enabled");
-        // Skewed synthetic truth: Hybrid 3× faster than Q-Flow at this
-        // shape. One forced refit must move (and persist) the fit.
-        for _ in 0..8 {
-            for (algo, us) in [(Algorithm::QFlow, 900), (Algorithm::Hybrid, 300)] {
-                fb.record(Observation {
-                    kind: PlanKind::Algo(algo),
-                    n: 20_000,
-                    d: 4,
-                    max_mask: 0,
-                    sample_skyline_frac: Some(0.02),
-                    alpha: Some(1_024),
-                    runtime: std::time::Duration::from_micros(us),
-                    queue_wait: std::time::Duration::ZERO,
-                });
-            }
-        }
-        assert!(engine.refit_feedback(), "the skewed fit must install");
-        fitted = engine.planner_config();
+        let (engine, _) = open(&mem);
+        engine.register("a", data.clone());
         engine.shutdown();
     }
+    // A valid record of the old format, little-endian: kind 2, then the
+    // eight fields of the old planner config — three u64 thresholds, an
+    // f32 density split and four more u64s — asking for BNL up to 2²⁰
+    // rows.
+    let mut fit = vec![2u8];
+    for v in [1u64 << 20, 1 << 20, 2] {
+        fit.extend_from_slice(&v.to_le_bytes());
+    }
+    fit.extend_from_slice(&0.5f32.to_le_bytes());
+    for v in [1u64, 65, 65, 1] {
+        fit.extend_from_slice(&v.to_le_bytes());
+    }
+    append_record(&mem, &Path::new(DIR).join("feedback.wal"), &fit).unwrap();
+
+    let planner = PlannerConfig {
+        small_n: 64,
+        delta_cap: 8,
+        ..PlannerConfig::default()
+    };
+    let reopened = EngineConfig {
+        planner: planner.clone(),
+        ..cfg()
+    };
     let (engine, report) =
-        Engine::open_durable_with_io(DIR, feedback_cfg(), Arc::new(mem.clone())).unwrap();
-    assert!(report.feedback_restored);
-    assert_eq!(
-        *engine.planner_config(),
-        *fitted,
-        "the restarted planner starts from the persisted thresholds"
-    );
+        Engine::open_durable_with_io(DIR, reopened, Arc::new(mem.clone())).unwrap();
+    assert_eq!(report.datasets, 1);
+    assert!(report.quarantined.is_empty());
+    assert_eq!(*engine.planner_config(), planner);
+    for (dims, max_mask) in [
+        (vec![0usize, 1, 2], 0u32),
+        (vec![0, 2], 0),
+        (vec![1, 2], 0b10),
+    ] {
+        let prefs: Vec<Preference> = dims
+            .iter()
+            .map(|&c| match max_mask & (1 << c) {
+                0 => Preference::Min,
+                _ => Preference::Max,
+            })
+            .collect();
+        let q = SkylineQuery::new("a").dims(dims.clone()).preference(prefs);
+        let got = engine.execute(&q).unwrap();
+        let expect = verify::naive_skyline_on_pref(&data, &dims, max_mask);
+        assert_eq!(got.indices(), expect.as_slice(), "dims {dims:?}");
+    }
 }
 
 #[test]

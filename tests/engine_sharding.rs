@@ -12,7 +12,6 @@ use skybench::{generate, verify, PartitionerKind, PlannerConfig, SpanKind, Strat
 /// A planner that sends everything it can at the sharded tier.
 fn sharded_planner() -> PlannerConfig {
     PlannerConfig {
-        tiny_n: 64,
         small_n: 256,
         sharded_min_n: 512,
         ..PlannerConfig::default()

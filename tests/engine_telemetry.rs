@@ -8,9 +8,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skybench::{
-    generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, FeedbackConfig,
-    Histogram, ManualClock, MetricValue, PartitionerKind, PlannerConfig, SkylineQuery, SpanKind,
-    Strategy, TelemetryConfig, ThreadPool,
+    generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, Histogram, ManualClock,
+    MetricValue, PartitionerKind, PlannerConfig, SkylineQuery, SpanKind, Strategy, TelemetryConfig,
+    ThreadPool,
 };
 
 /// A 2-lane manual-dispatch engine on a shared manual clock: nothing
@@ -186,7 +186,6 @@ fn sharded_queries_reach_the_dominance_counters() {
     let engine = Engine::with_config(EngineConfig {
         threads: 2,
         planner: PlannerConfig {
-            tiny_n: 64,
             small_n: 256,
             sharded_min_n: 512,
             ..PlannerConfig::default()
@@ -339,12 +338,11 @@ fn cold_hybrid_query_traces_every_phase() {
     let (result, trace) = engine
         .explain_analyze(&SkylineQuery::new("anti"))
         .expect("valid query");
-    assert_eq!(trace.strategy, "Hybrid", "dense anticorrelated → Hybrid");
     assert!(!trace.cache_hit);
 
-    // The planner reported the losing candidates alongside the winner.
-    assert!(trace.candidates.iter().any(|c| c.chosen));
-    assert!(trace.candidates.iter().filter(|c| !c.chosen).count() > 1);
+    // The planner's decision and its reason travel with the trace.
+    assert_eq!(trace.strategy, "Hybrid", "20 000 rows > small_n → Hybrid");
+    assert_eq!(trace.reason, "above small_n: Hybrid on every lane");
 
     // Both computation phases are present, took real wall time on the
     // monotonic clock, and carry their own dominance-test counts.
@@ -374,15 +372,14 @@ fn cold_hybrid_query_traces_every_phase() {
 }
 
 /// The exposition contract dashboards scrape: every rendered line
-/// parses, and the engine's stable names survive a query, mutations
-/// and a feedback refit. `catalog.stats.rescans` counts dimensions
-/// rescanned, so folding a new minimum in is free and deleting it
-/// again costs every dimension it was the minimum of.
+/// parses, the engine's stable names survive a query and mutations,
+/// and no `feedback.` family is exported. `catalog.stats.rescans`
+/// counts dimensions rescanned, so folding a new minimum in is free
+/// and deleting it again costs every dimension it was the minimum of.
 #[test]
 fn exposition_parses_and_carries_the_stable_names() {
     let engine = Engine::with_config(EngineConfig {
         threads: 2,
-        feedback: FeedbackConfig::enabled(),
         ..EngineConfig::default()
     });
     let pool = ThreadPool::new(2);
@@ -395,7 +392,6 @@ fn exposition_parses_and_carries_the_stable_names() {
     );
     engine.execute(&SkylineQuery::new("d")).unwrap();
     engine.delete("d", &origin).unwrap();
-    engine.refit_feedback();
 
     let text = engine.metrics().render();
     common::assert_exposition(&text, &[]);
@@ -404,8 +400,8 @@ fn exposition_parses_and_carries_the_stable_names() {
         "the deleted row was the minimum of all four dimensions:\n{text}"
     );
     assert!(
-        !text.contains("feedback.refits 0\n"),
-        "the forced refit is counted"
+        !text.lines().any(|l| l.starts_with("feedback.")),
+        "no feedback family is exported:\n{text}"
     );
     engine.shutdown();
 }

@@ -111,7 +111,6 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
         threads: 2,
         // Tiny thresholds force the sharded tier whenever possible.
         planner: PlannerConfig {
-            tiny_n: 4,
             small_n: 8,
             sharded_min_n: 16,
             ..PlannerConfig::default()
