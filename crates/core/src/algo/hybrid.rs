@@ -433,6 +433,31 @@ mod tests {
         assert!(r.stats.phase1 > std::time::Duration::ZERO);
     }
 
+    /// Same work, pinned: Hybrid's dominance tests on a fixed
+    /// anticorrelated 20 000 × 6 input at the default configuration,
+    /// the same number at T = 1 and T = 2. It holds at every dispatch
+    /// level (`SKYLINE_FORCE_SCALAR=1` included); `algo::tests::
+    /// work_is_pinned` pins the small tuned-α case beside the others.
+    #[test]
+    fn dominance_tests_are_pinned() {
+        let data = generate(
+            Distribution::Anticorrelated,
+            20_000,
+            6,
+            1,
+            &ThreadPool::new(1),
+        );
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let r = run(&data, &pool, &SkylineConfig::default());
+            assert_eq!(
+                (r.indices.len(), r.stats.dominance_tests),
+                (9_121, 11_340_111),
+                "T = {threads}"
+            );
+        }
+    }
+
     #[test]
     fn degenerate_inputs() {
         let pool = ThreadPool::new(2);

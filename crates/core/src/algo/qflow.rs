@@ -265,6 +265,32 @@ mod tests {
         assert!(r.stats.parallel_fraction() > 0.0);
     }
 
+    /// Same work, pinned: Q-Flow's dominance tests on a fixed
+    /// anticorrelated 20 000 × 6 input at the default configuration,
+    /// the same number at T = 1 and T = 2 (Phase II skips no peer on a
+    /// flag another lane set). The count is fixed by the algorithm and
+    /// the tile-granular accounting, not by the kernel, so it holds at
+    /// every dispatch level (`SKYLINE_FORCE_SCALAR=1` included).
+    #[test]
+    fn dominance_tests_are_pinned() {
+        let data = generate(
+            Distribution::Anticorrelated,
+            20_000,
+            6,
+            1,
+            &ThreadPool::new(1),
+        );
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let r = run(&data, &pool, &SkylineConfig::default());
+            assert_eq!(
+                (r.indices.len(), r.stats.dominance_tests),
+                (9_121, 46_454_725),
+                "T = {threads}"
+            );
+        }
+    }
+
     #[test]
     fn empty_and_singleton() {
         let pool = ThreadPool::new(2);

@@ -419,45 +419,79 @@ mod tests {
         planner.plan_kind(e, dims, 4, QueryKind::Skyline, prior, None)
     }
 
-    /// The size rule on every distribution, thread count and a spread
-    /// of widths: SFS on one lane at `small_n` rows, Hybrid on every
-    /// lane with the tuned α one row above it.
-    #[test]
-    fn rules_are_pinned_by_shape() {
-        let planner = Planner::default();
-        let small_n = planner.config().small_n;
-        let pool = ThreadPool::new(2);
-        for dist in [
-            Distribution::Independent,
-            Distribution::Correlated,
-            Distribution::Anticorrelated,
-        ] {
-            for d in [2, 4, 10] {
-                let dims: Vec<usize> = (0..d).collect();
-                let small = entry_of(generate(dist, small_n, d, 7, &pool));
-                let large = entry_of(generate(dist, small_n + 1, d, 7, &pool));
-                for threads in [1, 2, 4] {
-                    let case = format!("{dist:?} d={d} T={threads}");
-                    let plan =
-                        planner.plan_kind(&small, &dims, threads, QueryKind::Skyline, None, None);
-                    assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Sfs), "{case}");
-                    assert_eq!(plan.threads, 1, "{case}");
-                    assert_eq!(plan.effective_dims, dims, "{case}");
+    const DISTRIBUTIONS: [Distribution; 3] = [
+        Distribution::Independent,
+        Distribution::Correlated,
+        Distribution::Anticorrelated,
+    ];
 
-                    let plan =
-                        planner.plan_kind(&large, &dims, threads, QueryKind::Skyline, None, None);
-                    let tuned = SkylineConfig::tuned(small_n + 1, threads);
-                    assert_eq!(
-                        plan.strategy,
-                        Strategy::Algorithm(Algorithm::Hybrid),
-                        "{case}"
-                    );
-                    assert_eq!(plan.threads, threads, "{case}");
-                    assert_eq!(plan.config.alpha_hybrid, tuned.alpha_hybrid, "{case}");
-                    assert_eq!(plan.reason, "above small_n: Hybrid on every lane");
+    /// Plans the full-width skyline of `dist` at `n` × `d` for each
+    /// thread count and checks the size rule's side for `n`: SFS on
+    /// one lane at or below `small_n`, Hybrid on every lane with
+    /// `SkylineConfig::tuned(n, T)`'s α above it.
+    fn assert_size_rule(n: usize, widths: &[usize], threads: &[usize]) {
+        let planner = Planner::default();
+        let pool = ThreadPool::new(2);
+        for dist in DISTRIBUTIONS {
+            for &d in widths {
+                let dims: Vec<usize> = (0..d).collect();
+                let e = entry_of(generate(dist, n, d, 7, &pool));
+                for &t in threads {
+                    let case = format!("{dist:?} n={n} d={d} T={t}");
+                    let plan = planner.plan_kind(&e, &dims, t, QueryKind::Skyline, None, None);
+                    assert_eq!(plan.effective_dims, dims, "{case}");
+                    if n <= planner.config().small_n {
+                        assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Sfs), "{case}");
+                        assert_eq!(plan.threads, 1, "{case}");
+                    } else {
+                        let tuned = SkylineConfig::tuned(n, t);
+                        assert_eq!(
+                            plan.strategy,
+                            Strategy::Algorithm(Algorithm::Hybrid),
+                            "{case}"
+                        );
+                        assert_eq!(plan.threads, t, "{case}");
+                        assert_eq!(plan.config.alpha_hybrid, tuned.alpha_hybrid, "{case}");
+                        assert_eq!(plan.reason, "above small_n: Hybrid on every lane");
+                    }
                 }
             }
         }
+    }
+
+    /// There is no BNL tier: a few hundred rows and `small_n` rows
+    /// both run SFS on one lane, at every width and thread count.
+    #[test]
+    fn tiny_goes_bnl_small_goes_sfs() {
+        let small_n = Planner::default().config().small_n;
+        for n in [300, small_n] {
+            assert_size_rule(n, &[2, 4, 10], &[1, 2, 4]);
+        }
+    }
+
+    /// There is no one-thread BSkyTree rule: at T = 1 the rows above
+    /// `small_n` run Hybrid on its one lane.
+    #[test]
+    fn single_thread_prefers_bskytree() {
+        let small_n = Planner::default().config().small_n;
+        assert_size_rule(small_n + 1, &[2, 4, 10], &[1]);
+    }
+
+    /// There is no density split: correlated data (tiny skyline) and
+    /// anticorrelated data (huge skyline) above `small_n` both run
+    /// Hybrid on every lane, as independent data does.
+    #[test]
+    fn density_splits_qflow_and_hybrid() {
+        let small_n = Planner::default().config().small_n;
+        assert_size_rule(small_n + 1, &[2, 4], &[2, 4]);
+    }
+
+    /// There is no width threshold: d = 10 above `small_n` runs Hybrid
+    /// on every lane like every narrower shape.
+    #[test]
+    fn high_d_forces_hybrid() {
+        let small_n = Planner::default().config().small_n;
+        assert_size_rule(small_n + 1, &[10], &[2, 4]);
     }
 
     #[test]
