@@ -8,11 +8,12 @@
 //! Not part of the paper's evaluation (it is strictly dominated by SFS on
 //! main-memory workloads) but included as the classic baseline; it is also
 //! the only algorithm here that needs *two-way* dominance tests, since the
-//! input is unsorted. The window lives in a [`TileStore`], whose
-//! [`offer`](TileStore::offer) runs both directions against 8 window
-//! points at a time with the batched SIMD compare (the window is mutually
-//! incomparable, so a dominator anywhere rules out evictions — one pass
-//! resolves the whole update).
+//! input is unsorted. The window lives in a [`TileStore`] (coded
+//! range-free: BNL makes no pass that could take a range), whose
+//! [`offer`](TileStore::offer) runs both directions against 16 window
+//! points at a time with the batched code compare (the window is
+//! mutually incomparable, so a dominator anywhere rules out evictions —
+//! one pass resolves the whole update).
 
 use crate::dominance::simd::TileStore;
 use crate::telemetry::{AlgoPhase, PhaseProbe};

@@ -18,15 +18,16 @@
 //!    points enter the structure via Algorithm 2.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use super::skystruct::SkyStructure;
 use crate::dominance::dt;
-use crate::dominance::simd::{TileStore, TILE_LANES};
+use crate::dominance::simd::{ColumnRange, TileStore, TILE_LANES};
 use crate::masks::{can_dominate, full_mask, level, mask_and_eq, CompoundKey, Mask};
 use crate::norms::f32_order_bits;
 use crate::pivot::select_pivot;
 use crate::prefilter::prefilter;
+use crate::sorted::{order_tied_runs, TiedRows};
 use crate::telemetry::{AlgoPhase, PhaseProbe};
 use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
@@ -48,6 +49,33 @@ impl HybridWork {
     #[inline]
     fn row(&self, i: usize) -> &[f32] {
         &self.values[i * self.d..(i + 1) * self.d]
+    }
+}
+
+/// Sorted `(key, position)` items over the survivors' rows: items tie
+/// when their whole key, (level, mask) and L1, does.
+struct TiedItems<'a> {
+    items: &'a mut [(u64, u32)],
+    values: &'a [f32],
+    d: usize,
+}
+
+impl TiedRows for TiedItems<'_> {
+    fn count(&self) -> usize {
+        self.items.len()
+    }
+
+    fn tied(&self, i: usize) -> bool {
+        self.items[i].0 == self.items[i + 1].0
+    }
+
+    fn row(&self, i: usize) -> &[f32] {
+        let at = self.items[i].1 as usize * self.d;
+        &self.values[at..at + self.d]
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.items.swap(i, j);
     }
 }
 
@@ -80,12 +108,17 @@ pub fn run_with_progress(
     // ---- 2. Pivot selection & partitioning -------------------------------
     // Each survivor becomes a sort item keyed [compound (level, mask) : 32]
     // [L1 order bits : 32], with its position as an explicit
-    // deterministic tiebreaker; the mask is read back from the key.
+    // deterministic tiebreaker; the mask is read back from the key. The
+    // same pass takes the kept rows' column range, which the code tiles
+    // of Phases I and II quantise against.
     let pivot = select_pivot(cfg.pivot, &pf.values, d, &pf.l1, cfg.seed, pool);
     let npf = pf.orig.len();
-    let mut items = par_collect(pool, npf, 1 << 12, |range, keep| {
-        for i in range {
-            let (m, eq) = mask_and_eq(&pf.values[i * d..(i + 1) * d], &pivot.coords);
+    let bounds = Mutex::new(ColumnRange::empty(d));
+    let mut items = par_collect(pool, npf, 1 << 12, |rows, keep| {
+        let mut local = ColumnRange::empty(d);
+        for i in rows {
+            let row = &pf.values[i * d..(i + 1) * d];
+            let (m, eq) = mask_and_eq(row, &pivot.coords);
             // A concrete pivot is a known skyline point: everything
             // (non-coincident) in its all-ones region is dominated by it
             // and can be dropped before sorting ("2^d − 1 regions").
@@ -93,17 +126,28 @@ pub fn run_with_progress(
             if pivot.concrete && m == full && !eq {
                 continue;
             }
+            local.include(row);
             let key = ((CompoundKey::new(m, d).0 as u64) << 32) | f32_order_bits(pf.l1[i]) as u64;
             keep.push((key, i as u32));
         }
+        bounds.lock().expect("bounds lock").union(&local);
     });
+    let bounds = bounds.into_inner().expect("bounds lock");
     // Mask computations against the pivot are part() evaluations — one DT
     // each under the paper's accounting.
     counters.add(0, npf as u64);
     probe.lap(AlgoPhase::Pivot);
 
     // ---- 3. Sort by (level, mask, L1) -------------------------------------
+    // A float L1 tie inside one partition can hide a dominance pair;
+    // such runs are put in dominance order.
     par_sort_unstable_by_key(pool, &mut items, |&t| t);
+    let mut tied = TiedItems {
+        items: &mut items,
+        values: &pf.values,
+        d,
+    };
+    order_tied_runs(&mut tied, pool);
 
     let n = items.len();
     let mut ws = HybridWork {
@@ -137,7 +181,7 @@ pub fn run_with_progress(
     probe.lap(AlgoPhase::Init);
 
     // ---- 4. α-block processing -------------------------------------------
-    let mut sky = SkyStructure::new(d);
+    let mut sky = SkyStructure::new(&bounds);
     let flags: Vec<AtomicBool> = (0..alpha).map(|_| AtomicBool::new(false)).collect();
     let mut emitted = 0usize;
 
@@ -185,7 +229,7 @@ pub fn run_with_progress(
             max_run = max_run.max(run);
         }
         let tiled = max_run >= tile_from;
-        let mut peer_tiles = TileStore::with_capacity(d, if tiled { survivors } else { 0 });
+        let mut peer_tiles = TileStore::with_range(&bounds, if tiled { survivors } else { 0 });
         if tiled {
             for j in 0..survivors {
                 peer_tiles.push(ws.row(blk_start + j));
@@ -239,10 +283,9 @@ pub fn run_with_progress(
 /// 2. peers at the same level but a different (smaller) mask — all
 ///    incomparable by Property 1, skipped wholesale;
 /// 3. peers in the same partition — full DTs; *long* runs are batched
-///    through `peer_tiles` (tile `t` holds survivors `8t..8t+8`, so
-///    the run `[i, me)` is covered by masked head/tail tiles and whole
-///    tiles in between), short runs stay scalar with per-peer early
-///    exit.
+///    through `peer_tiles` (the survivors in block order, so the run
+///    `[i, me)` is one range scan), short runs stay scalar with
+///    per-peer early exit.
 ///
 /// Peers that another lane flags concurrently are still tested: a
 /// dominated peer's dominator chain ends at an undominated earlier peer

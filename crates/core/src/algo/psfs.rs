@@ -33,7 +33,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
     probe.lap(AlgoPhase::Init);
 
     let n = ws.len();
-    let mut sky_tiles = TileStore::new(d);
+    let mut sky_tiles = TileStore::with_range(&ws.range, 0);
     let mut sky_orig: Vec<u32> = Vec::new();
     let flags: Vec<AtomicBool> = (0..alpha).map(|_| AtomicBool::new(false)).collect();
 
@@ -65,7 +65,7 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         // Sequential resolution of the block's survivors (the "weaker"
         // part): a plain SFS window over the survivors.
         let mut dts = 0u64;
-        let mut block_tiles = TileStore::new(d);
+        let mut block_tiles = TileStore::with_range(&ws.range, 0);
         let mut block_sky: Vec<usize> = Vec::new(); // positions in ws
         #[allow(clippy::needless_range_loop)]
         for r in 0..blk_len {

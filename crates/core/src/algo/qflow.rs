@@ -17,9 +17,10 @@
 //!   progressively and the skyline is always correct to within α points.
 //!
 //! The global skyline and each block's survivor set are held as
-//! [`TileStore`] tiles: Phase I tests a candidate against 8 skyline
-//! points per iteration with the batched SIMD kernel, and Phase II runs
-//! the peer-prefix scan the same way. Phase II never skips peers
+//! [`TileStore`] code tiles, coded against the column range the sort's
+//! key pass takes: Phase I tests a candidate against 16 skyline points
+//! per iteration with the batched SIMD kernel, and Phase II runs the
+//! peer-prefix scan the same way. Phase II never skips peers
 //! flagged by concurrent workers — testing a flagged (dominated) peer is
 //! harmless by transitivity of dominance, and skipping on a racy flag
 //! would make the dominance-test count depend on the schedule.
@@ -60,7 +61,7 @@ pub fn run_with_progress(
     probe.lap(AlgoPhase::Init);
 
     let n = ws.len();
-    let mut sky_tiles = TileStore::new(d);
+    let mut sky_tiles = TileStore::with_range(&ws.range, 0);
     let mut sky_orig: Vec<u32> = Vec::new();
     let flags: Vec<AtomicBool> = (0..alpha).map(|_| AtomicBool::new(false)).collect();
 
@@ -78,7 +79,7 @@ pub fn run_with_progress(
                     let q = ws.row(blk_start + r);
                     // Identical iteration order to a sequential algorithm
                     // — most-likely pruners (smallest L1) first — at
-                    // 8-point tile granularity.
+                    // tile granularity.
                     if sky_tiles.any_dominates(q, &mut dts) {
                         flags[r].store(true, Ordering::Relaxed);
                     }
@@ -98,7 +99,7 @@ pub fn run_with_progress(
         // fall back to the scalar peer loop with its per-peer early
         // exit.
         let tiled = survivors >= 2 * crate::dominance::simd::TILE_LANES;
-        let mut peer_tiles = TileStore::with_capacity(d, if tiled { survivors } else { 0 });
+        let mut peer_tiles = TileStore::with_range(&ws.range, if tiled { survivors } else { 0 });
         if tiled {
             for j in 0..survivors {
                 peer_tiles.push(ws.row(blk_start + j));

@@ -7,9 +7,10 @@
 //! is immediately known to be a skyline point, so the window is exactly
 //! the skyline-so-far and only one dominance direction is ever tested.
 //!
-//! The window is held as a [`TileStore`] of transposed 8-point tiles, so
-//! each scan step tests the candidate against 8 window points with the
-//! batched SIMD kernel instead of 8 one-vs-one row scans.
+//! The window is held as a [`TileStore`] of 16-point code tiles, coded
+//! against the column range the sort's key pass takes, so each scan
+//! step tests the candidate against 16 window points with the batched
+//! SIMD kernel instead of 16 one-vs-one row scans.
 
 use crate::dominance::simd::TileStore;
 use crate::sorted::build_workset;
@@ -28,11 +29,11 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
 
     let mut dts: u64 = 0;
     let mut sky: Vec<u32> = Vec::new(); // positions into ws, ascending
-    let mut window = TileStore::new(data.dims());
+    let mut window = TileStore::with_range(&ws.range, 0);
     for i in 0..ws.len() {
         let p = ws.row(i);
         // Sort order means insertion order is "most likely pruners
-        // first"; the tile scan preserves it at 8-lane granularity.
+        // first"; the tile scan preserves it at tile granularity.
         if window.any_dominates(p, &mut dts) {
             continue;
         }

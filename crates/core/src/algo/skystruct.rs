@@ -1,16 +1,18 @@
 //! The `M(S)` data structure over the shared, global skyline
 //! (paper §VI-B, Figure 3, Algorithms 2 and 3).
 //!
-//! Skyline rows are stored contiguously in append order (which is
-//! (level, mask, L1) order, since compression always shifts left), and
-//! `M(S)` is a flat vector of `(level-1 mask, start)` pairs — one per
+//! Skyline rows are stored once, in a [`TileStore`] in append order
+//! (which is (level, mask, L1) order, since compression always shifts
+//! left): its code tiles serve the batched scans and its `f32` rows the
+//! pivot tests and the short-partition loop. `M(S)` is
+//! a flat vector of `(level-1 mask, start)` pairs — one per
 //! non-empty partition — terminated by a sentinel. Within a partition the
 //! *first* point (lowest L1) serves as the level-2 pivot: later members
 //! store their mask relative to it, giving a second, stronger
 //! incomparability filter during Phase I without recursion or trees.
 
 use crate::dominance::dt;
-use crate::dominance::simd::{TileStore, TILE_LANES};
+use crate::dominance::simd::{ColumnRange, TileStore, TILE_LANES};
 use crate::masks::{can_dominate, full_mask, mask_and_eq, Mask};
 
 /// Sentinel mask terminating `M(S)` (the paper uses `2^d`; any value that
@@ -29,11 +31,8 @@ const TILE_GATE: usize = 2 * TILE_LANES;
 pub(crate) struct SkyStructure {
     d: usize,
     full: Mask,
-    /// Skyline rows, row-major, in append order.
-    values: Vec<f32>,
-    /// The same rows tiled for the batched one-vs-many scans (tile `t`
-    /// holds rows `8t..8t+8`), kept in lockstep with `values` so a
-    /// partition's span maps directly to a tile range.
+    /// Skyline rows in append order, so a partition's span is a range
+    /// of the store.
     tiles: TileStore,
     /// Stored mask per row: level-2 (relative to the partition's first
     /// point) for members, level-1 for the partition pivots themselves —
@@ -47,12 +46,13 @@ pub(crate) struct SkyStructure {
 }
 
 impl SkyStructure {
-    pub fn new(d: usize) -> Self {
+    /// An empty structure whose store codes rows against `range`.
+    pub fn new(range: &ColumnRange) -> Self {
+        let d = range.dims();
         Self {
             d,
             full: full_mask(d),
-            values: Vec::new(),
-            tiles: TileStore::new(d),
+            tiles: TileStore::with_range(range, 0),
             masks: Vec::new(),
             orig: Vec::new(),
             parts: vec![(SENTINEL, 0)],
@@ -71,7 +71,7 @@ impl SkyStructure {
 
     #[inline]
     fn row(&self, i: usize) -> &[f32] {
-        &self.values[i * self.d..(i + 1) * self.d]
+        self.tiles.point(i)
     }
 
     /// Number of partitions currently in `M(S)` (excluding the sentinel).
@@ -115,7 +115,6 @@ impl SkyStructure {
                 self.masks.push(bm);
                 self.parts.push((m, i));
             }
-            self.values.extend_from_slice(row);
             self.tiles.push(row);
             self.orig.push(block_orig[j]);
         }
@@ -131,7 +130,7 @@ impl SkyStructure {
     /// level-2 mask filters the members. Partitions of [`TILE_GATE`] or
     /// more rows skip the re-partitioning entirely and run the batched
     /// tile scan over the whole span (pivot included) instead — every
-    /// member is tested, but 8 lanes per compare beat the per-member
+    /// member is tested, but 16 lanes per code compare beat the per-member
     /// filter once the span is long.
     pub fn dominates(&self, q: &[f32], q_mask: Mask, dts: &mut u64) -> bool {
         for w in self.parts.windows(2) {
@@ -171,11 +170,16 @@ mod tests {
     use super::*;
     use crate::masks::partition_mask;
 
+    /// `[0, 1]` in each of `d` columns: the span of the test rows.
+    fn unit_range(d: usize) -> ColumnRange {
+        ColumnRange::new(vec![0.0; d], vec![1.0; d])
+    }
+
     /// Builds the Figure 3 example: pivot at the data midpoint, skyline
     /// points u(00), p(01), t(10), s(10).
     fn figure3() -> (SkyStructure, Vec<f32>) {
         let pivot = vec![0.5f32, 0.5];
-        let mut sky = SkyStructure::new(2);
+        let mut sky = SkyStructure::new(&unit_range(2));
         let mut dts = 0;
         // Rows already in (level, mask, L1) order:
         //   u = (0.2, 0.2) mask 00
@@ -275,7 +279,7 @@ mod tests {
         let values: Vec<f32> = rows.iter().flatten().copied().collect();
         let masks = vec![0b01 as Mask; n];
         let orig: Vec<u32> = (0..n as u32).collect();
-        let mut sky = SkyStructure::new(2);
+        let mut sky = SkyStructure::new(&unit_range(2));
         let mut dts = 0;
         sky.append_block(&values, &masks, &orig, &mut dts);
         assert_eq!(sky.partitions(), 1);
@@ -304,7 +308,7 @@ mod tests {
 
     #[test]
     fn empty_structure_dominates_nothing() {
-        let sky = SkyStructure::new(3);
+        let sky = SkyStructure::new(&unit_range(3));
         let mut dts = 0;
         assert!(!sky.dominates(&[1.0, 2.0, 3.0], 0b000, &mut dts));
         assert_eq!(dts, 0);

@@ -68,7 +68,8 @@ impl PivotStrategy {
 ///
 /// Correctness requires `p ≺ q ⇒ key(p) < key(q)`; each of these keys is a
 /// sum/min of per-dimension strictly increasing functions, which satisfies
-/// that (see `norms`).
+/// that exactly (see `norms`). In `f32` the key can round to a tie, which
+/// the working-set sort resolves in dominance order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SortKey {
     /// Manhattan norm `Σᵢ p[i]` (the paper's choice for Q-Flow and SFS).

@@ -13,9 +13,11 @@
 //! * [`simd`] — the real hardware-acceleration layer: explicit AVX2 /
 //!   SSE2 / NEON implementations of the paper's hand-written vectorized
 //!   DT (§VII-A2, "8-degree data-level parallelism") behind one-time
-//!   runtime CPU dispatch, plus the batched one-vs-many
-//!   [`DtBlock`](simd::DtBlock)/[`TileStore`](simd::TileStore) tiles the
-//!   window scans consume;
+//!   runtime CPU dispatch, plus the batched one-vs-many tiles: the
+//!   16-lane, 16-bit code tiles of [`TileStore`](simd::TileStore) the
+//!   window scans consume (with an exact `f32` re-check of code ties)
+//!   and the `f32` [`DtBlock`](simd::DtBlock) of the pre-filter's
+//!   queues;
 //! * [`dominates_or_equal`] — potential dominance `p ⪯ q` (Definition 1);
 //! * [`compare`] — both directions in one pass, for the window algorithms
 //!   (BNL) that need them simultaneously.
@@ -153,7 +155,7 @@ pub fn strictly_dominates_on_pref(p: &[f32], q: &[f32], dims: &[usize], max_mask
         // Negating an IEEE-754 float is a sign-bit flip, so the
         // maximised-dimension direction folds into an XOR on the bits —
         // branch-free — instead of an operand swap the predictor pays
-        // for. `simd::DtBlock::set_lane_pref` applies the same
+        // for. `simd::TileStore::push_pref` applies the same
         // `flip_pref` once at tile-build time.
         let flip = max_mask & (1 << d) != 0;
         let a = simd::flip_pref(p[d], flip);

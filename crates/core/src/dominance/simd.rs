@@ -3,33 +3,61 @@
 //!
 //! The paper's single biggest micro-optimisation is a hand-written
 //! vectorized dominance test shared by every algorithm. This module is
-//! that kernel layer, in two shapes:
+//! that kernel layer, in three shapes:
 //!
 //! * **One-vs-one** kernels ([`strictly_dominates`],
 //!   [`dominates_or_equal`], [`compare`]): explicit `core::arch`
 //!   implementations of the scalar tests in [`super`](crate::dominance),
 //!   processing 8 (AVX2) or 4 (SSE2 / NEON) coordinates per instruction
 //!   with a per-chunk early exit.
-//! * **Batched one-vs-many** kernels over a [`DtBlock`]: a transposed
-//!   SoA tile of up to [`TILE_LANES`] points stored column-major in a
-//!   32-byte-aligned buffer, so one candidate is tested against 8 window
-//!   points per column iteration — one aligned load, one broadcast, and
-//!   vector compares, reduced with a movemask. [`TileStore`] strings
-//!   tiles together into the growable windows the scan loops need
-//!   (append for SFS/Q-Flow, swap-remove for BNL).
-//! * **Whole-range scans** behind [`TileStore::any_dominates`],
-//!   [`any_dominates_range`](TileStore::any_dominates_range) and
-//!   [`count_dominators_range`](TileStore::count_dominators_range): at
-//!   AVX2 one call covers every whole tile of the range, broadcasts `q`
-//!   once, and evaluates all `d` columns of each tile with no
-//!   per-column exit — the only data-dependent branch is the hit (or
-//!   the count reaching its cap). A per-column exit pays only when
-//!   every lane fails early; on the anticorrelated inputs the
-//!   algorithms are bound by, the last live lane of a tile fails at a
-//!   nearly uniform column, so the exit mispredicts on almost every
-//!   tile. The other levels scan the same range with
-//!   [`DtBlock::dominators`], tile by tile. Both charge identical
-//!   dominance-test counts.
+//! * **One f32 tile**, [`DtBlock`]: a transposed SoA tile of up to
+//!   [`TILE_LANES`] points, column-major in a 32-byte-aligned buffer,
+//!   tested against one candidate with one aligned load, one broadcast
+//!   and vector compares per column. The pre-filter's β-queues are
+//!   held in these tiles.
+//! * **Code tiles**, [`TileStore`]: the growable windows every scan loop
+//!   consumes (append for SFS/Q-Flow/Hybrid, swap-remove for BNL and
+//!   the maintenance kernels). A store is one 32-byte-aligned slab of
+//!   [`CODE_LANES`]-point tiles, each holding `d` columns of 16-bit
+//!   order-preserving codes, plus a row-major `f32` copy of the points.
+//!   One AVX2 compare covers 16 points, twice the lanes of an `f32`
+//!   compare, and a tile column is 32 bytes instead of 64.
+//!
+//! # Exact answers from codes
+//!
+//! A store codes column `j` as `c = clamp(⌊(v − lo_j)·65535/(hi_j −
+//! lo_j)⌋)` against a [`ColumnRange`], or, without one, as the high 16
+//! bits of the order-preserving key of `v` (with `−0.0` taken as
+//! `+0.0`). Both maps are monotone: `v ≤ w ⇒ c(v) ≤ c(w)`. So a lane
+//! whose code is greater than the candidate's in some column is greater
+//! there, and cannot dominate it; a lane whose codes are smaller in
+//! every column is smaller everywhere, and dominates it. Only a lane
+//! that neither rule decides (no greater code, some equal one) is
+//! re-checked, against its `f32` row. The answer is exact for any
+//! range, even a wrong one: a range that is too narrow, too wide or
+//! shifted only puts more values into shared buckets and sends more
+//! lanes to the re-check. (Rows must not hold NaN, which the
+//! `Dataset` boundary rejects.) A range the coder cannot use (`lo ==
+//! hi`, `hi < lo`, or not finite) codes that column range-free.
+//!
+//! The AVX2 scan codes its candidate once, in vector registers, and
+//! runs the whole scan — tile loop and re-checks — in one call. Coding
+//! is a chain of dependent vector operations, so a scan from the start
+//! of a store (d ≤ 8) first tests the first 8 points on their `f32`
+//! rows, one vector compare per row: the presorting algorithms put the
+//! most likely pruners there, and a quick kill then waits for no codes.
+//!
+//! # Dominance-test accounting
+//!
+//! DTs are charged per lane on *virtual 8-lane tiles* — lanes `8v ..
+//! 8v + 8` of the store — as when each tile held 8 points:
+//! [`TileStore::any_dominates`] charges the first virtual tile alone,
+//! then pairs of them through the pair holding the first true
+//! dominator; a range scan charges its masked head, whole virtual tiles
+//! in pairs, then its masked tail; a count charges tile by tile up to
+//! the virtual tile at which it reaches its cap. The charge is a
+//! function of where the true dominators are, so it does not depend on
+//! the codes, the range or the dispatch level.
 //!
 //! # Dispatch
 //!
@@ -37,36 +65,42 @@
 //! [`active_level`]: AVX2 where the CPU supports it, SSE2 on any other
 //! `x86_64`, NEON on `aarch64`, and the portable
 //! [`strictly_dominates_lanes`](crate::dominance::strictly_dominates_lanes)
-//! / scalar loops everywhere else. Setting the environment variable
-//! **`SKYLINE_FORCE_SCALAR`** (to anything but `0` or the empty string)
-//! before first use pins the process to the scalar level — the switch CI
-//! uses to prove the vector and scalar paths compute identical skylines.
-//! (Forced-scalar is a correctness lane: the portable tile kernels are
-//! several times slower than the vector ones, which is the point of the
-//! explicit layer.)
+//! / scalar loops everywhere else. The code-tile kernels exist at two
+//! levels: AVX2, and a portable form (branch-free over 16 lanes, which
+//! LLVM vectorises) that every other level runs. Setting the
+//! environment variable **`SKYLINE_FORCE_SCALAR`** (to anything but
+//! `0` or the empty string) before first use pins the process to the
+//! scalar level — the switch CI uses to prove the vector and scalar
+//! paths compute identical skylines. (Forced-scalar is a correctness
+//! lane: the portable kernels are several times slower than the vector
+//! ones, which is the point of the explicit layer.)
 //!
-//! Every kernel also exists in a `*_with(level, ..)` form taking an
-//! explicit [`Level`], which *ignores* the environment override; the
-//! equivalence test suite runs all [available](Level::available) levels
-//! against the scalar reference in a single process.
+//! Every one-vs-one and `f32` tile kernel also exists in a
+//! `*_with(level, ..)` form taking an explicit [`Level`], and
+//! [`TileStore::with_level`] pins a store to one; both *ignore* the
+//! environment override, so the equivalence test suite runs all
+//! [available](Level::available) levels against the scalar reference in
+//! a single process.
 //!
 //! # Preferences
 //!
 //! Dominance under `Max` preferences negates the maximised columns.
 //! Negating an IEEE-754 float is exactly a sign-bit flip, so
-//! [`DtBlock::set_lane_pref`] folds the direction into the tile **once at
-//! build time** with an XOR on the `f32` bits — scans then run the plain
-//! minimising kernels with no per-test branching. The candidate side uses
-//! [`flip_pref`] for the same transformation.
+//! [`TileStore::push_pref`] folds the direction into the stored row
+//! **once at build time**, before it is coded — scans then run the
+//! plain minimising kernels with no per-test branching. The candidate
+//! side uses [`flip_pref`] for the same transformation, and a range
+//! for folded rows comes from [`ColumnRange::project`].
 
 use std::sync::OnceLock;
 
 use skyline_data::AlignedF32;
 
-use super::DomRelation;
+use super::{strictly_dominates as row_dominates, DomRelation};
 
-/// Points per [`DtBlock`] tile: the width of one AVX2 `f32` register,
-/// the paper's "8-degree data-level parallelism".
+/// Points per [`DtBlock`] tile — the width of one AVX2 `f32` register,
+/// the paper's "8-degree data-level parallelism" — and per virtual tile
+/// of [`TileStore`]'s dominance-test charge.
 pub const TILE_LANES: usize = 8;
 
 /// An instruction-set level the dominance kernels can run at.
@@ -257,7 +291,7 @@ fn both_le_scalar(p: &[f32], q: &[f32]) -> (bool, bool) {
 }
 
 // --------------------------------------------------------------------
-// Batched one-vs-many tiles
+// One f32 tile
 // --------------------------------------------------------------------
 
 /// A transposed SoA tile of up to [`TILE_LANES`] points in `d`
@@ -267,8 +301,7 @@ fn both_le_scalar(p: &[f32], q: &[f32]) -> (bool, bool) {
 /// broadcast per dimension.
 ///
 /// Unused lanes are padded with `+∞`, which can never dominate a finite
-/// candidate; the *dominated-by-candidate* direction masks pads out via
-/// [`live`](Self::live).
+/// candidate.
 #[derive(Debug, Clone)]
 pub struct DtBlock {
     d: usize,
@@ -287,23 +320,11 @@ impl DtBlock {
         }
     }
 
-    /// Dimensionality of the tile's points.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.d
-    }
-
     /// Number of live (non-padding) lanes; live lanes are always the
     /// contiguous prefix `0..live`.
     #[inline]
     pub fn live(&self) -> usize {
         self.live
-    }
-
-    /// Coordinate `j` of lane `lane`.
-    #[inline]
-    pub fn coord(&self, lane: usize, j: usize) -> f32 {
-        self.cols[j * TILE_LANES + lane]
     }
 
     /// Writes `row` into `lane`, marking it live.
@@ -317,68 +338,9 @@ impl DtBlock {
         self.live = self.live.max(lane + 1);
     }
 
-    /// Writes the subspace projection `row[dims[..]]` into `lane`,
-    /// sign-flipping the columns whose **full-space** index is set in
-    /// `max_mask` — the preference negation paid once at build time
-    /// instead of per dominance test. Candidates tested against such a
-    /// tile must be transformed the same way (see [`flip_pref`]).
-    #[inline]
-    pub fn set_lane_pref(&mut self, lane: usize, row: &[f32], dims: &[usize], max_mask: u32) {
-        debug_assert!(lane < TILE_LANES);
-        debug_assert_eq!(dims.len(), self.d);
-        for (j, &c) in dims.iter().enumerate() {
-            self.cols[j * TILE_LANES + lane] = flip_pref(row[c], max_mask & (1 << c) != 0);
-        }
-        self.live = self.live.max(lane + 1);
-    }
-
-    /// Resets `lane` to padding. Only the last live lane may be
-    /// cleared (live lanes stay a contiguous prefix).
-    #[inline]
-    pub fn clear_lane(&mut self, lane: usize) {
-        debug_assert_eq!(lane + 1, self.live, "only the last live lane clears");
-        for j in 0..self.d {
-            self.cols[j * TILE_LANES + lane] = f32::INFINITY;
-        }
-        self.live = lane;
-    }
-
-    /// Copies `src_lane` of `src` into `dst_lane` of `self`.
-    #[inline]
-    pub fn copy_lane_from(&mut self, dst_lane: usize, src: &DtBlock, src_lane: usize) {
-        debug_assert_eq!(self.d, src.d);
-        for j in 0..self.d {
-            self.cols[j * TILE_LANES + dst_lane] = src.cols[j * TILE_LANES + src_lane];
-        }
-        self.live = self.live.max(dst_lane + 1);
-    }
-
-    /// Moves lane `src` into lane `dst` within this tile.
-    #[inline]
-    pub fn move_lane(&mut self, dst: usize, src: usize) {
-        for j in 0..self.d {
-            self.cols[j * TILE_LANES + dst] = self.cols[j * TILE_LANES + src];
-        }
-        self.live = self.live.max(dst + 1);
-    }
-
-    /// Bitmask of lanes whose point strictly dominates `q`, at the
-    /// [`active_level`]. Padding lanes never set a bit.
-    ///
-    /// Unlike the whole-range scans of [`TileStore`], this single-tile
-    /// kernel keeps its per-column exit (every level returns as soon as
-    /// no lane can still dominate). It serves the first-tile probe of
-    /// [`TileStore::any_dominates`] — the most likely pruners, where an
-    /// early kill is common — and the masked head and tail tiles of the
-    /// range scans. Dropping the exit here too measured no gain beyond
-    /// run-to-run spread, on anticorrelated 200 000 × 6 or on the
-    /// engine's cold queries.
-    #[inline]
-    pub fn dominators(&self, q: &[f32]) -> u32 {
-        self.dominators_with(active_level(), q)
-    }
-
-    /// [`dominators`](Self::dominators) at an explicit level.
+    /// Bitmask of lanes whose point strictly dominates `q`, at an
+    /// explicit level. Padding lanes never set a bit. Every level
+    /// returns as soon as no lane can still dominate.
     #[inline]
     pub fn dominators_with(&self, level: Level, q: &[f32]) -> u32 {
         debug_assert_eq!(q.len(), self.d);
@@ -396,92 +358,9 @@ impl DtBlock {
             _ => tile_dominators_scalar(&self.cols, self.d, q),
         }
     }
-
-    /// Does any live lane strictly dominate `q`?
-    #[inline]
-    pub fn any_dominates(&self, q: &[f32]) -> bool {
-        self.dominators(q) != 0
-    }
-
-    /// Two-way tile comparison at the [`active_level`]:
-    /// `(lanes strictly dominating q, lanes strictly dominated by q)`.
-    /// The second mask is restricted to live lanes.
-    #[inline]
-    pub fn compare_masks(&self, q: &[f32]) -> (u32, u32) {
-        self.compare_masks_with(active_level(), q)
-    }
-
-    /// [`compare_masks`](Self::compare_masks) at an explicit level.
-    #[inline]
-    pub fn compare_masks_with(&self, level: Level, q: &[f32]) -> (u32, u32) {
-        debug_assert_eq!(q.len(), self.d);
-        let live_mask = ((1u32 << self.live) - 1) * u32::from(self.live > 0);
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: see `dominators_with`.
-            Level::Avx2 => unsafe { x86::tile_compare_avx2(&self.cols, self.d, q, live_mask) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86_64 baseline.
-            Level::Sse2 => unsafe { x86::tile_compare_sse2(&self.cols, self.d, q, live_mask) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is part of the aarch64 baseline.
-            Level::Neon => unsafe { neon::tile_compare_neon(&self.cols, self.d, q, live_mask) },
-            _ => tile_compare_scalar(&self.cols, self.d, self.live, q),
-        }
-    }
 }
 
-/// Index in `tiles` of the first tile holding a lane that strictly
-/// dominates `q`. AVX2 runs one whole-range kernel (every column of
-/// every tile, no per-column exit); the other levels test the tiles one
-/// at a time with their single-tile kernel.
-#[inline]
-fn first_dominating_tile(level: Level, tiles: &[DtBlock], q: &[f32]) -> Option<usize> {
-    assert_same_dims(tiles, q);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the level is AVX2-capable (see `strictly_dominates_with`)
-        // and every tile has `q.len()` columns (`assert_same_dims`).
-        Level::Avx2 => unsafe { x86::first_dominating_tile_avx2(tiles, q) },
-        _ => tiles.iter().position(|t| t.dominators_with(level, q) != 0),
-    }
-}
-
-/// Strict dominators of `q` in `tiles`, counted tile by tile until the
-/// count reaches `cap`: `(count, tiles inspected)`. The count may exceed
-/// `cap` by what the last inspected tile added.
-#[inline]
-fn count_dominators_in_tiles(level: Level, tiles: &[DtBlock], q: &[f32], cap: u32) -> (u32, usize) {
-    assert_same_dims(tiles, q);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `first_dominating_tile`.
-        Level::Avx2 => unsafe { x86::count_dominators_avx2(tiles, q, cap) },
-        _ => {
-            let mut count = 0u32;
-            for (t, tile) in tiles.iter().enumerate() {
-                count += tile.dominators_with(level, q).count_ones();
-                if count >= cap {
-                    return (count, t + 1);
-                }
-            }
-            (count, tiles.len())
-        }
-    }
-}
-
-/// The whole-range kernels read `q.len()` columns of every tile. The
-/// tiles of one [`TileStore`] share its dimensionality, so checking the
-/// first tile checks them all.
-#[inline]
-fn assert_same_dims(tiles: &[DtBlock], q: &[f32]) {
-    assert!(
-        tiles.first().map_or(true, |t| t.d == q.len()),
-        "candidate dimensionality differs from the store's"
-    );
-}
-
-/// Portable fallback for [`DtBlock::dominators`]: column-major,
+/// Portable fallback for [`DtBlock::dominators_with`]: column-major,
 /// branch-free over the 8 fixed lanes (LLVM vectorises the inner mask
 /// builders), early exit per column once every lane has failed.
 /// Padding lanes (`+∞`) fail `le` on the first column, so no live mask
@@ -510,63 +389,244 @@ fn tile_dominators_scalar(cols: &[f32], d: usize, q: &[f32]) -> u32 {
     dom
 }
 
-/// Portable fallback for [`DtBlock::compare_masks`], same shape as
-/// [`tile_dominators_scalar`].
-fn tile_compare_scalar(cols: &[f32], d: usize, live: usize, q: &[f32]) -> (u32, u32) {
-    let live_mask = (1u32 << live) - 1;
-    let (mut le, mut ge) = (0xFFu32, 0xFFu32);
-    let (mut lt, mut gt) = (0u32, 0u32);
-    for (j, &qj) in q.iter().enumerate().take(d) {
-        let col: &[f32; TILE_LANES] = cols[j * TILE_LANES..(j + 1) * TILE_LANES]
-            .try_into()
-            .expect("tile column");
-        let (mut le_j, mut lt_j, mut ge_j, mut gt_j) = (0u32, 0u32, 0u32, 0u32);
-        for (l, &v) in col.iter().enumerate() {
-            le_j |= u32::from(v <= qj) << l;
-            lt_j |= u32::from(v < qj) << l;
-            ge_j |= u32::from(v >= qj) << l;
-            gt_j |= u32::from(v > qj) << l;
-        }
-        le &= le_j;
-        ge &= ge_j;
-        if le == 0 && ge & live_mask == 0 {
-            return (0, 0);
-        }
-        lt |= lt_j;
-        gt |= gt_j;
-    }
-    (le & lt, ge & gt & live_mask)
+// --------------------------------------------------------------------
+// Code tiles
+// --------------------------------------------------------------------
+
+/// Points per code tile of a [`TileStore`]: one 256-bit register of
+/// 16-bit codes.
+pub const CODE_LANES: usize = 16;
+
+/// One column of a code tile: the codes of 16 points, biased by `0x8000`
+/// so signed 16-bit compares order them, 32-byte aligned for one
+/// aligned load. Padding lanes hold the largest code.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct CodeCol([i16; CODE_LANES]);
+
+/// The code of a padding lane: no live code is greater, so a padding
+/// lane never dominates on codes alone (scans mask it out before any
+/// re-check).
+const PAD_CODE: i16 = i16::MAX;
+
+/// The biased 16-bit code of `v` in a column quantised from `lo` with
+/// `scale` = 65535 / (hi − lo), or range-free when `scale` is 0: the
+/// high half of the order-preserving key of `v`, `−0.0` taken as `+0.0`
+/// (they compare equal, so they must share a code). Monotone in `v`
+/// either way; `as u16` saturates, which is the clamp.
+#[inline(always)]
+fn code(v: f32, lo: f32, scale: f32) -> i16 {
+    let c = if scale > 0.0 {
+        ((v - lo) * scale) as u16
+    } else {
+        let bits = (v + 0.0).to_bits();
+        let key = if bits >> 31 != 0 {
+            !bits
+        } else {
+            bits | 0x8000_0000
+        };
+        (key >> 16) as u16
+    };
+    (c ^ 0x8000) as i16
 }
 
-/// A growable window of points stored as [`DtBlock`] tiles, the shape
-/// every batched scan loop consumes: full tiles carry 8 live lanes, the
-/// last tile carries the tail. Point `i` is lane `i % 8` of tile
-/// `i / 8`, so tile order equals insertion order — the scan order the
-/// presorting algorithms rely on ("most likely pruners first").
+/// Per-column bounds `[lo, hi]` that a [`TileStore`]'s codes quantise
+/// against. Any range gives exact answers; a tight one leaves fewer
+/// code ties to re-check.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnRange {
+    lo: Vec<f32>,
+    hi: Vec<f32>,
+}
+
+impl ColumnRange {
+    /// The empty range over `d` columns (`lo = +∞`, `hi = −∞`), ready
+    /// to [`include`](Self::include) rows.
+    pub fn empty(d: usize) -> Self {
+        Self {
+            lo: vec![f32::INFINITY; d],
+            hi: vec![f32::NEG_INFINITY; d],
+        }
+    }
+
+    /// A range from explicit per-column bounds.
+    pub fn new(lo: Vec<f32>, hi: Vec<f32>) -> Self {
+        assert_eq!(lo.len(), hi.len(), "one bound pair per column");
+        Self { lo, hi }
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn dims(&self) -> usize {
+        self.lo.len()
+    }
+
+    /// Lower bounds, one per column.
+    pub fn lo(&self) -> &[f32] {
+        &self.lo
+    }
+
+    /// Upper bounds, one per column.
+    pub fn hi(&self) -> &[f32] {
+        &self.hi
+    }
+
+    /// Widens the range to cover `row`.
+    #[inline]
+    pub fn include(&mut self, row: &[f32]) {
+        debug_assert_eq!(row.len(), self.dims());
+        // Compare-and-select rather than `f32::min`/`max`: one
+        // instruction each, which keeps the passes that fold rows in
+        // at memory speed.
+        for ((lo, hi), &v) in self.lo.iter_mut().zip(&mut self.hi).zip(row) {
+            *lo = if v < *lo { v } else { *lo };
+            *hi = if v > *hi { v } else { *hi };
+        }
+    }
+
+    /// Widens the range to cover `other`.
+    pub fn union(&mut self, other: &ColumnRange) {
+        self.include(&other.lo);
+        self.include(&other.hi);
+    }
+
+    /// The range of the rows [`TileStore::push_pref`] stores: this
+    /// (full-space) range projected onto `dims`, with the columns set
+    /// in `max_mask` negated, so `[lo, hi]` becomes `[−hi, −lo]`.
+    pub fn project(&self, dims: &[usize], max_mask: u32) -> ColumnRange {
+        let (lo, hi) = dims
+            .iter()
+            .map(|&c| {
+                if max_mask & (1 << c) != 0 {
+                    (-self.hi[c], -self.lo[c])
+                } else {
+                    (self.lo[c], self.hi[c])
+                }
+            })
+            .unzip();
+        ColumnRange { lo, hi }
+    }
+}
+
+/// Per-lane outcomes of comparing one code tile with a candidate's
+/// codes, one bit per lane: some column greater / some column smaller /
+/// every column greater / every column smaller.
+#[derive(Debug, Clone, Copy)]
+struct CodeMasks {
+    gt_any: u32,
+    lt_any: u32,
+    gt_all: u32,
+    lt_all: u32,
+}
+
+/// Lanes of tile `t` that hold points of `start..end`.
+#[inline]
+fn window(t: usize, start: usize, end: usize) -> u32 {
+    let base = t * CODE_LANES;
+    let lo = start.saturating_sub(base).min(CODE_LANES);
+    let hi = end.saturating_sub(base).min(CODE_LANES);
+    ((1u32 << hi) - 1) & !((1u32 << lo) - 1)
+}
+
+/// Lanes a range scan of `start..end` charges when its first true
+/// dominator is `hit`: the masked head virtual tile alone, then whole
+/// virtual tiles in pairs counted from the first whole one, through
+/// the pair holding the hit (a lone last whole tile alone), then the
+/// masked tail; all of `start..end` on a miss.
+#[inline]
+fn range_charge(start: usize, end: usize, hit: Option<usize>) -> usize {
+    let Some(i) = hit else {
+        return end - start;
+    };
+    let head_end = start.next_multiple_of(TILE_LANES);
+    if i < head_end {
+        return end.min(head_end) - start;
+    }
+    let (t0, t1, v) = (head_end / TILE_LANES, end / TILE_LANES, i / TILE_LANES);
+    if v >= t1 {
+        return end - start;
+    }
+    (t0 + ((v - t0) | 1) + 1).min(t1) * TILE_LANES - start
+}
+
+/// A growable window of points as one slab of 16-lane code tiles plus
+/// a row-major `f32` copy of the points (see the [module
+/// docs](self)). Point `i` is lane `i % 16` of tile `i / 16`, so tile
+/// order equals insertion order — the scan order the presorting
+/// algorithms rely on ("most likely pruners first").
 #[derive(Debug, Clone)]
 pub struct TileStore {
     d: usize,
     len: usize,
-    tiles: Vec<DtBlock>,
+    level: Level,
+    /// Per-column coder: `lo` and 65535 / (hi − lo), or a scale of 0
+    /// for a range-free column.
+    lo: Vec<f32>,
+    scale: Vec<f32>,
+    /// Tile `t`, column `j` at `t * d + j`.
+    codes: Vec<CodeCol>,
+    /// Point `i` at `i * d .. (i + 1) * d`.
+    rows: Vec<f32>,
 }
 
 impl TileStore {
-    /// An empty store for `d`-dimensional points.
+    /// An empty store for `d`-dimensional points, coded range-free.
     pub fn new(d: usize) -> Self {
+        Self::with_capacity(d, 0)
+    }
+
+    /// An empty store with room for `n` points pre-reserved, coded
+    /// range-free.
+    pub fn with_capacity(d: usize, n: usize) -> Self {
+        Self::build(d, n, vec![0.0; d], vec![0.0; d])
+    }
+
+    /// An empty store with room for `n` points, coding each column
+    /// against `range` (one column per store dimension).
+    pub fn with_range(range: &ColumnRange, n: usize) -> Self {
+        let (lo, scale) = range
+            .lo
+            .iter()
+            .zip(&range.hi)
+            .map(|(&lo, &hi)| {
+                let scale = 65535.0 / (hi - lo);
+                if lo.is_finite() && scale.is_finite() && scale > 0.0 {
+                    (lo, scale)
+                } else {
+                    (0.0, 0.0)
+                }
+            })
+            .unzip();
+        Self::build(range.dims(), n, lo, scale)
+    }
+
+    /// `lo` and `scale` are padded with zeros to a whole number of
+    /// 8-lane vectors, which the AVX2 kernel loads whole.
+    fn build(d: usize, n: usize, mut lo: Vec<f32>, mut scale: Vec<f32>) -> Self {
+        lo.resize(d.next_multiple_of(8), 0.0);
+        scale.resize(d.next_multiple_of(8), 0.0);
         Self {
             d,
             len: 0,
-            tiles: Vec::new(),
+            level: active_level(),
+            lo,
+            scale,
+            codes: Vec::with_capacity(n.div_ceil(CODE_LANES) * d),
+            rows: Vec::with_capacity(n * d),
         }
     }
 
-    /// An empty store with room for `n` points pre-reserved.
-    pub fn with_capacity(d: usize, n: usize) -> Self {
-        Self {
-            d,
-            len: 0,
-            tiles: Vec::with_capacity(n.div_ceil(TILE_LANES)),
-        }
+    /// Pins the store's scans to `level` instead of the
+    /// [`active_level`] (a level not [available](Level::available) on
+    /// this CPU runs the portable kernels), so one process can check
+    /// every level against the others.
+    pub fn with_level(mut self, level: Level) -> Self {
+        self.level = if Level::available().contains(&level) {
+            level
+        } else {
+            Level::Scalar
+        };
+        self
     }
 
     /// Dimensionality of the stored points.
@@ -587,48 +647,47 @@ impl TileStore {
         self.len == 0
     }
 
-    /// The tiles, in insertion order.
+    /// Coordinates of point `i`, as stored (pref-folded by
+    /// [`push_pref`](Self::push_pref)).
     #[inline]
-    pub fn tiles(&self) -> &[DtBlock] {
-        &self.tiles
-    }
-
-    /// Tile `t` (points `8t .. 8t + live`).
-    #[inline]
-    pub fn tile(&self, t: usize) -> &DtBlock {
-        &self.tiles[t]
-    }
-
-    /// Coordinates of point `i` (gathered; for tests and debugging).
-    pub fn point(&self, i: usize) -> Vec<f32> {
-        let tile = &self.tiles[i / TILE_LANES];
-        (0..self.d).map(|j| tile.coord(i % TILE_LANES, j)).collect()
+    pub fn point(&self, i: usize) -> &[f32] {
+        &self.rows[i * self.d..(i + 1) * self.d]
     }
 
     /// Appends `row` as the new last point.
     pub fn push(&mut self, row: &[f32]) {
-        let lane = self.len % TILE_LANES;
-        if lane == 0 {
-            self.tiles.push(DtBlock::new(self.d));
-        }
-        self.tiles
-            .last_mut()
-            .expect("just pushed")
-            .set_lane(lane, row);
-        self.len += 1;
+        debug_assert_eq!(row.len(), self.d);
+        self.rows.extend_from_slice(row);
+        self.code_last();
     }
 
-    /// Appends the pref-folded projection of `row` (see
-    /// [`DtBlock::set_lane_pref`]).
+    /// Appends the subspace projection `row[dims[..]]`, sign-flipping
+    /// the columns whose **full-space** index is set in `max_mask` —
+    /// the preference negation paid once at build time instead of per
+    /// dominance test. Candidates tested against such a store must be
+    /// transformed the same way (see [`flip_pref`]).
     pub fn push_pref(&mut self, row: &[f32], dims: &[usize], max_mask: u32) {
-        let lane = self.len % TILE_LANES;
+        debug_assert_eq!(dims.len(), self.d);
+        self.rows.extend(
+            dims.iter()
+                .map(|&c| flip_pref(row[c], max_mask & (1 << c) != 0)),
+        );
+        self.code_last();
+    }
+
+    /// Codes the row just appended to `rows` into lane `len % 16`.
+    fn code_last(&mut self) {
+        let d = self.d;
+        let (t, lane) = (self.len / CODE_LANES, self.len % CODE_LANES);
         if lane == 0 {
-            self.tiles.push(DtBlock::new(self.d));
+            self.codes
+                .resize(self.codes.len() + d, CodeCol([PAD_CODE; CODE_LANES]));
         }
-        self.tiles
-            .last_mut()
-            .expect("just pushed")
-            .set_lane_pref(lane, row, dims, max_mask);
+        let row = &self.rows[self.len * d..];
+        let coder = self.lo.iter().zip(&self.scale);
+        for ((col, &v), (&lo, &scale)) in self.codes[t * d..].iter_mut().zip(row).zip(coder) {
+            col.0[lane] = code(v, lo, scale);
+        }
         self.len += 1;
     }
 
@@ -637,118 +696,181 @@ impl TileStore {
     /// mirroring the call.
     pub fn swap_remove(&mut self, i: usize) {
         debug_assert!(i < self.len);
+        let d = self.d;
         let last = self.len - 1;
-        let (lt, ll) = (last / TILE_LANES, last % TILE_LANES);
+        let (lt, ll) = (last / CODE_LANES, last % CODE_LANES);
         if i != last {
-            let (it, il) = (i / TILE_LANES, i % TILE_LANES);
-            if it == lt {
-                self.tiles[it].move_lane(il, ll);
-            } else {
-                let (head, tail) = self.tiles.split_at_mut(lt);
-                head[it].copy_lane_from(il, &tail[0], ll);
+            let (it, il) = (i / CODE_LANES, i % CODE_LANES);
+            for j in 0..d {
+                self.codes[it * d + j].0[il] = self.codes[lt * d + j].0[ll];
+            }
+            self.rows.copy_within(last * d..(last + 1) * d, i * d);
+        }
+        for col in &mut self.codes[lt * d..(lt + 1) * d] {
+            col.0[ll] = PAD_CODE;
+        }
+        self.rows.truncate(last * d);
+        if ll == 0 {
+            self.codes.truncate(lt * d);
+        }
+        self.len = last;
+    }
+
+    /// Checks that candidate `q` has the store's dimensionality.
+    #[inline]
+    fn check_dims(&self, q: &[f32]) {
+        assert_eq!(
+            q.len(),
+            self.d,
+            "candidate dimensionality differs from the store's"
+        );
+    }
+
+    /// Position of the first point of `start..end` that strictly
+    /// dominates `q`.
+    #[inline]
+    fn first_dominator(&self, start: usize, end: usize, q: &[f32]) -> Option<usize> {
+        self.check_dims(q);
+        assert!(end <= self.len);
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the level is AVX2 only where the CPU has it
+            // (`active_level`, `with_level`), `end` is in the store
+            // (asserted above) and `q` holds `d` ≤ `MAX_DIMS` values.
+            Level::Avx2 if self.d <= x86::MAX_DIMS => unsafe {
+                x86::first_dominator_avx2(self, start, end, q)
+            },
+            _ => {
+                let (mut stack, mut heap) = ([0i16; 32], Vec::new());
+                let qc = codes_of(q, &self.lo, &self.scale, &mut stack, &mut heap);
+                self.first_dominator_by(start, end, q, |t0, t1| {
+                    first_candidate_portable(&self.codes, t0, t1, qc)
+                })
             }
         }
-        self.tiles[lt].clear_lane(ll);
-        if ll == 0 {
-            self.tiles.pop();
-        }
-        self.len -= 1;
     }
 
-    /// Does any stored point strictly dominate `q`? Scans tiles in
-    /// insertion order: the first tile alone, then every other tile in
-    /// one whole-range scan that stops at the first tile holding a
-    /// dominator. Adds the live lanes inspected to `dts` (tile-granular
-    /// DT accounting): the first tile, then whole tile pairs up to and
-    /// including the pair that holds the first dominator.
-    ///
-    /// The dispatch level is read once per scan, not once per tile.
+    /// The count of [`count_dominators_range`](Self::count_dominators_range)
+    /// and the end of the lanes it charges: the virtual tile at which the
+    /// count reaches `cap`, else `end`.
+    fn count_until(&self, start: usize, end: usize, q: &[f32], cap: u32) -> (u32, usize) {
+        self.check_dims(q);
+        assert!(end <= self.len);
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `first_dominator`.
+            Level::Avx2 if self.d <= x86::MAX_DIMS => unsafe {
+                x86::count_until_avx2(self, start, end, q, cap)
+            },
+            _ => {
+                let (mut stack, mut heap) = ([0i16; 32], Vec::new());
+                let qc = codes_of(q, &self.lo, &self.scale, &mut stack, &mut heap);
+                self.count_until_by(start, end, q, cap, |t0, t1| {
+                    first_candidate_portable(&self.codes, t0, t1, qc)
+                })
+            }
+        }
+    }
+
+    /// Every per-lane outcome of tile `t` against `qc`.
+    #[inline]
+    fn masks(&self, t: usize, qc: &[i16]) -> CodeMasks {
+        let cols = &self.codes[t * self.d..(t + 1) * self.d];
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `first_dominator`; `cols` holds `d` columns.
+            Level::Avx2 => unsafe { x86::code_masks_avx2(cols, qc) },
+            _ => code_masks_portable(cols, qc),
+        }
+    }
+
+    /// Exact mask of the lanes of tile `t` in `cand` for which
+    /// `test(row)` holds, given that it holds for the lanes of `sure`:
+    /// only the undecided lanes of `cand` read their `f32` row.
+    #[inline]
+    fn resolve(&self, t: usize, cand: u32, sure: u32, test: impl Fn(&[f32]) -> bool) -> u32 {
+        let mut hit = cand & sure;
+        let mut ties = cand & !sure;
+        while ties != 0 {
+            let l = ties.trailing_zeros() as usize;
+            hit |= u32::from(test(self.point(t * CODE_LANES + l))) << l;
+            ties &= ties - 1;
+        }
+        hit
+    }
+
+    /// [`first_dominator`](Self::first_dominator) over a level's hot
+    /// kernel: `next(t0, t1)` is the first tile in `t0..t1` with a lane
+    /// whose codes are greater than the candidate's in no column — a
+    /// lane that may dominate — with the mask of those lanes and the
+    /// mask of the lanes whose codes are smaller in every column, which
+    /// do dominate. Only the undecided lanes before the first sure
+    /// dominator of a tile are re-checked against their rows. Inlined
+    /// into each kernel, so a scan codes its candidate once and makes no
+    /// call per tile.
+    #[inline(always)]
+    fn first_dominator_by(
+        &self,
+        start: usize,
+        end: usize,
+        q: &[f32],
+        mut next: impl FnMut(usize, usize) -> Option<(usize, u32, u32)>,
+    ) -> Option<usize> {
+        let (mut t, t_end) = (start / CODE_LANES, end.div_ceil(CODE_LANES));
+        while let Some((c, cand, sure)) = next(t, t_end) {
+            let cand = cand & window(c, start, end);
+            let first_sure = (sure & cand).trailing_zeros();
+            let mut ties = cand & !sure & ((1u64 << first_sure) - 1) as u32;
+            while ties != 0 {
+                let l = ties.trailing_zeros() as usize;
+                if row_dominates(self.point(c * CODE_LANES + l), q) {
+                    return Some(c * CODE_LANES + l);
+                }
+                ties &= ties - 1;
+            }
+            if first_sure < 32 {
+                return Some(c * CODE_LANES + first_sure as usize);
+            }
+            t = c + 1;
+        }
+        None
+    }
+
+    /// Does any stored point strictly dominate `q`? Scans in insertion
+    /// order and stops at the first tile holding a dominator. Adds the
+    /// lanes charged to `dts`: the first virtual 8-lane tile alone,
+    /// then pairs of them through the pair holding the first dominator.
     #[inline]
     pub fn any_dominates(&self, q: &[f32], dts: &mut u64) -> bool {
-        let level = active_level();
-        // Probe the first tile alone: the presorting algorithms put the
-        // most likely pruners first, so the common quick kill costs 8
-        // lanes and no whole-range set-up.
-        let Some(first) = self.tiles.first() else {
-            return false;
-        };
-        *dts += first.live() as u64;
-        if first.dominators_with(level, q) != 0 {
-            return true;
-        }
-        self.tiles.len() > 1 && self.any_dominates_tiles(level, 1, self.tiles.len(), q, dts)
-    }
-
-    /// Whole-range scan of tiles `t0..t1`: does any of their lanes
-    /// strictly dominate `q`? Charges `dts` by tile pairs counted from
-    /// `t0`, through the pair holding the first dominator (all of them
-    /// on a miss).
-    #[inline]
-    fn any_dominates_tiles(
-        &self,
-        level: Level,
-        t0: usize,
-        t1: usize,
-        q: &[f32],
-        dts: &mut u64,
-    ) -> bool {
-        let hit = first_dominating_tile(level, &self.tiles[t0..t1], q);
-        let end = hit.map_or(t1, |h| (t0 + (h | 1) + 1).min(t1));
-        *dts += (self.len.min(end * TILE_LANES) - t0 * TILE_LANES) as u64;
+        let hit = self.first_dominator(0, self.len, q);
+        let charged = hit.map_or(self.len, |i| {
+            self.len.min(((i / TILE_LANES + 1) | 1) * TILE_LANES)
+        });
+        *dts += charged as u64;
         hit.is_some()
     }
 
     /// Like [`any_dominates`](Self::any_dominates) but restricted to
     /// the first `k` points (prefix in insertion order) — the peer scan
-    /// shape of Q-Flow Phase II.
+    /// shape of Q-Flow Phase II — and charged as a range scan.
     #[inline]
     pub fn any_dominates_first(&self, k: usize, q: &[f32], dts: &mut u64) -> bool {
         self.any_dominates_range(0, k, q, dts)
     }
 
     /// Does any point with index in `start..end` strictly dominate `q`?
-    /// Handles unaligned boundaries with masked tile scans and the whole
-    /// tiles between them with one whole-range scan — the
-    /// same-partition peer run of Hybrid Phase II. Charges `dts` with
-    /// the lanes of the masked head, then whole tile pairs through the
-    /// pair holding the first dominator, then the masked tail.
+    /// The same-partition peer run of Hybrid Phase II. Charges `dts`
+    /// with the lanes of the masked head virtual tile, then whole
+    /// virtual tiles in pairs through the pair holding the first
+    /// dominator, then the masked tail.
     pub fn any_dominates_range(&self, start: usize, end: usize, q: &[f32], dts: &mut u64) -> bool {
         debug_assert!(start <= end && end <= self.len);
         if start >= end {
             return false;
         }
-        let level = active_level();
-        let mut i = start;
-        // Masked head, when `start` is not tile-aligned.
-        let head_lane = i % TILE_LANES;
-        if head_lane != 0 {
-            let t = i / TILE_LANES;
-            let hi = end.min((t + 1) * TILE_LANES);
-            let lanes_hi = hi - t * TILE_LANES;
-            let mask = (((1u32 << lanes_hi) - 1) >> head_lane) << head_lane;
-            *dts += (hi - i) as u64;
-            if self.tiles[t].dominators_with(level, q) & mask != 0 {
-                return true;
-            }
-            i = hi;
-        }
-        // Whole tiles, in one scan.
-        let (t0, t1) = (i / TILE_LANES, end / TILE_LANES);
-        if t0 < t1 {
-            if self.any_dominates_tiles(level, t0, t1, q, dts) {
-                return true;
-            }
-            i = t1 * TILE_LANES;
-        }
-        // Masked prefix of the final tile.
-        if i < end {
-            let rem = end - i;
-            *dts += rem as u64;
-            if self.tiles[i / TILE_LANES].dominators_with(level, q) & ((1 << rem) - 1) != 0 {
-                return true;
-            }
-        }
-        false
+        let hit = self.first_dominator(start, end, q);
+        *dts += range_charge(start, end, hit) as u64;
+        hit.is_some()
     }
 
     /// How many points with index in `start..end` strictly dominate
@@ -757,11 +879,9 @@ impl TileStore {
     /// the k-skyband and top-k-dominating kernels. Returns as soon as
     /// the running count reaches `cap` (a k-skyband caller only needs
     /// to know "≥ k", never the exact larger total), so heavily
-    /// dominated points stay cheap. Handles unaligned boundaries with
-    /// the same masked tile scans and the whole tiles between them with
-    /// one whole-range counting scan; padding lanes never set bits, so
-    /// whole-tile counts need no mask. Charges `dts` tile by tile, up
-    /// to the tile at which the count reaches `cap`.
+    /// dominated points stay cheap. Charges `dts` virtual tile by
+    /// virtual tile, masked at both ends, up to the one at which the
+    /// count reaches `cap`.
     pub fn count_dominators_range(
         &self,
         start: usize,
@@ -774,43 +894,37 @@ impl TileStore {
         if start >= end || cap == 0 {
             return 0;
         }
-        let level = active_level();
+        let (count, stop) = self.count_until(start, end, q, cap);
+        *dts += (stop - start) as u64;
+        count
+    }
+
+    /// [`count_until`](Self::count_until) over a level's hot kernel
+    /// (see [`first_dominator_by`](Self::first_dominator_by)).
+    #[inline(always)]
+    fn count_until_by(
+        &self,
+        start: usize,
+        end: usize,
+        q: &[f32],
+        cap: u32,
+        mut next: impl FnMut(usize, usize) -> Option<(usize, u32, u32)>,
+    ) -> (u32, usize) {
+        let (mut t, t_end) = (start / CODE_LANES, end.div_ceil(CODE_LANES));
         let mut count = 0u32;
-        let mut i = start;
-        // Masked head, when `start` is not tile-aligned.
-        let head_lane = i % TILE_LANES;
-        if head_lane != 0 {
-            let t = i / TILE_LANES;
-            let hi = end.min((t + 1) * TILE_LANES);
-            let lanes_hi = hi - t * TILE_LANES;
-            let mask = (((1u32 << lanes_hi) - 1) >> head_lane) << head_lane;
-            *dts += (hi - i) as u64;
-            count += (self.tiles[t].dominators_with(level, q) & mask).count_ones();
-            if count >= cap {
-                return cap;
+        while let Some((c, cand, sure)) = next(t, t_end) {
+            let cand = cand & window(c, start, end);
+            let dom = self.resolve(c, cand, sure, |row| row_dominates(row, q));
+            for half in 0..2 {
+                count += ((dom >> (half * TILE_LANES)) & 0xFF).count_ones();
+                if count >= cap {
+                    let v = 2 * c + half;
+                    return (cap, end.min((v + 1) * TILE_LANES));
+                }
             }
-            i = hi;
+            t = c + 1;
         }
-        // Whole tiles, in one scan that stops at the tile reaching `cap`.
-        let (t0, t1) = (i / TILE_LANES, end / TILE_LANES);
-        if t0 < t1 {
-            let (found, inspected) =
-                count_dominators_in_tiles(level, &self.tiles[t0..t1], q, cap - count);
-            *dts += (inspected * TILE_LANES) as u64;
-            count += found;
-            if count >= cap {
-                return cap;
-            }
-            i = t1 * TILE_LANES;
-        }
-        // Masked prefix of the final tile.
-        if i < end {
-            let rem = end - i;
-            *dts += rem as u64;
-            count += (self.tiles[i / TILE_LANES].dominators_with(level, q) & ((1 << rem) - 1))
-                .count_ones();
-        }
-        count.min(cap)
+        (count, end)
     }
 
     /// BNL's window update in one call: if any stored point strictly
@@ -819,33 +933,129 @@ impl TileStore {
     /// window is mutually incomparable). Otherwise evicts every point
     /// `q` dominates via [`swap_remove`](Self::swap_remove), invoking
     /// `on_evict` with each removed position (strictly descending) so
-    /// the caller can mirror the removals, and returns `false`.
+    /// the caller can mirror the removals, and returns `false`. Charges
+    /// `dts` virtual tile by virtual tile through the one holding the
+    /// first dominator (every point on a miss).
     ///
     /// Coincident points are neither direction (strict dominance), so
     /// duplicates survive — the BNL semantics.
     pub fn offer(&mut self, q: &[f32], dts: &mut u64, mut on_evict: impl FnMut(usize)) -> bool {
-        let level = active_level();
-        let mut evict: Vec<usize> = Vec::new();
-        for (ti, t) in self.tiles.iter().enumerate() {
-            *dts += t.live() as u64;
-            let (dom, sub) = t.compare_masks_with(level, q);
-            if dom != 0 {
-                return true;
+        let len = self.len;
+        match self.offer_scan(q) {
+            Err(hit) => {
+                *dts += len.min((hit / TILE_LANES + 1) * TILE_LANES) as u64;
+                true
             }
-            let mut m = sub;
-            while m != 0 {
-                evict.push(ti * TILE_LANES + m.trailing_zeros() as usize);
-                m &= m - 1;
+            Ok(evict) => {
+                *dts += len as u64;
+                // Descending order keeps every yet-to-be-removed
+                // position valid under swap_remove.
+                for &pos in evict.iter().rev() {
+                    self.swap_remove(pos);
+                    on_evict(pos);
+                }
+                false
             }
         }
-        // Descending order keeps every yet-to-be-removed position valid
-        // under swap_remove.
-        for &pos in evict.iter().rev() {
-            self.swap_remove(pos);
-            on_evict(pos);
-        }
-        false
     }
+
+    /// The two-way scan of [`offer`](Self::offer): `Err` with the
+    /// position of the first point dominating `q`, else `Ok` with the
+    /// positions of the points `q` dominates, ascending.
+    fn offer_scan(&self, q: &[f32]) -> Result<Vec<usize>, usize> {
+        self.check_dims(q);
+        let (mut stack, mut heap) = ([0i16; 32], Vec::new());
+        let qc = codes_of(q, &self.lo, &self.scale, &mut stack, &mut heap);
+        let mut evict = Vec::new();
+        for t in 0..self.len.div_ceil(CODE_LANES) {
+            let win = window(t, 0, self.len);
+            let m = self.masks(t, qc);
+            let dom = self.resolve(t, !m.gt_any & win, m.lt_all, |row| row_dominates(row, q));
+            if dom != 0 {
+                return Err(t * CODE_LANES + dom.trailing_zeros() as usize);
+            }
+            let mut sub = self.resolve(t, !m.lt_any & win, m.gt_all, |row| row_dominates(q, row));
+            while sub != 0 {
+                evict.push(t * CODE_LANES + sub.trailing_zeros() as usize);
+                sub &= sub - 1;
+            }
+        }
+        Ok(evict)
+    }
+}
+
+/// Portable form of the hot code-tile scan (see
+/// [`TileStore::first_dominator_by`]): branch-free over the 16 lanes of a
+/// column, which LLVM turns into vector compares at the baseline
+/// instruction set.
+fn first_candidate_portable(
+    codes: &[CodeCol],
+    t0: usize,
+    t1: usize,
+    qc: &[i16],
+) -> Option<(usize, u32, u32)> {
+    let d = qc.len();
+    for t in t0..t1 {
+        let cols = &codes[t * d..(t + 1) * d];
+        let mut gt = [0i16; CODE_LANES];
+        for (col, &qv) in cols.iter().zip(qc) {
+            for (g, &c) in gt.iter_mut().zip(&col.0) {
+                *g |= i16::from(c > qv);
+            }
+        }
+        let mut cand = 0u32;
+        for (l, &g) in gt.iter().enumerate() {
+            cand |= u32::from(g == 0) << l;
+        }
+        if cand != 0 {
+            return Some((t, cand, code_masks_portable(cols, qc).lt_all));
+        }
+    }
+    None
+}
+
+/// The codes of candidate `q` under the coder `lo`/`scale`, in `stack`
+/// when it is long enough, else in `heap`.
+fn codes_of<'a>(
+    q: &[f32],
+    lo: &[f32],
+    scale: &[f32],
+    stack: &'a mut [i16; 32],
+    heap: &'a mut Vec<i16>,
+) -> &'a [i16] {
+    let qc = if q.len() <= stack.len() {
+        &mut stack[..q.len()]
+    } else {
+        heap.resize(q.len(), 0);
+        &mut heap[..]
+    };
+    for ((c, &v), (&lo, &scale)) in qc.iter_mut().zip(q).zip(lo.iter().zip(scale)) {
+        *c = code(v, lo, scale);
+    }
+    qc
+}
+
+/// Portable form of [`TileStore::masks`].
+fn code_masks_portable(cols: &[CodeCol], qc: &[i16]) -> CodeMasks {
+    let all = (1u32 << CODE_LANES) - 1;
+    let mut m = CodeMasks {
+        gt_any: 0,
+        lt_any: 0,
+        gt_all: all,
+        lt_all: all,
+    };
+    for (col, &qv) in cols.iter().zip(qc) {
+        let (mut gt, mut lt) = (0u32, 0u32);
+        for (l, &c) in col.0.iter().enumerate() {
+            gt |= u32::from(c > qv) << l;
+            lt |= u32::from(c < qv) << l;
+        }
+        m.gt_any |= gt;
+        m.lt_any |= lt;
+        m.gt_all &= gt;
+        m.lt_all &= lt;
+    }
+    m
 }
 
 // --------------------------------------------------------------------
@@ -861,7 +1071,7 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
-    use super::{DtBlock, TILE_LANES};
+    use super::{CodeCol, CodeMasks, TileStore, TILE_LANES};
 
     // ---- one-vs-one -------------------------------------------------
 
@@ -1014,152 +1224,6 @@ mod x86 {
         (_mm256_movemask_ps(le) & _mm256_movemask_ps(lt)) as u32
     }
 
-    // ---- whole-range tile scans -------------------------------------
-    //
-    // One call scans a slice of tiles for one candidate, evaluating
-    // every column of each tile with no per-column exit, so the only
-    // data-dependent branch is the hit (or, counting, the cap). On
-    // anticorrelated data the last live lane of a tile fails at a
-    // nearly uniform column, so a per-column exit mispredicts on almost
-    // every tile; evaluating all columns is cheaper. With that branch
-    // gone consecutive tiles are independent work the core overlaps by
-    // itself: fusing two or four tiles per iteration measured no faster,
-    // on anticorrelated 200 000 × 6 or in `skybench ablation-dominance`.
-    // For d ≤ 8 the dimensionality is a constant, the column loop
-    // unrolls and the broadcasts of `q` stay in registers for the whole
-    // scan. Wider tiles take the runtime-`d` path, which re-broadcasts
-    // `q[j]` per tile as one load (16 registers cannot hold more
-    // broadcasts anyway) and has no exit either: on the d = 16 ablation
-    // row one check per 8 columns measured 1.33–1.45 ns per test
-    // against 0.85–0.86 without.
-
-    /// Runs `$scan::<D>($args)` with `D` = the dimensionality `$d` for
-    /// 1 ≤ d ≤ 8, `D = 0` (the runtime-`d` path) above.
-    macro_rules! by_dims {
-        ($d:expr, $scan:ident($($arg:expr),*)) => {
-            match $d {
-                1 => $scan::<1>($($arg),*),
-                2 => $scan::<2>($($arg),*),
-                3 => $scan::<3>($($arg),*),
-                4 => $scan::<4>($($arg),*),
-                5 => $scan::<5>($($arg),*),
-                6 => $scan::<6>($($arg),*),
-                7 => $scan::<7>($($arg),*),
-                8 => $scan::<8>($($arg),*),
-                _ => $scan::<0>($($arg),*),
-            }
-        };
-    }
-
-    /// `q[j]` broadcast to all 8 lanes, for each of the `D` columns.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn broadcasts<const D: usize>(q: &[f32]) -> [__m256; D] {
-        let mut qb = [_mm256_setzero_ps(); D];
-        for (j, v) in qb.iter_mut().enumerate() {
-            *v = _mm256_set1_ps(*q.get_unchecked(j));
-        }
-        qb
-    }
-
-    /// Bitmask of the lanes of `tile` that strictly dominate `q`, over
-    /// every column. `D > 0` reads the register broadcasts `qb`; `D = 0`
-    /// broadcasts `q[j]` per column.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn all_column_dominators<const D: usize>(
-        tile: &DtBlock,
-        q: &[f32],
-        qb: &[__m256; D],
-    ) -> i32 {
-        let cols = tile.cols.as_ptr();
-        let mut le = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-        let mut lt = _mm256_setzero_ps();
-        let d = if D > 0 { D } else { q.len() };
-        // `j` walks the broadcasts (or `q`) and the tile's columns.
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..d {
-            let qv = if D > 0 {
-                qb[j]
-            } else {
-                _mm256_set1_ps(*q.get_unchecked(j))
-            };
-            let col = _mm256_load_ps(cols.add(j * TILE_LANES));
-            le = _mm256_and_ps(le, _mm256_cmp_ps::<_CMP_LE_OQ>(col, qv));
-            lt = _mm256_or_ps(lt, _mm256_cmp_ps::<_CMP_LT_OQ>(col, qv));
-        }
-        _mm256_movemask_ps(_mm256_and_ps(le, lt))
-    }
-
-    /// Index of the first tile in `tiles` with a lane that strictly
-    /// dominates `q`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX2 and every tile has `q.len()` columns.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn first_dominating_tile_avx2(tiles: &[DtBlock], q: &[f32]) -> Option<usize> {
-        by_dims!(q.len(), first_hit(tiles, q))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn first_hit<const D: usize>(tiles: &[DtBlock], q: &[f32]) -> Option<usize> {
-        let qb = broadcasts::<D>(q);
-        for (t, tile) in tiles.iter().enumerate() {
-            if all_column_dominators(tile, q, &qb) != 0 {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Strict dominators of `q` in `tiles`, tile by tile until the
-    /// count reaches `cap`: `(count, tiles inspected)`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`first_dominating_tile_avx2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_dominators_avx2(tiles: &[DtBlock], q: &[f32], cap: u32) -> (u32, usize) {
-        by_dims!(q.len(), count_hits(tiles, q, cap))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn count_hits<const D: usize>(tiles: &[DtBlock], q: &[f32], cap: u32) -> (u32, usize) {
-        let qb = broadcasts::<D>(q);
-        let mut count = 0u32;
-        for (t, tile) in tiles.iter().enumerate() {
-            count += all_column_dominators(tile, q, &qb).count_ones();
-            if count >= cap {
-                return (count, t + 1);
-            }
-        }
-        (count, tiles.len())
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn tile_compare_avx2(cols: &[f32], d: usize, q: &[f32], live: u32) -> (u32, u32) {
-        let ones = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-        let (mut le, mut ge) = (ones, ones);
-        let (mut lt, mut gt) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-        for j in 0..d {
-            let col = _mm256_load_ps(cols.as_ptr().add(j * TILE_LANES));
-            let qv = _mm256_set1_ps(*q.get_unchecked(j));
-            le = _mm256_and_ps(le, _mm256_cmp_ps::<_CMP_LE_OQ>(col, qv));
-            ge = _mm256_and_ps(ge, _mm256_cmp_ps::<_CMP_GE_OQ>(col, qv));
-            if _mm256_movemask_ps(le) == 0 && _mm256_movemask_ps(ge) as u32 & live == 0 {
-                return (0, 0);
-            }
-            lt = _mm256_or_ps(lt, _mm256_cmp_ps::<_CMP_LT_OQ>(col, qv));
-            gt = _mm256_or_ps(gt, _mm256_cmp_ps::<_CMP_GT_OQ>(col, qv));
-        }
-        let dom = (_mm256_movemask_ps(le) & _mm256_movemask_ps(lt)) as u32;
-        let sub = (_mm256_movemask_ps(ge) & _mm256_movemask_ps(gt)) as u32 & live;
-        (dom, sub)
-    }
-
     #[target_feature(enable = "sse2")]
     pub unsafe fn tile_dominators_sse2(cols: &[f32], d: usize, q: &[f32]) -> u32 {
         let ones = _mm_castsi128_ps(_mm_set1_epi32(-1));
@@ -1182,35 +1246,279 @@ mod x86 {
         le & lt
     }
 
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn tile_compare_sse2(cols: &[f32], d: usize, q: &[f32], live: u32) -> (u32, u32) {
-        let ones = _mm_castsi128_ps(_mm_set1_epi32(-1));
-        let (mut le_lo, mut le_hi, mut ge_lo, mut ge_hi) = (ones, ones, ones, ones);
-        let zero = _mm_setzero_ps();
-        let (mut lt_lo, mut lt_hi, mut gt_lo, mut gt_hi) = (zero, zero, zero, zero);
-        for j in 0..d {
-            let base = cols.as_ptr().add(j * TILE_LANES);
-            let qv = _mm_set1_ps(*q.get_unchecked(j));
-            let (lo, hi) = (_mm_load_ps(base), _mm_load_ps(base.add(4)));
-            le_lo = _mm_and_ps(le_lo, _mm_cmple_ps(lo, qv));
-            le_hi = _mm_and_ps(le_hi, _mm_cmple_ps(hi, qv));
-            ge_lo = _mm_and_ps(ge_lo, _mm_cmpge_ps(lo, qv));
-            ge_hi = _mm_and_ps(ge_hi, _mm_cmpge_ps(hi, qv));
-            let le = _mm_movemask_ps(le_lo) | (_mm_movemask_ps(le_hi) << 4);
-            let ge = _mm_movemask_ps(ge_lo) | (_mm_movemask_ps(ge_hi) << 4);
-            if le == 0 && ge as u32 & live == 0 {
-                return (0, 0);
+    // ---- code tiles -------------------------------------------------
+    //
+    // The hot scan evaluates every column of a tile with no per-column
+    // exit, so the only data-dependent branch is "some lane may
+    // dominate". On the anticorrelated inputs the algorithms are bound
+    // by, the last live lane of a tile fails at a nearly uniform
+    // column, so a per-column exit would mispredict on almost every
+    // tile. For d ≤ 8 the dimensionality is a constant, the column loop
+    // unrolls and the broadcasts of the candidate's codes stay in
+    // registers for the whole scan; wider tiles broadcast per column.
+
+    /// Runs `$scan::<D>($args)` with `D` = the dimensionality `$d` for
+    /// 1 ≤ d ≤ 8, `D = 0` (the runtime-`d` path) above.
+    macro_rules! by_dims {
+        ($d:expr, $scan:ident($($arg:expr),*)) => {
+            match $d {
+                1 => $scan::<1>($($arg),*),
+                2 => $scan::<2>($($arg),*),
+                3 => $scan::<3>($($arg),*),
+                4 => $scan::<4>($($arg),*),
+                5 => $scan::<5>($($arg),*),
+                6 => $scan::<6>($($arg),*),
+                7 => $scan::<7>($($arg),*),
+                8 => $scan::<8>($($arg),*),
+                _ => $scan::<0>($($arg),*),
             }
-            lt_lo = _mm_or_ps(lt_lo, _mm_cmplt_ps(lo, qv));
-            lt_hi = _mm_or_ps(lt_hi, _mm_cmplt_ps(hi, qv));
-            gt_lo = _mm_or_ps(gt_lo, _mm_cmpgt_ps(lo, qv));
-            gt_hi = _mm_or_ps(gt_hi, _mm_cmpgt_ps(hi, qv));
+        };
+    }
+
+    /// One bit per 16-bit lane from a byte movemask (whose two bits per
+    /// lane are equal): the even bits, compacted.
+    #[inline(always)]
+    fn lane_bits(m: u32) -> u32 {
+        let mut x = m & 0x5555_5555;
+        x = (x | (x >> 1)) & 0x3333_3333;
+        x = (x | (x >> 2)) & 0x0F0F_0F0F;
+        x = (x | (x >> 4)) & 0x00FF_00FF;
+        (x | (x >> 8)) & 0x0000_FFFF
+    }
+
+    /// [`lane_bits`] of a compare result.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn bits(v: __m256i) -> u32 {
+        lane_bits(_mm256_movemask_epi8(v) as u32)
+    }
+
+    /// Widest store the AVX2 scan codes its candidate for; wider stores
+    /// scan with the portable kernel.
+    pub const MAX_DIMS: usize = 32;
+
+    /// The codes of columns `j .. j + 8` of `q` (those that exist) under
+    /// the coder `lo`/`scale` (see `super::code`), one per 32-bit lane
+    /// with the code in both halves, so one lane permute broadcasts it
+    /// to all 16 code lanes of a vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, `j < q.len()`, and `lo` and `scale` hold
+    /// at least `j + 8` values.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn code8(q: &[f32], lo: &[f32], scale: &[f32], j: usize) -> __m256i {
+        let (zero, top) = (_mm256_setzero_ps(), _mm256_set1_ps(65535.0));
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((q.len() - j) as i32), lanes);
+        let v = _mm256_maskload_ps(q.as_ptr().add(j), live);
+        let s = _mm256_loadu_ps(scale.as_ptr().add(j));
+        let x = _mm256_mul_ps(_mm256_sub_ps(v, _mm256_loadu_ps(lo.as_ptr().add(j))), s);
+        // Clamp the top as a float, the bottom as an integer: `min`
+        // passes a NaN through (its second operand) and the conversion
+        // turns it, like any negative value, into one below 0.
+        let ranged = _mm256_max_epi32(
+            _mm256_cvttps_epi32(_mm256_min_ps(top, x)),
+            _mm256_setzero_si256(),
+        );
+        let bits = _mm256_castps_si256(_mm256_add_ps(v, zero));
+        let sign = _mm256_or_si256(_mm256_srai_epi32(bits, 31), _mm256_set1_epi32(i32::MIN));
+        let free = _mm256_srli_epi32(_mm256_xor_si256(bits, sign), 16);
+        let use_range = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(s, zero));
+        let c = _mm256_blendv_epi8(free, ranged, use_range);
+        let c = _mm256_xor_si256(c, _mm256_set1_epi32(0x8000));
+        _mm256_or_si256(c, _mm256_slli_epi32(c, 16))
+    }
+
+    /// Lane `k` of [`code8`]'s result in all 16 code lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn broadcast(c: __m256i, k: usize) -> __m256i {
+        _mm256_permutevar8x32_epi32(c, _mm256_set1_epi32(k as i32))
+    }
+
+    /// Runs `scan` with the broadcast codes of `q`, one vector per
+    /// column: in registers for `D` = d ≤ 8, in a stack array for
+    /// `D = 0` (d > 8).
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, `q.len() <= MAX_DIMS`, and `lo` and
+    /// `scale` hold `q.len()` rounded up to a multiple of 8 values.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn with_broadcasts<const D: usize, R>(
+        q: &[f32],
+        lo: &[f32],
+        scale: &[f32],
+        scan: impl FnOnce(&[__m256i]) -> R,
+    ) -> R {
+        if D > 0 {
+            let c = code8(q, lo, scale, 0);
+            let mut qb = [_mm256_setzero_si256(); D];
+            for (k, v) in qb.iter_mut().enumerate() {
+                *v = broadcast(c, k);
+            }
+            return scan(&qb);
         }
-        let le = (_mm_movemask_ps(le_lo) | (_mm_movemask_ps(le_hi) << 4)) as u32;
-        let lt = (_mm_movemask_ps(lt_lo) | (_mm_movemask_ps(lt_hi) << 4)) as u32;
-        let ge = (_mm_movemask_ps(ge_lo) | (_mm_movemask_ps(ge_hi) << 4)) as u32;
-        let gt = (_mm_movemask_ps(gt_lo) | (_mm_movemask_ps(gt_hi) << 4)) as u32;
-        (le & lt, ge & gt & live)
+        let mut qb = [_mm256_setzero_si256(); MAX_DIMS];
+        for j in (0..q.len()).step_by(8) {
+            let c = code8(q, lo, scale, j);
+            for (k, v) in qb[j..q.len().min(j + 8)].iter_mut().enumerate() {
+                *v = broadcast(c, k);
+            }
+        }
+        scan(&qb[..q.len()])
+    }
+
+    /// `TileStore::first_dominator` at AVX2: the candidate is coded once
+    /// and the whole scan, re-checks included, runs in this call.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, `q.len() == store.d <= MAX_DIMS` and
+    /// `end <= store.len`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn first_dominator_avx2(
+        store: &TileStore,
+        start: usize,
+        end: usize,
+        q: &[f32],
+    ) -> Option<usize> {
+        by_dims!(q.len(), first_dominator_d(store, start, end, q))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn first_dominator_d<const D: usize>(
+        store: &TileStore,
+        start: usize,
+        end: usize,
+        q: &[f32],
+    ) -> Option<usize> {
+        let mut from = start;
+        if D > 0 && start == 0 {
+            // The first virtual tile on its `f32` rows, one vector per
+            // row: the presorting scans put the most likely pruners
+            // first, and these tests need no codes, so a quick kill does
+            // not wait for the coding of `q`.
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(D as i32), lanes);
+            let qv = _mm256_maskload_ps(q.as_ptr(), live);
+            from = end.min(TILE_LANES);
+            for i in 0..from {
+                // Lanes past `D` load 0.0 on both sides: `≤`, not `<`.
+                let row = _mm256_maskload_ps(store.rows.as_ptr().add(i * D), live);
+                let le = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(row, qv));
+                let lt = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(row, qv));
+                if le == 0xFF && lt != 0 {
+                    return Some(i);
+                }
+            }
+            if from == end {
+                return None;
+            }
+        }
+        with_broadcasts::<D, _>(q, &store.lo, &store.scale, |qb| {
+            store.first_dominator_by(from, end, q, |t0, t1| scan_tiles(&store.codes, t0, t1, qb))
+        })
+    }
+
+    /// `TileStore::count_until` at AVX2, as [`first_dominator_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// As for [`first_dominator_avx2`].
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn count_until_avx2(
+        store: &TileStore,
+        start: usize,
+        end: usize,
+        q: &[f32],
+        cap: u32,
+    ) -> (u32, usize) {
+        by_dims!(q.len(), count_until_d(store, start, end, q, cap))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn count_until_d<const D: usize>(
+        store: &TileStore,
+        start: usize,
+        end: usize,
+        q: &[f32],
+        cap: u32,
+    ) -> (u32, usize) {
+        with_broadcasts::<D, _>(q, &store.lo, &store.scale, |qb| {
+            store.count_until_by(start, end, q, cap, |t0, t1| {
+                scan_tiles(&store.codes, t0, t1, qb)
+            })
+        })
+    }
+
+    /// The first tile in `t0..t1` whose codes exceed the broadcast codes
+    /// `qb` (one per column) in no column for some lane, with the mask of
+    /// such lanes and the mask of the lanes whose codes are below `qb` in
+    /// every column: the hot loop of every scan.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scan_tiles(
+        codes: &[CodeCol],
+        t0: usize,
+        t1: usize,
+        qb: &[__m256i],
+    ) -> Option<(usize, u32, u32)> {
+        let d = qb.len();
+        let slab = codes.as_ptr() as *const __m256i;
+        for t in t0..t1 {
+            let tile = slab.add(t * d);
+            let mut gt = _mm256_setzero_si256();
+            for (j, &qv) in qb.iter().enumerate() {
+                gt = _mm256_or_si256(gt, _mm256_cmpgt_epi16(_mm256_load_si256(tile.add(j)), qv));
+            }
+            let m = _mm256_movemask_epi8(gt) as u32;
+            if m != u32::MAX {
+                let mut lt = _mm256_set1_epi16(-1);
+                for (j, &qv) in qb.iter().enumerate() {
+                    lt = _mm256_and_si256(
+                        lt,
+                        _mm256_cmpgt_epi16(qv, _mm256_load_si256(tile.add(j))),
+                    );
+                }
+                return Some((t, lane_bits(!m), bits(lt)));
+            }
+        }
+        None
+    }
+
+    /// Every per-lane outcome of one tile (`cols`, one per code in
+    /// `qc`) against `qc`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn code_masks_avx2(cols: &[CodeCol], qc: &[i16]) -> CodeMasks {
+        let ones = _mm256_set1_epi16(-1);
+        let (mut gt_any, mut lt_any) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        let (mut gt_all, mut lt_all) = (ones, ones);
+        for (col, &c) in cols.iter().zip(qc) {
+            let v = _mm256_load_si256(col as *const CodeCol as *const __m256i);
+            let qv = _mm256_set1_epi16(c);
+            let gt = _mm256_cmpgt_epi16(v, qv);
+            let lt = _mm256_cmpgt_epi16(qv, v);
+            gt_any = _mm256_or_si256(gt_any, gt);
+            lt_any = _mm256_or_si256(lt_any, lt);
+            gt_all = _mm256_and_si256(gt_all, gt);
+            lt_all = _mm256_and_si256(lt_all, lt);
+        }
+        CodeMasks {
+            gt_any: bits(gt_any),
+            lt_any: bits(lt_any),
+            gt_all: bits(gt_all),
+            lt_all: bits(lt_all),
+        }
     }
 }
 
@@ -1318,37 +1626,6 @@ mod neon {
         let lt = mask4(lt_lo) | (mask4(lt_hi) << 4);
         le & lt
     }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn tile_compare_neon(cols: &[f32], d: usize, q: &[f32], live: u32) -> (u32, u32) {
-        let ones = vdupq_n_u32(u32::MAX);
-        let (mut le_lo, mut le_hi, mut ge_lo, mut ge_hi) = (ones, ones, ones, ones);
-        let zero = vdupq_n_u32(0);
-        let (mut lt_lo, mut lt_hi, mut gt_lo, mut gt_hi) = (zero, zero, zero, zero);
-        for j in 0..d {
-            let base = cols.as_ptr().add(j * TILE_LANES);
-            let qv = vdupq_n_f32(*q.get_unchecked(j));
-            let (lo, hi) = (vld1q_f32(base), vld1q_f32(base.add(4)));
-            le_lo = vandq_u32(le_lo, vcleq_f32(lo, qv));
-            le_hi = vandq_u32(le_hi, vcleq_f32(hi, qv));
-            ge_lo = vandq_u32(ge_lo, vcgeq_f32(lo, qv));
-            ge_hi = vandq_u32(ge_hi, vcgeq_f32(hi, qv));
-            let le_dead = vmaxvq_u32(le_lo) == 0 && vmaxvq_u32(le_hi) == 0;
-            let ge = mask4(ge_lo) | (mask4(ge_hi) << 4);
-            if le_dead && ge & live == 0 {
-                return (0, 0);
-            }
-            lt_lo = vorrq_u32(lt_lo, vcltq_f32(lo, qv));
-            lt_hi = vorrq_u32(lt_hi, vcltq_f32(hi, qv));
-            gt_lo = vorrq_u32(gt_lo, vcgtq_f32(lo, qv));
-            gt_hi = vorrq_u32(gt_hi, vcgtq_f32(hi, qv));
-        }
-        let le = mask4(le_lo) | (mask4(le_hi) << 4);
-        let lt = mask4(lt_lo) | (mask4(lt_hi) << 4);
-        let ge = mask4(ge_lo) | (mask4(ge_hi) << 4);
-        let gt = mask4(gt_lo) | (mask4(gt_hi) << 4);
-        (le & lt, ge & gt & live)
-    }
 }
 
 #[cfg(test)]
@@ -1358,6 +1635,25 @@ mod tests {
 
     fn levels() -> Vec<Level> {
         Level::available()
+    }
+
+    /// A store over `rows` pinned to `level`, coded against `range`
+    /// (range-free when `None`).
+    fn store_of(
+        rows: &[Vec<f32>],
+        d: usize,
+        range: Option<&ColumnRange>,
+        level: Level,
+    ) -> TileStore {
+        let store = match range {
+            Some(r) => TileStore::with_range(r, rows.len()),
+            None => TileStore::with_capacity(d, rows.len()),
+        };
+        let mut store = store.with_level(level);
+        for r in rows {
+            store.push(r);
+        }
+        store
     }
 
     #[test]
@@ -1376,6 +1672,86 @@ mod tests {
         for v in [0.0f32, -0.0, 1.5, -2.25, f32::MIN_POSITIVE, 1e30] {
             assert_eq!(flip_pref(v, true).to_bits(), (-v).to_bits());
             assert_eq!(flip_pref(v, false).to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn codes_are_monotone_and_equal_values_share_one() {
+        let mut values = vec![
+            f32::NEG_INFINITY,
+            -1e30,
+            -1.0,
+            -1.0e-45,
+            -0.0,
+            0.0,
+            1.0e-45,
+            f32::MIN_POSITIVE,
+            0.25,
+            0.5,
+            0.5 + f32::EPSILON,
+            1.0,
+            1e30,
+            f32::INFINITY,
+        ];
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for (lo, scale) in [(0.0, 0.0), (0.0, 65535.0), (-1.0, 1.0e-3), (0.4, 6.5e8)] {
+            for w in values.windows(2) {
+                assert!(
+                    code(w[0], lo, scale) <= code(w[1], lo, scale),
+                    "{} vs {} at ({lo}, {scale})",
+                    w[0],
+                    w[1]
+                );
+            }
+            assert_eq!(code(-0.0, lo, scale), code(0.0, lo, scale));
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_candidate_codes_equal_the_stored_codes() {
+        // The AVX2 scans code the candidate in vector registers; a code
+        // that differed from `code`'s for the same value would break
+        // exactness, so the two must agree bit for bit.
+        if !Level::available().contains(&Level::Avx2) {
+            return;
+        }
+        let values = [
+            f32::NEG_INFINITY,
+            -1e30,
+            -1.0,
+            -0.0,
+            0.0,
+            1.0e-45,
+            0.25,
+            0.5,
+            1.0,
+            7.5e4,
+            1e30,
+            f32::INFINITY,
+        ];
+        let coders = [
+            (0.0f32, 0.0f32),
+            (0.0, 65535.0),
+            (-1.0, 1.0e-3),
+            (0.4, 6.5e8),
+        ];
+        for (lo, scale) in coders {
+            let (los, scales) = ([lo; 16], [scale; 16]);
+            for q in values.windows(5) {
+                // SAFETY: AVX2 is available (checked above); `q` has 5
+                // values and the coder 16.
+                let c = unsafe { x86::code8(q, &los, &scales, 0) };
+                let mut lanes = [0u32; 8];
+                // SAFETY: `lanes` holds one 256-bit vector.
+                unsafe {
+                    std::arch::x86_64::_mm256_storeu_si256(lanes.as_mut_ptr().cast(), c);
+                }
+                for (&v, &lane) in q.iter().zip(&lanes) {
+                    assert_eq!(lane as i16, code(v, lo, scale), "{v} at ({lo}, {scale})");
+                    assert_eq!((lane >> 16) as i16, code(v, lo, scale));
+                }
+            }
         }
     }
 
@@ -1411,29 +1787,43 @@ mod tests {
             ((rng >> 40) % 4) as f32
         };
         for d in [1usize, 2, 5, 8, 13] {
-            for live in 1..=TILE_LANES {
+            for live in 1..=CODE_LANES + 3 {
                 let rows: Vec<Vec<f32>> = (0..live)
                     .map(|_| (0..d).map(|_| next()).collect())
                     .collect();
                 let mut tile = DtBlock::new(d);
-                for (l, row) in rows.iter().enumerate() {
+                for (l, row) in rows.iter().take(TILE_LANES).enumerate() {
                     tile.set_lane(l, row);
                 }
+                let range = ColumnRange::new(vec![0.0; d], vec![3.0; d]);
                 for _ in 0..50 {
                     let q: Vec<f32> = (0..d).map(|_| next()).collect();
-                    let mut want_dom = 0u32;
-                    let mut want_sub = 0u32;
-                    for (l, row) in rows.iter().enumerate() {
-                        want_dom |= u32::from(sd_ref(row, &q)) << l;
-                        want_sub |= u32::from(sd_ref(&q, row)) << l;
-                    }
+                    let dom: Vec<bool> = rows.iter().map(|r| sd_ref(r, &q)).collect();
+                    let sub: Vec<usize> = (0..live).filter(|&l| sd_ref(&q, &rows[l])).collect();
+                    let want_tile = dom
+                        .iter()
+                        .take(TILE_LANES)
+                        .enumerate()
+                        .fold(0u32, |m, (l, &b)| m | u32::from(b) << l);
                     for &lv in &levels() {
-                        assert_eq!(tile.dominators_with(lv, &q), want_dom, "{lv:?}");
-                        assert_eq!(
-                            tile.compare_masks_with(lv, &q),
-                            (want_dom, want_sub),
-                            "{lv:?} d={d} live={live}"
-                        );
+                        assert_eq!(tile.dominators_with(lv, &q), want_tile, "{lv:?}");
+                        for r in [None, Some(&range)] {
+                            let store = store_of(&rows, d, r, lv);
+                            for (l, &b) in dom.iter().enumerate() {
+                                let got = store.count_dominators_range(l, l + 1, &q, 1, &mut 0);
+                                assert_eq!(got, u32::from(b), "{lv:?} d={d} lane {l}");
+                            }
+                            // Offering q evicts exactly what it dominates
+                            // (when nothing dominates it).
+                            let mut window = store.clone();
+                            let mut evicted = Vec::new();
+                            let dominated = window.offer(&q, &mut 0, |pos| evicted.push(pos));
+                            assert_eq!(dominated, dom.contains(&true), "{lv:?} d={d}");
+                            if !dominated {
+                                assert_eq!(window.len(), live - sub.len());
+                                assert_eq!(evicted.len(), sub.len(), "{lv:?} d={d}");
+                            }
+                        }
                     }
                 }
             }
@@ -1475,27 +1865,35 @@ mod tests {
         tile.set_lane(0, &[1.0, 1.0, 1.0]);
         // q is worse than lane 0 and "better" than the +∞ padding.
         let q = [2.0f32, 2.0, 2.0];
+        // Coded against [0, 1], q clamps to the padding's code in every
+        // column, so the padding lanes tie with it and must be masked
+        // out before the re-check reads a row.
+        let range = ColumnRange::new(vec![0.0; 3], vec![1.0; 3]);
         for &lv in &levels() {
             assert_eq!(tile.dominators_with(lv, &q), 0b1, "{lv:?}");
-            let (dom, sub) = tile.compare_masks_with(lv, &q);
-            assert_eq!(
-                (dom, sub),
-                (0b1, 0),
-                "{lv:?}: pads must not read as dominated"
-            );
+            for r in [None, Some(&range)] {
+                let mut store = store_of(&[vec![1.0, 1.0, 1.0]], 3, r, lv);
+                assert_eq!(store.count_dominators_range(0, 1, &q, u32::MAX, &mut 0), 1);
+                assert!(store.any_dominates(&q, &mut 0), "{lv:?}");
+                assert!(!store.offer(&[1.0, 1.0, 1.0], &mut 0, |_| panic!("coincident")));
+                assert!(
+                    !store.offer(&[9.0, 9.0, 0.5], &mut 0, |_| panic!(
+                        "pads must not read as dominated"
+                    )),
+                    "{lv:?}"
+                );
+                assert_eq!(store.len(), 1);
+            }
         }
     }
 
     #[test]
     fn pref_lanes_fold_direction_into_the_tile() {
-        // Tile over subspace {0, 2} with dim 2 maximised.
+        // Store over subspace {0, 2} with dim 2 maximised.
         let rows = [[1.0f32, 9.0, 5.0], [2.0, 9.0, 1.0]];
         let dims = [0usize, 2];
         let max_mask = 0b100u32;
-        let mut tile = DtBlock::new(2);
-        for (l, row) in rows.iter().enumerate() {
-            tile.set_lane_pref(l, row, &dims, max_mask);
-        }
+        let full = ColumnRange::new(vec![0.0, 0.0, 0.0], vec![2.0, 9.0, 5.0]);
         // Candidate (1.5, 4.0): row 0 dominates it on {min 0, max 2}
         // (1 ≤ 1.5, 5 ≥ 4, one strict); row 1 does not (2 > 1.5 fails).
         let q_raw = [1.5f32, 0.0, 4.0];
@@ -1504,7 +1902,27 @@ mod tests {
             .map(|&c| flip_pref(q_raw[c], max_mask & (1 << c) != 0))
             .collect();
         for &lv in &levels() {
-            assert_eq!(tile.dominators_with(lv, &q), 0b1, "{lv:?}");
+            for range in [None, Some(full.project(&dims, max_mask))] {
+                let store = match &range {
+                    Some(r) => TileStore::with_range(r, 2),
+                    None => TileStore::new(2),
+                };
+                let mut store = store.with_level(lv);
+                for row in &rows {
+                    store.push_pref(row, &dims, max_mask);
+                }
+                assert_eq!(store.point(0), &[1.0, -5.0]);
+                assert_eq!(
+                    store.count_dominators_range(0, 1, &q, 1, &mut 0),
+                    1,
+                    "{lv:?}"
+                );
+                assert_eq!(
+                    store.count_dominators_range(1, 2, &q, 1, &mut 0),
+                    0,
+                    "{lv:?}"
+                );
+            }
         }
         // Agreement with the scalar pref kernel on the raw rows.
         use crate::dominance::strictly_dominates_on_pref;
@@ -1514,6 +1932,12 @@ mod tests {
         assert!(!strictly_dominates_on_pref(
             &rows[1], &q_raw, &dims, max_mask
         ));
+        // The projected range negates and swaps the maximised bounds.
+        let folded = full.project(&dims, max_mask);
+        assert_eq!(
+            (folded.lo(), folded.hi()),
+            (&[0.0, -5.0][..], &[2.0, -0.0][..])
+        );
     }
 
     #[test]
@@ -1524,8 +1948,7 @@ mod tests {
             store.push(r);
         }
         assert_eq!(store.len(), 21);
-        assert_eq!(store.tiles().len(), 3);
-        assert_eq!(store.point(20), vec![20.0, 1.0]);
+        assert_eq!(store.point(20), &[20.0, 1.0]);
         let mut dts = 0u64;
         // (5, 17) is dominated by row 4 = (4, 17)? 4<5, 17<=17 → yes.
         assert!(store.any_dominates(&[5.0, 17.5], &mut dts));
@@ -1546,8 +1969,8 @@ mod tests {
     fn count_dominators_range_matches_scalar_count() {
         // A descending anti-chain plus a dominated tail: row i is
         // (i, 21-i) for i < 21, then chained points that each pick up
-        // dominators. 21 rows span three tiles so head/pair/tail paths
-        // all run at unaligned boundaries.
+        // dominators. 21 rows span three virtual tiles so head/pair/tail
+        // paths all run at unaligned boundaries.
         let rows: Vec<Vec<f32>> = (0..21).map(|i| vec![i as f32, (21 - i) as f32]).collect();
         let mut store = TileStore::with_capacity(2, rows.len());
         for r in &rows {
@@ -1555,7 +1978,7 @@ mod tests {
         }
         let scalar = |start: usize, end: usize, q: &[f32]| -> u32 {
             (start..end)
-                .filter(|&i| super::strictly_dominates(&store.point(i), q))
+                .filter(|&i| super::strictly_dominates(store.point(i), q))
                 .count() as u32
         };
         for q in [
@@ -1588,8 +2011,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "candidate dimensionality")]
     fn range_scans_reject_a_candidate_of_another_dimensionality() {
-        // The whole-range kernels read `q.len()` columns per tile: a
-        // longer candidate must stop the scan, not read past the tiles.
+        // The code kernels read `d` codes per tile: a longer candidate
+        // must stop the scan, not read past the tiles.
         let mut store = TileStore::new(2);
         for i in 0..24 {
             store.push(&[i as f32, 0.0]);
@@ -1599,25 +2022,27 @@ mod tests {
 
     #[test]
     fn store_swap_remove_mirrors_vec_semantics() {
-        let rows: Vec<Vec<f32>> = (0..19).map(|i| vec![i as f32, i as f32 * 0.5]).collect();
-        let mut store = TileStore::new(2);
+        let rows: Vec<Vec<f32>> = (0..35).map(|i| vec![i as f32, i as f32 * 0.5]).collect();
+        let range = ColumnRange::new(vec![0.0, 0.0], vec![34.0, 17.0]);
+        let mut store = TileStore::with_range(&range, rows.len());
         let mut model: Vec<Vec<f32>> = Vec::new();
         for r in &rows {
             store.push(r);
             model.push(r.clone());
         }
-        for &i in &[0usize, 17, 3, 9, 0, 7, 5] {
+        for &i in &[0usize, 33, 17, 3, 9, 0, 7, 5, 20] {
             store.swap_remove(i);
             model.swap_remove(i);
             assert_eq!(store.len(), model.len());
             for (k, row) in model.iter().enumerate() {
-                assert_eq!(&store.point(k), row, "after removing {i}");
+                assert_eq!(store.point(k), row.as_slice(), "after removing {i}");
+                // The codes moved with the row: each point is dominated
+                // by exactly the stored points a row scan finds.
+                let q = [row[0] + 0.25, row[1] + 0.25];
+                let want = model.iter().filter(|p| sd_ref(p, &q)).count() as u32;
+                let got = store.count_dominators_range(0, store.len(), &q, u32::MAX, &mut 0);
+                assert_eq!(got, want, "after removing {i}, probe {k}");
             }
-        }
-        // Tile bookkeeping: last tile's live count matches.
-        let tail = store.len() % TILE_LANES;
-        if tail > 0 {
-            assert_eq!(store.tiles().last().unwrap().live(), tail);
         }
     }
 
@@ -1650,7 +2075,7 @@ mod tests {
         assert_eq!(store.len(), ids.len());
         // Ids and coordinates stayed in lockstep.
         for (k, &id) in ids.iter().enumerate() {
-            assert_eq!(store.point(k), stream[id as usize]);
+            assert_eq!(store.point(k), stream[id as usize].as_slice());
         }
     }
 }

@@ -25,14 +25,14 @@
 //! dataset serves every cached projection. All index lists are kept
 //! sorted ascending — the invariant the engine's cache relies on.
 
-use crate::dominance::simd::{flip_pref, TileStore, TILE_LANES};
+use crate::dominance::simd::{flip_pref, ColumnRange, TileStore, TILE_LANES};
 use crate::dominance::strictly_dominates_on_pref;
 use skyline_data::Dataset;
 
 /// Inserted-batch size from which [`insert_points`] gathers the cached
 /// skyline into pref-folded [`TileStore`] tiles (two tiles' worth of
 /// points): building the tiles costs one pass over the skyline, so the
-/// batch must be long enough to amortize it before the 8-lane scans pay
+/// batch must be long enough to amortize it before the tile scans pay
 /// off. Below it the scalar per-point kernel wins.
 pub const BATCH_TILE_MIN: usize = 2 * TILE_LANES;
 
@@ -43,6 +43,14 @@ pub const BATCH_TILE_MIN: usize = 2 * TILE_LANES;
 pub trait RowSource {
     /// The coordinates of row `id`. `id` must be a valid, live row.
     fn point_of(&self, id: u32) -> &[f32];
+
+    /// Bounds of each full-space column over the rows, when the source
+    /// keeps them. The batched insert path codes its tiles against
+    /// them; without them it codes range-free. Answers are exact
+    /// either way, and for stale bounds too.
+    fn column_range(&self) -> Option<ColumnRange> {
+        None
+    }
 }
 
 impl RowSource for Dataset {
@@ -106,10 +114,11 @@ pub fn insert_point<R: RowSource + ?Sized>(
 /// Batches of [`BATCH_TILE_MIN`] or more points are routed through the
 /// batched dominance kernels: the cached skyline is gathered **once**
 /// into pref-folded [`TileStore`] tiles (projection and `Max` flips
-/// folded into the stored lanes), and each new point then runs one
-/// two-way tile [`offer`](TileStore::offer) — the dominated test and
-/// the eviction scan in a single 8-lane pass — instead of two scalar
-/// scans. Survivors are appended to the tiles so dominance among the
+/// folded into the stored rows before they are coded, against
+/// [`RowSource::column_range`] when the source has one), and each new
+/// point then runs one two-way tile [`offer`](TileStore::offer) — the
+/// dominated test and the eviction scan in a single pass — instead of
+/// two scalar scans. Survivors are appended to the tiles so dominance among the
 /// batch's own points resolves exactly as the sequential kernel would.
 pub fn insert_points<R: RowSource + ?Sized>(
     rows: &R,
@@ -125,7 +134,11 @@ pub fn insert_points<R: RowSource + ?Sized>(
         return;
     }
     let d = dims.len();
-    let mut store = TileStore::with_capacity(d, skyline.len() + inserted.len());
+    let n = skyline.len() + inserted.len();
+    let mut store = match rows.column_range() {
+        Some(full) => TileStore::with_range(&full.project(dims, max_mask), n),
+        None => TileStore::with_capacity(d, n),
+    };
     for &s in skyline.iter() {
         store.push_pref(rows.point_of(s), dims, max_mask);
     }

@@ -14,10 +14,10 @@
 //!    incrementally: the β keys are rescanned only when a point replaces
 //!    it.
 //! 2. The union of the stripe queues, sorted by `(L1, index)` (most
-//!    likely pruners first), becomes one [`TileStore`], and every pass-1
-//!    survivor is tested against it with [`TileStore::any_dominates`]. A
-//!    queue member meets itself there, harmlessly: no point strictly
-//!    dominates itself.
+//!    likely pruners first), becomes one [`TileStore`] coded against the
+//!    union's own column range, and every pass-1 survivor is tested
+//!    against it with [`TileStore::any_dominates`]. A queue member meets
+//!    itself there, harmlessly: no point strictly dominates itself.
 //! 3. The survivors are collected per fixed chunk and concatenated in
 //!    chunk order, so the output stays in index order, and their rows and
 //!    norms are gathered in parallel.
@@ -31,7 +31,7 @@
 //! β = 8 by default (footnote 3: "appreciable impact only \[on\]
 //! correlated data").
 
-use crate::dominance::simd::{active_level, DtBlock, Level, TileStore, TILE_LANES};
+use crate::dominance::simd::{active_level, ColumnRange, DtBlock, Level, TileStore, TILE_LANES};
 use crate::norms::{l1, packed_scalar_key};
 use skyline_parallel::{par_chunks_mut, par_collect, LaneCounters, ThreadPool};
 
@@ -96,7 +96,11 @@ pub fn prefilter(
         .flat_map(|s| s.keys.iter().copied())
         .collect();
     union.sort_unstable_by_key(|&(key, i)| packed_scalar_key(key, i));
-    let mut store = TileStore::with_capacity(d, union.len());
+    let mut bounds = ColumnRange::empty(d);
+    for &(_, i) in &union {
+        bounds.include(row(i as usize));
+    }
+    let mut store = TileStore::with_range(&bounds, union.len());
     for &(_, i) in &union {
         store.push(row(i as usize));
     }

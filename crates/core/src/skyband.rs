@@ -30,21 +30,24 @@
 //!
 //! [`TileStore::count_dominators_range`]: crate::dominance::simd::TileStore::count_dominators_range
 
-use crate::dominance::simd::TileStore;
+use crate::dominance::simd::{ColumnRange, TileStore};
 
 /// Sum-sorted scan order over `rows`: `(computed f64 sum, index)`
 /// ascending by sum, plus a [`TileStore`] holding the rows in that
-/// order.
+/// order, coded against the column range the sum pass takes.
 fn sum_order(rows: &[f32], d: usize) -> (Vec<(f64, u32)>, TileStore) {
     let n = rows.len() / d;
+    let mut bounds = ColumnRange::empty(d);
     let mut order: Vec<(f64, u32)> = (0..n)
         .map(|i| {
-            let sum: f64 = rows[i * d..(i + 1) * d].iter().map(|&v| v as f64).sum();
+            let row = &rows[i * d..(i + 1) * d];
+            bounds.include(row);
+            let sum: f64 = row.iter().map(|&v| v as f64).sum();
             (sum, i as u32)
         })
         .collect();
     order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut tile = TileStore::with_capacity(d, n);
+    let mut tile = TileStore::with_range(&bounds, n);
     for &(_, i) in &order {
         tile.push(&rows[i as usize * d..(i as usize + 1) * d]);
     }

@@ -7,9 +7,14 @@
 //! skyline buffer linearly and compression shifts rows left without
 //! indirection.
 
+use std::cmp::Ordering;
+use std::sync::Mutex;
+
 use crate::config::SortKey;
+use crate::dominance::dt;
+use crate::dominance::simd::ColumnRange;
 use crate::norms::{eval_sort_key, f32_order_bits, l1};
-use skyline_parallel::{par_chunks_mut, par_sort_unstable_by_key, ThreadPool};
+use skyline_parallel::{par_chunks_mut, par_collect, par_sort_unstable_by_key, ThreadPool};
 
 /// A dataset copy reordered by a monotone sort key.
 #[derive(Debug)]
@@ -22,6 +27,8 @@ pub(crate) struct WorkSet {
     pub keys: Vec<f32>,
     /// Original dataset index of each row.
     pub orig: Vec<u32>,
+    /// Per-column bounds of the rows, for the code tiles of the scans.
+    pub range: ColumnRange,
 }
 
 impl WorkSet {
@@ -42,10 +49,12 @@ impl WorkSet {
 /// indices (identity if `None`) — used after pre-filtering has already
 /// compacted the input.
 ///
-/// Ties: for `L1`/`Entropy` ties are broken by position (dominance forces
-/// a strictly smaller key, so ties are never dominance-related); for
-/// `MinCoord` ties are broken by L1, which *is* dominance-relevant
-/// (p ≺ q with equal min requires strictly smaller L1), then position.
+/// Ties: for `L1`/`Entropy` ties are broken by position; for `MinCoord`
+/// by L1 (p ≺ q with equal min requires a smaller L1), then position.
+/// Exactly, a strict dominator has the strictly smaller key, but a
+/// float key can round to a tie, so runs of rows whose
+/// dominance-relevant keys tie are then put in dominance order
+/// ([`order_tied_runs`]).
 pub(crate) fn build_workset(
     values: &[f32],
     d: usize,
@@ -56,14 +65,18 @@ pub(crate) fn build_workset(
     let n = values.len() / d;
     debug_assert_eq!(values.len(), n * d);
 
-    // (packed key, position) pairs; see `packed` below for layouts.
+    // (packed key, position) pairs; see `packed` below for layouts. The
+    // key pass also takes the column range.
     let mut items: Vec<(u64, u32)> = vec![(0, 0); n];
+    let range = Mutex::new(ColumnRange::empty(d));
     {
         let values_ref = values;
         par_chunks_mut(pool, &mut items, 1 << 12, |offset, chunk| {
+            let mut local = ColumnRange::empty(d);
             for (k, slot) in chunk.iter_mut().enumerate() {
                 let i = offset + k;
                 let row = &values_ref[i * d..(i + 1) * d];
+                local.include(row);
                 let hi = (f32_order_bits(eval_sort_key(sort_key, row)) as u64) << 32;
                 let lo = match sort_key {
                     SortKey::L1 | SortKey::Entropy => (i as u32) as u64,
@@ -72,11 +85,144 @@ pub(crate) fn build_workset(
                 let packed = hi | lo;
                 *slot = (packed, i as u32);
             }
+            range.lock().expect("range lock").union(&local);
         });
     }
     par_sort_unstable_by_key(pool, &mut items, |&t| t);
 
-    gather(values, d, source_orig, &items, sort_key, pool)
+    let range = range.into_inner().expect("range lock");
+    let mut ws = gather(values, d, source_orig, &items, sort_key, range, pool);
+    let mut tied = TiedWorkSet {
+        ws: &mut ws,
+        min_coord: sort_key == SortKey::MinCoord,
+    };
+    order_tied_runs(&mut tied, pool);
+    ws
+}
+
+/// Runs longer than this are ordered lexicographically instead of by
+/// in-run dominator counts, which cost a test per pair of members.
+const TIE_RUN_PAIRWISE: usize = 16;
+
+/// Rows in sort order, for [`order_tied_runs`].
+pub(crate) trait TiedRows {
+    /// Number of rows.
+    fn count(&self) -> usize;
+    /// Do rows `i` and `i + 1` tie on the dominance-relevant part of
+    /// the sort key?
+    fn tied(&self, i: usize) -> bool;
+    /// Row `i`.
+    fn row(&self, i: usize) -> &[f32];
+    /// Swaps rows `i` and `j`, with everything kept beside them.
+    fn swap(&mut self, i: usize, j: usize);
+}
+
+/// Puts each run of tied rows in an order where no row precedes one
+/// that strictly dominates it — the order every presorting scan relies
+/// on. A float key is monotone but not strictly so: rounding can give a
+/// dominator the same key as its victim, and the position tiebreak
+/// could then put the victim first. A short run is stably sorted by the
+/// number of its members dominating each one (a dominator has strictly
+/// fewer: its own dominators dominate the victim too), so a run without
+/// dominance inside keeps its order; a long one, typical of
+/// duplicate-heavy data, is sorted lexicographically by row (a
+/// dominator is lexicographically smaller), then by position. Runs are
+/// found and ordered in parallel; the few that move are permuted after.
+pub(crate) fn order_tied_runs(rows: &mut (impl TiedRows + Sync), pool: &ThreadPool) {
+    let n = rows.count();
+    let moves = {
+        let rows = &*rows;
+        par_collect(pool, n.saturating_sub(1), 1 << 14, |starts, out| {
+            for start in starts {
+                if !rows.tied(start) || (start > 0 && rows.tied(start - 1)) {
+                    continue;
+                }
+                let mut end = start + 2;
+                while end < n && rows.tied(end - 1) {
+                    end += 1;
+                }
+                if let Some(order) = run_order(rows, start, end) {
+                    out.push((start, order));
+                }
+            }
+        })
+    };
+    for (start, order) in moves {
+        // Row `start + order[k]` moves to `start + k`, one cycle of the
+        // permutation at a time.
+        let mut placed = vec![false; order.len()];
+        for k in 0..order.len() {
+            let mut at = k;
+            while !placed[at] {
+                placed[at] = true;
+                if order[at] != k {
+                    rows.swap(start + at, start + order[at]);
+                }
+                at = order[at];
+            }
+        }
+    }
+}
+
+/// The dominance order of run `start..end` of [`order_tied_runs`], as
+/// offsets into the run, or `None` when the run is in order already.
+fn run_order(rows: &impl TiedRows, start: usize, end: usize) -> Option<Vec<usize>> {
+    let len = end - start;
+    let mut order: Vec<usize>;
+    if len > TIE_RUN_PAIRWISE {
+        order = (0..len).collect();
+        order.sort_by(|&a, &b| {
+            let lex = rows.row(start + a).partial_cmp(rows.row(start + b));
+            lex.unwrap_or(Ordering::Equal).then(a.cmp(&b))
+        });
+    } else {
+        let mut doms = [0usize; TIE_RUN_PAIRWISE];
+        for (a, slot) in doms[..len].iter_mut().enumerate() {
+            let victim = rows.row(start + a);
+            *slot = (start..end).filter(|&b| dt(rows.row(b), victim)).count();
+        }
+        if doms[..len].iter().all(|&c| c == 0) {
+            return None;
+        }
+        order = (0..len).collect();
+        order.sort_by_key(|&k| doms[k]);
+    }
+    order
+        .iter()
+        .enumerate()
+        .any(|(k, &from)| k != from)
+        .then_some(order)
+}
+
+/// A gathered [`WorkSet`]: rows tie when their keys do (and, for
+/// `MinCoord`, their L1 norms too).
+struct TiedWorkSet<'a> {
+    ws: &'a mut WorkSet,
+    min_coord: bool,
+}
+
+impl TiedRows for TiedWorkSet<'_> {
+    fn count(&self) -> usize {
+        self.ws.len()
+    }
+
+    fn tied(&self, i: usize) -> bool {
+        let ws = &self.ws;
+        ws.keys[i] == ws.keys[i + 1] && (!self.min_coord || l1(ws.row(i)) == l1(ws.row(i + 1)))
+    }
+
+    fn row(&self, i: usize) -> &[f32] {
+        self.ws.row(i)
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        let d = self.ws.d;
+        for c in 0..d {
+            self.ws.values.swap(i * d + c, j * d + c);
+        }
+        self.ws.keys.swap(i, j);
+        self.ws.orig.swap(i, j);
+    }
 }
 
 /// Gathers rows into sort order and recomputes per-row key values.
@@ -86,6 +232,7 @@ fn gather(
     source_orig: Option<&[u32]>,
     items: &[(u64, u32)],
     sort_key: SortKey,
+    range: ColumnRange,
     pool: &ThreadPool,
 ) -> WorkSet {
     let n = items.len();
@@ -122,6 +269,7 @@ fn gather(
         values: out_values,
         keys,
         orig,
+        range,
     }
 }
 
@@ -184,6 +332,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_dominator_with_a_rounded_tie_key_sorts_first() {
+        // At 5e5 one f32 ulp is 1/32, so the 0.5-ulp differences of
+        // the other columns vanish from the L1 sums: all three rows tie
+        // on L1, yet row 2 dominates rows 0 and 1, and row 1 dominates
+        // row 0. Position alone would put every victim first.
+        let pool = ThreadPool::new(1);
+        let up = |v: f32, k: u32| f32::from_bits(v.to_bits() + k);
+        let values = [
+            5e5,
+            up(0.5, 2),
+            up(0.5, 2),
+            5e5,
+            up(0.5, 1),
+            up(0.5, 2),
+            5e5,
+            0.5,
+            0.5,
+        ];
+        for key in [SortKey::L1, SortKey::MinCoord] {
+            let ws = build_workset(&values, 3, None, key, &pool);
+            assert_eq!(ws.orig, vec![2, 1, 0], "{key:?}");
+        }
+        // Long runs (duplicate-heavy data) take the lexicographic order.
+        let mut long: Vec<f32> = Vec::new();
+        for i in 0..40u32 {
+            long.extend([5e5, up(0.5, 40 - i), 0.5]);
+        }
+        let ws = build_workset(&long, 3, None, SortKey::L1, &pool);
+        assert_eq!(ws.orig, (0..40).rev().collect::<Vec<u32>>());
     }
 
     #[test]

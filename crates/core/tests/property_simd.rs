@@ -8,15 +8,20 @@
 //! The value alphabet is deliberately hostile: ±0.0, subnormals,
 //! negatives, huge magnitudes, and a high tie probability (the second
 //! point is derived from the first by per-coordinate nudges), plus tile
-//! tail-padding rows (tiles filled with fewer than 8 lanes).
+//! tail-padding rows (tiles filled with fewer than 8 or 16 lanes). The
+//! code-tile stores are checked against row scans with quantised rows,
+//! rows one ulp apart and constant columns, coded against the true
+//! column range, against wrong ones and range-free: their answers and
+//! dominance-test charges must not depend on the codes.
 
 use proptest::prelude::*;
 
 use skyline_core::dominance::{
     self,
-    simd::{self, DtBlock, Level, TileStore, TILE_LANES},
+    simd::{self, ColumnRange, DtBlock, Level, TileStore, CODE_LANES, TILE_LANES},
     DomRelation,
 };
+use skyline_data::{quantize, Dataset};
 
 /// Reference implementations straight from Definitions 1–2.
 fn ref_sd(p: &[f32], q: &[f32]) -> bool {
@@ -112,47 +117,51 @@ proptest! {
     #[test]
     fn tile_kernels_equal_scalar_reference_with_tail_padding(
         d in 1usize..=24,
-        live in 1usize..=TILE_LANES,
+        live in 1usize..=CODE_LANES + 3,
         seed in 0u64..=u64::MAX / 2,
     ) {
+        // One f32 tile over the first 8 rows, and code stores over all
+        // of them (tail padding in the last code tile), range-free and
+        // coded against the rows' own range.
         let mut rng = proptest::TestRng::from_seed(seed);
         let row_strat = proptest::collection::vec(coord_strategy(), d..=d);
         let rows: Vec<Vec<f32>> = (0..live).map(|_| row_strat.generate(&mut rng)).collect();
         let mut tile = DtBlock::new(d);
-        for (l, row) in rows.iter().enumerate() {
+        for (l, row) in rows.iter().take(TILE_LANES).enumerate() {
             tile.set_lane(l, row);
         }
-        prop_assert_eq!(tile.live(), live);
-        let moves_strat = proptest::collection::vec(0u8..=3, d..=d);
+        prop_assert_eq!(tile.live(), live.min(TILE_LANES));
+        let moves_strat = proptest::collection::vec(0u8..=4, d..=d);
         for _ in 0..20 {
             // Candidates are derived from a random live row by
             // per-coordinate nudges, so ties and dominance in both
             // directions actually occur.
             let base = &rows[(rng.next_u64() as usize) % live];
-            let moves = moves_strat.generate(&mut rng);
-            let q: Vec<f32> = base
+            let q = nudged(base, &moves_strat.generate(&mut rng));
+            let dom: Vec<bool> = rows.iter().map(|r| ref_sd(r, &q)).collect();
+            let want_tile = dom
                 .iter()
-                .zip(&moves)
-                .map(|(&v, &m)| match m {
-                    0 => v,
-                    1 => v + 0.25,
-                    2 => v - 0.25,
-                    _ => -v,
-                })
-                .collect();
-            let mut want_dom = 0u32;
-            let mut want_sub = 0u32;
-            for (l, row) in rows.iter().enumerate() {
-                want_dom |= u32::from(ref_sd(row, &q)) << l;
-                want_sub |= u32::from(ref_sd(&q, row)) << l;
-            }
+                .take(TILE_LANES)
+                .enumerate()
+                .fold(0u32, |m, (l, &b)| m | u32::from(b) << l);
             for lv in Level::available() {
-                prop_assert_eq!(tile.dominators_with(lv, &q), want_dom, "{:?} d={} live={}", lv, d, live);
-                prop_assert_eq!(
-                    tile.compare_masks_with(lv, &q),
-                    (want_dom, want_sub),
-                    "{:?} d={} live={}", lv, d, live
-                );
+                prop_assert_eq!(tile.dominators_with(lv, &q), want_tile, "{:?} d={} live={}", lv, d, live);
+                for store in [
+                    TileStore::with_capacity(d, live),
+                    TileStore::with_range(&range_of(&rows, d), live),
+                ] {
+                    let mut store = store.with_level(lv);
+                    for row in &rows {
+                        store.push(row);
+                    }
+                    for (l, &b) in dom.iter().enumerate() {
+                        let got = store.count_dominators_range(l, l + 1, &q, 1, &mut 0);
+                        prop_assert_eq!(got, u32::from(b), "{:?} d={} lane {}", lv, d, l);
+                    }
+                    let got = (store.clone().offer(&q, &mut 0, |_| {}), offered(store, &q));
+                    let want = ref_offer(&rows, &q);
+                    prop_assert_eq!((got.0, got.1), (want.0, want.2), "{:?} d={} live={}", lv, d, live);
+                }
             }
         }
     }
@@ -171,27 +180,30 @@ proptest! {
             .collect();
         let dims = if dims.is_empty() { vec![0] } else { dims };
         let row_strat = proptest::collection::vec(coord_strategy(), full_d..=full_d);
-        let live = 1 + (rng.next_u64() as usize) % TILE_LANES;
+        let live = 1 + (rng.next_u64() as usize) % (2 * CODE_LANES);
         let rows: Vec<Vec<f32>> = (0..live).map(|_| row_strat.generate(&mut rng)).collect();
-        let mut tile = DtBlock::new(dims.len());
-        for (l, row) in rows.iter().enumerate() {
-            tile.set_lane_pref(l, row, &dims, max_mask);
-        }
+        // The full-space range of the raw rows, projected the way the
+        // engine projects its catalog stats.
+        let folded = range_of(&rows, full_d).project(&dims, max_mask);
         for _ in 0..20 {
             let q_raw = row_strat.generate(&mut rng);
-            // Candidate transformed once, exactly as the tile was.
+            // Candidate transformed once, exactly as the stored rows were.
             let q: Vec<f32> = dims
                 .iter()
                 .map(|&c| simd::flip_pref(q_raw[c], max_mask & (1 << c) != 0))
                 .collect();
-            let mut want = 0u32;
-            for (l, row) in rows.iter().enumerate() {
-                want |= u32::from(dominance::strictly_dominates_on_pref(
-                    row, &q_raw, &dims, max_mask,
-                )) << l;
-            }
             for lv in Level::available() {
-                prop_assert_eq!(tile.dominators_with(lv, &q), want, "{:?} mask={:#b}", lv, max_mask);
+                for store in [TileStore::new(dims.len()), TileStore::with_range(&folded, live)] {
+                    let mut store = store.with_level(lv);
+                    for row in &rows {
+                        store.push_pref(row, &dims, max_mask);
+                    }
+                    for (l, row) in rows.iter().enumerate() {
+                        let want = dominance::strictly_dominates_on_pref(row, &q_raw, &dims, max_mask);
+                        let got = store.count_dominators_range(l, l + 1, &q, 1, &mut 0);
+                        prop_assert_eq!(got, u32::from(want), "{:?} mask={:#b} lane {}", lv, max_mask, l);
+                    }
+                }
             }
         }
     }
@@ -227,68 +239,227 @@ proptest! {
     fn tile_store_scans_agree_with_row_scans(
         d in 1usize..=16,
         n in 0usize..=130,
+        kind in 0u8..=3,
         seed in 0u64..=u64::MAX / 2,
     ) {
-        // Up to 17 tiles: whole-range scans see several full iterations,
-        // odd tile counts and a lone (possibly partial) last tile.
+        // Up to 9 code tiles and 17 virtual tiles: whole-range scans see
+        // several full iterations, odd tile counts and a lone (possibly
+        // partial) last tile. Every store codes the same rows against
+        // another range — the true one, wrong ones, an empty one, none —
+        // and must answer and charge exactly as the row-scan reference.
         let mut rng = proptest::TestRng::from_seed(seed);
-        let row_strat = proptest::collection::vec(coord_strategy(), d..=d);
-        let rows: Vec<Vec<f32>> = (0..n).map(|_| row_strat.generate(&mut rng)).collect();
-        let mut store = TileStore::with_capacity(d, n);
-        for r in &rows {
-            store.push(r);
-        }
-        let moves_strat = proptest::collection::vec(0u8..=3, d..=d);
-        for _ in 0..20 {
-            // Half the candidates are nudged copies of a stored row, so
-            // dominators turn up at every position, not just rarely.
-            let q: Vec<f32> = if n > 0 && rng.next_u64() % 2 == 0 {
+        let rows = store_rows(kind, n, d, &mut rng);
+        let stores: Vec<(String, TileStore)> = bad_ranges(&range_of(&rows, d))
+            .into_iter()
+            .map(|(name, r)| (name, TileStore::with_range(&r, n)))
+            .chain([("range-free", TileStore::with_capacity(d, n)), ("new", TileStore::new(d))])
+            .flat_map(|(name, store)| {
+                Level::available()
+                    .into_iter()
+                    .map(move |lv| (format!("{name} at {lv:?}"), store.clone().with_level(lv)))
+            })
+            .map(|(name, mut store)| {
+                for r in &rows {
+                    store.push(r);
+                }
+                (name, store)
+            })
+            .collect();
+        let moves_strat = proptest::collection::vec(0u8..=4, d..=d);
+        for _ in 0..12 {
+            // Most candidates are nudged copies of a stored row, so
+            // dominators (and code ties) turn up at every position.
+            let q: Vec<f32> = if n > 0 && rng.next_u64() % 4 != 0 {
                 let base = &rows[(rng.next_u64() as usize) % n];
-                let moves = moves_strat.generate(&mut rng);
-                base.iter()
-                    .zip(&moves)
-                    .map(|(&v, &m)| match m {
-                        0 => v,
-                        1 => v + 0.25,
-                        2 => v - 0.25,
-                        _ => -v,
-                    })
-                    .collect()
+                nudged(base, &moves_strat.generate(&mut rng))
             } else {
-                row_strat.generate(&mut rng)
+                store_rows(kind, 1, d, &mut rng).remove(0)
             };
-
-            let mut dts = 0u64;
-            let got = store.any_dominates(&q, &mut dts);
-            prop_assert_eq!((got, dts), ref_any_dominates(&rows, &q));
-
             let k = (rng.next_u64() as usize) % (n + 1);
-            let mut dts = 0u64;
-            let got = store.any_dominates_first(k, &q, &mut dts);
-            prop_assert_eq!((got, dts), ref_any_dominates_range(&rows, 0, k, &q), "k={}", k);
-
             let a = (rng.next_u64() as usize) % (n + 1);
             let b = (rng.next_u64() as usize) % (n + 1);
             let (start, end) = (a.min(b), a.max(b));
-            let mut dts = 0u64;
-            let got = store.any_dominates_range(start, end, &q, &mut dts);
-            prop_assert_eq!(
-                (got, dts),
-                ref_any_dominates_range(&rows, start, end, &q),
-                "range {}..{}", start, end
-            );
+            let want_any = ref_any_dominates(&rows, &q);
+            let want_first = ref_any_dominates_range(&rows, 0, k, &q);
+            let want_range = ref_any_dominates_range(&rows, start, end, &q);
+            let want_offer = ref_offer(&rows, &q);
 
-            for cap in [1u32, 2, 4, u32::MAX] {
+            for (lv, store) in &stores {
                 let mut dts = 0u64;
-                let got = store.count_dominators_range(start, end, &q, cap, &mut dts);
-                prop_assert_eq!(
-                    (got, dts),
-                    ref_count_dominators_range(&rows, start, end, &q, cap),
-                    "range {}..{} cap {}", start, end, cap
-                );
+                let got = store.any_dominates(&q, &mut dts);
+                prop_assert_eq!((got, dts), want_any, "{}", lv);
+
+                let mut dts = 0u64;
+                let got = store.any_dominates_first(k, &q, &mut dts);
+                prop_assert_eq!((got, dts), want_first, "{} k={}", lv, k);
+
+                let mut dts = 0u64;
+                let got = store.any_dominates_range(start, end, &q, &mut dts);
+                prop_assert_eq!((got, dts), want_range, "{} range {}..{}", lv, start, end);
+
+                for cap in [1u32, 2, 4, u32::MAX] {
+                    let mut dts = 0u64;
+                    let got = store.count_dominators_range(start, end, &q, cap, &mut dts);
+                    prop_assert_eq!(
+                        (got, dts),
+                        ref_count_dominators_range(&rows, start, end, &q, cap),
+                        "{} range {}..{} cap {}", lv, start, end, cap
+                    );
+                }
+
+                let mut window = store.clone();
+                let mut dts = 0u64;
+                let dominated = window.offer(&q, &mut dts, |_| {});
+                prop_assert_eq!((dominated, dts), (want_offer.0, want_offer.1), "{} offer", lv);
+                prop_assert_eq!(offered(store.clone(), &q), want_offer.2.clone(), "{} offer", lv);
             }
         }
     }
+}
+
+/// A candidate derived from `base` by per-coordinate moves: an exact
+/// tie, a quarter worse or better, a sign flip (±0.0 ties), or a
+/// one-ulp step (a tie on every code, resolved only by the `f32` row).
+fn nudged(base: &[f32], moves: &[u8]) -> Vec<f32> {
+    base.iter()
+        .zip(moves)
+        .map(|(&v, &m)| match m {
+            0 => v,
+            1 => v + 0.25,
+            2 => v - 0.25,
+            3 => -v,
+            _ => ulp_step(v, 1),
+        })
+        .collect()
+}
+
+/// `v` moved by `k` units in the last place, away from zero for
+/// positive `k` (the smallest subnormal for zero).
+fn ulp_step(v: f32, k: i32) -> f32 {
+    if v == 0.0 {
+        f32::from_bits(k.unsigned_abs())
+    } else {
+        f32::from_bits((v.to_bits() as i32 + k) as u32)
+    }
+}
+
+/// `n` rows of one of four kinds: the hostile alphabet; `quantize`d
+/// uniform rows (many exact ties); rows a few ulps apart around a base
+/// per column (one of them 1e6, where codes are coarse); and a mix of
+/// the three with constant columns.
+fn store_rows(kind: u8, n: usize, d: usize, rng: &mut proptest::TestRng) -> Vec<Vec<f32>> {
+    const BASES: [f32; 4] = [0.5, 1.0e6, -3.0, 1.1754942e-38];
+    let row_strat = proptest::collection::vec(coord_strategy(), d..=d);
+    let hostile = |rng: &mut proptest::TestRng| row_strat.generate(rng);
+    let quantized = |rng: &mut proptest::TestRng| {
+        let levels = [2u32, 3, 7][rng.below(3) as usize];
+        let flat: Vec<f32> = (0..d).map(|_| rng.unit_f64() as f32).collect();
+        quantize(&Dataset::from_flat(flat, d).expect("finite"), levels)
+            .values()
+            .to_vec()
+    };
+    let ulps = |rng: &mut proptest::TestRng| -> Vec<f32> {
+        (0..d)
+            .map(|j| ulp_step(BASES[j % BASES.len()], rng.below(4) as i32))
+            .collect()
+    };
+    let mut rows: Vec<Vec<f32>> = (0..n)
+        .map(|_| match kind {
+            0 => hostile(rng),
+            1 => quantized(rng),
+            2 => ulps(rng),
+            _ => match rng.below(3) {
+                0 => hostile(rng),
+                1 => quantized(rng),
+                _ => ulps(rng),
+            },
+        })
+        .collect();
+    if kind == 3 && n > 0 {
+        let c = rng.below(d as u64) as usize;
+        let v = rows[0][c];
+        for row in &mut rows {
+            row[c] = v;
+        }
+    }
+    rows
+}
+
+/// The true per-column range of `rows` (`[0, 1]` when there are none).
+fn range_of(rows: &[Vec<f32>], d: usize) -> ColumnRange {
+    if rows.is_empty() {
+        return ColumnRange::new(vec![0.0; d], vec![1.0; d]);
+    }
+    let mut r = ColumnRange::empty(d);
+    for row in rows {
+        r.include(row);
+    }
+    r
+}
+
+/// `truth` and wrong variants of it: 1000× too narrow, 1000× too wide,
+/// shifted by half its width, and empty (`lo == hi`).
+fn bad_ranges(truth: &ColumnRange) -> Vec<(&'static str, ColumnRange)> {
+    let map = |f: &dyn Fn(f32, f32) -> (f32, f32)| {
+        let (lo, hi) = truth
+            .lo()
+            .iter()
+            .zip(truth.hi())
+            .map(|(&lo, &hi)| f(lo, hi))
+            .unzip();
+        ColumnRange::new(lo, hi)
+    };
+    let mid = |lo: f32, hi: f32| lo / 2.0 + hi / 2.0;
+    let half = |lo: f32, hi: f32| hi / 2.0 - lo / 2.0;
+    vec![
+        ("true", truth.clone()),
+        (
+            "narrow",
+            map(&|lo, hi| {
+                (
+                    mid(lo, hi) - half(lo, hi) / 1000.0,
+                    mid(lo, hi) + half(lo, hi) / 1000.0,
+                )
+            }),
+        ),
+        (
+            "wide",
+            map(&|lo, hi| {
+                let w = half(lo, hi).max(1.0) * 1000.0;
+                (mid(lo, hi) - w, mid(lo, hi) + w)
+            }),
+        ),
+        (
+            "shifted",
+            map(&|lo, hi| (lo + half(lo, hi), hi + half(lo, hi))),
+        ),
+        ("lo == hi", map(&|lo, hi| (mid(lo, hi), mid(lo, hi)))),
+    ]
+}
+
+/// The points left in `store` after offering it `q`, in store order.
+fn offered(mut store: TileStore, q: &[f32]) -> Vec<Vec<f32>> {
+    store.offer(q, &mut 0, |_| {});
+    (0..store.len()).map(|i| store.point(i).to_vec()).collect()
+}
+
+/// BNL's window update over plain rows: `(dominated, DTs charged, the
+/// rows left in swap-remove order)`. The charge is one virtual 8-lane
+/// tile at a time through the one holding the first dominator; the
+/// evictions (only when nothing dominates `q`) run in descending
+/// position order.
+fn ref_offer(rows: &[Vec<f32>], q: &[f32]) -> (bool, u64, Vec<Vec<f32>>) {
+    if let Some(i) = rows.iter().position(|r| ref_sd(r, q)) {
+        let charged = rows.len().min((i / TILE_LANES + 1) * TILE_LANES);
+        return (true, charged as u64, rows.to_vec());
+    }
+    let mut left = rows.to_vec();
+    for pos in (0..rows.len()).rev() {
+        if ref_sd(q, &rows[pos]) {
+            left.swap_remove(pos);
+        }
+    }
+    (false, rows.len() as u64, left)
 }
 
 // Reference scans over plain rows, charging dominance tests at the

@@ -33,6 +33,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use skyline_core::dominance::simd::ColumnRange;
 use skyline_data::{Dataset, PartitionerKind, ShardedStore};
 
 use crate::error::EngineError;
@@ -70,6 +71,18 @@ const EMPTY_DIM: DimStats = DimStats {
 pub struct DatasetStats {
     /// Per-dimension summaries over the live rows.
     pub per_dim: Vec<DimStats>,
+}
+
+impl DatasetStats {
+    /// The per-dimension `[min, max]` bounds, for the code tiles of the
+    /// engine's dominance scans (project it onto a query's folded
+    /// dimensions with [`ColumnRange::project`]).
+    pub fn column_range(&self) -> ColumnRange {
+        ColumnRange::new(
+            self.per_dim.iter().map(|s| s.min).collect(),
+            self.per_dim.iter().map(|s| s.max).collect(),
+        )
+    }
 }
 
 /// Mutation batches kept in the delta log. Cached results older than
@@ -307,6 +320,10 @@ impl DatasetEntry {
 impl skyline_core::maintain::RowSource for DatasetEntry {
     fn point_of(&self, id: u32) -> &[f32] {
         self.point(id)
+    }
+
+    fn column_range(&self) -> Option<ColumnRange> {
+        Some(self.stats.column_range())
     }
 }
 

@@ -1458,7 +1458,8 @@ impl EngineShared {
         let width = dims.len();
         let started = trace.now();
         let max_mask = prepared.max_mask;
-        let mut filter = TileStore::with_capacity(width, members.len());
+        let bounds = entry.stats().column_range().project(dims, max_mask);
+        let mut filter = TileStore::with_range(&bounds, members.len());
         let mut folded = vec![0.0f32; width];
         for &id in members.iter() {
             fold_row(entry.point(id), dims, max_mask, &mut folded);

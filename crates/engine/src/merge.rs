@@ -48,7 +48,7 @@
 //! [`TileStore::push`]: skyline_core::dominance::simd::TileStore::push
 
 use skyline_core::algo::Algorithm;
-use skyline_core::dominance::simd::TileStore;
+use skyline_core::dominance::simd::{ColumnRange, TileStore};
 use skyline_core::SkylineConfig;
 use skyline_data::Dataset;
 use skyline_parallel::ThreadPool;
@@ -149,21 +149,24 @@ pub fn merge_locals(
     if stats.candidates == 0 || k == 0 {
         return (Vec::new(), stats);
     }
-    let witnesses = witness_tile(dims, locals);
+    let (witnesses, bounds) = witness_tile(dims, locals);
     stats.witnesses = witnesses.len();
     let out = if k == 1 {
         merge_skyline(dims, locals, &witnesses, pool, &mut stats)
     } else {
-        merge_skyband(dims, k, locals, &witnesses, &mut stats)
+        merge_skyband(dims, k, locals, &witnesses, &bounds, &mut stats)
     };
     stats.survivors = out.len();
     (out, stats)
 }
 
 /// Per shard, the per-dimension minima and the minimum-sum member of
-/// its local result.
-fn witness_tile(dims: usize, locals: &[ShardLocal]) -> TileStore {
-    let mut witnesses = TileStore::new(dims);
+/// its local result, in a store coded against the column range of all
+/// candidates, which the minimum-sum pass takes and which is returned
+/// beside it.
+fn witness_tile(dims: usize, locals: &[ShardLocal]) -> (TileStore, ColumnRange) {
+    let mut bounds = ColumnRange::empty(dims);
+    let mut rows: Vec<&[f32]> = Vec::new();
     for local in locals {
         let n = local.ids.len();
         if n == 0 {
@@ -182,10 +185,9 @@ fn witness_tile(dims: usize, locals: &[ShardLocal]) -> TileStore {
         let mut best_sum = 0usize;
         let mut best = f64::INFINITY;
         for r in 0..n {
-            let s: f64 = local.rows[r * dims..(r + 1) * dims]
-                .iter()
-                .map(|&v| v as f64)
-                .sum();
+            let row = &local.rows[r * dims..(r + 1) * dims];
+            bounds.include(row);
+            let s: f64 = row.iter().map(|&v| v as f64).sum();
             if s < best {
                 best = s;
                 best_sum = r;
@@ -194,11 +196,13 @@ fn witness_tile(dims: usize, locals: &[ShardLocal]) -> TileStore {
         picks.push(best_sum);
         picks.sort_unstable();
         picks.dedup();
-        for r in picks {
-            witnesses.push(&local.rows[r * dims..(r + 1) * dims]);
-        }
+        rows.extend(picks.iter().map(|&r| &local.rows[r * dims..(r + 1) * dims]));
     }
-    witnesses
+    let mut witnesses = TileStore::with_range(&bounds, rows.len());
+    for row in rows {
+        witnesses.push(row);
+    }
+    (witnesses, bounds)
 }
 
 /// `k = 1`: the witness probe, then SFS/Hybrid on `pool` over the
@@ -246,6 +250,7 @@ fn merge_skyband(
     k: u32,
     locals: &[ShardLocal],
     witnesses: &TileStore,
+    bounds: &ColumnRange,
     stats: &mut MergeStats,
 ) -> Vec<(u32, u32)> {
     let total = stats.candidates;
@@ -268,7 +273,7 @@ fn merge_skyband(
         &locals[li as usize].rows[base..base + dims]
     };
 
-    let mut tile = TileStore::with_capacity(dims, total);
+    let mut tile = TileStore::with_range(bounds, total);
     for &(_, li, r) in &order {
         tile.push(row_of(li, r));
     }

@@ -2,7 +2,7 @@
 //! the definitionally correct skyline on every workload family.
 
 use skybench::prelude::*;
-use skybench::{generate, quantize, verify};
+use skybench::{generate, quantize, verify, PlannerConfig, Strategy};
 
 fn assert_all_agree(data: &Dataset, label: &str) {
     let expect = verify::naive_skyline(data);
@@ -108,4 +108,68 @@ fn extreme_magnitudes() {
     ])
     .unwrap();
     assert_all_agree(&data, "extreme magnitudes");
+}
+
+/// `v` moved `k` units in the last place (away from zero).
+fn ulps(v: f32, k: u32) -> f32 {
+    f32::from_bits(v.to_bits() + k)
+}
+
+/// Rows whose codes cannot decide a single dominance test: column 0
+/// spans 1e6 (one code bucket is ~15 wide) while the middle rows sit a
+/// few ulps apart at 5e5, and the other columns sit a few ulps apart at
+/// 0.5 inside `[0, 1]`. Every middle row's offsets sum to 10, 11 or 12,
+/// so the sum-10 rows form a large antichain and the others are
+/// dominated by some of them. Every tile scan over these rows ties on
+/// codes and is decided by the exact `f32` re-check; all 12 algorithms
+/// and one engine query under `Max` preferences (whose fold must happen
+/// before the rows are coded) must still match the naive oracle.
+#[test]
+fn values_closer_than_one_code_bucket() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let mut rows = vec![vec![0.0f32, 1.0, 1.0, 1.0], vec![1e6, 0.0, 0.0, 0.0]];
+    while rows.len() < 3_000 {
+        let offsets: Vec<u32> = (0..4).map(|_| next(6) as u32).collect();
+        if !(10..=12).contains(&offsets.iter().sum::<u32>()) {
+            continue;
+        }
+        let mut row = vec![ulps(5e5, offsets[0])];
+        row.extend(offsets[1..].iter().map(|&o| ulps(0.5, o)));
+        rows.push(row);
+    }
+    let data = Dataset::from_rows(&rows).unwrap();
+    let sky = verify::naive_skyline(&data);
+    assert!(sky.len() > 100, "the antichain is large: {}", sky.len());
+    assert_all_agree(&data, "values closer than one code bucket");
+
+    // Below `small_n` the engine plans SFS, above it Hybrid; a small
+    // `small_n` makes this query run Hybrid on the folded rows.
+    let engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        cache_bytes: 0,
+        planner: PlannerConfig {
+            small_n: 512,
+            ..PlannerConfig::default()
+        },
+        ..EngineConfig::default()
+    });
+    engine.register("close", data.clone());
+    let prefs = [
+        Preference::Max,
+        Preference::Min,
+        Preference::Max,
+        Preference::Min,
+    ];
+    let got = engine
+        .execute(&SkylineQuery::new("close").preference(prefs))
+        .unwrap();
+    assert_eq!(got.plan.strategy, Strategy::Algorithm(Algorithm::Hybrid));
+    let expect = verify::naive_skyline_on_pref(&data, &[0, 1, 2, 3], 0b0101);
+    assert_eq!(got.indices(), expect.as_slice());
 }
