@@ -596,7 +596,6 @@ struct DominanceRow {
     window: usize,
     scalar_ns: f64,
     lanes_ns: f64,
-    simd_ns: f64,
     batch_ns: f64,
 }
 
@@ -606,18 +605,19 @@ struct DominanceRow {
 /// exit, the case vectorisation is for:
 ///
 /// * `scalar` — early-exit one-vs-one loop;
-/// * `lanes` — the branch-free auto-vectorised one-vs-one kernel;
-/// * `simd` — the explicit one-vs-one kernel at the active level
-///   (AVX2/SSE2/NEON; scalar when `SKYLINE_FORCE_SCALAR` is set);
-/// * `batch` — the batched one-vs-many tile scan (`TileStore`), the
-///   shape the window loops actually run.
+/// * `lanes` — the branch-free auto-vectorised one-vs-one kernel that
+///   [`dt`](skyline_core::dominance::dt) runs from d = 8;
+/// * `batch` — the batched one-vs-many tile scan (`TileStore`): the
+///   AVX2 kernel where the CPU has it, the portable one otherwise or
+///   when `SKYLINE_FORCE_SCALAR` is set. It is the shape the window
+///   loops actually run.
 ///
 /// Prints one machine-readable line per dimensionality (`*_ns` are
 /// per-DT nanoseconds; `batch_vs_lanes` is the speedup of the batched
 /// kernel over the `lanes` window scan) and returns the rows it printed:
 ///
 /// ```text
-/// ABLATION_DOMINANCE level=avx2 d=8 window=512 scalar_ns=.. lanes_ns=.. simd_ns=.. batch_ns=.. batch_vs_lanes=..x
+/// ABLATION_DOMINANCE level=avx2 d=8 window=512 scalar_ns=.. lanes_ns=.. batch_ns=.. batch_vs_lanes=..x
 /// ```
 fn ablation_dominance(scale: Scale) -> Vec<DominanceRow> {
     let budget = match scale {
@@ -641,11 +641,6 @@ fn ablation_dominance(scale: Scale) -> Vec<DominanceRow> {
                 .filter(|q| win.iter().any(|w| strictly_dominates_lanes(w, q)))
                 .count()
         }) / dts;
-        let simd_ns = ns_per_call(budget, || {
-            cand.iter()
-                .filter(|q| win.iter().any(|w| simd::strictly_dominates(w, q)))
-                .count()
-        }) / dts;
         let mut tiles = TileStore::with_capacity(d, win.len());
         for w in &win {
             tiles.push(w);
@@ -663,18 +658,16 @@ fn ablation_dominance(scale: Scale) -> Vec<DominanceRow> {
             window,
             scalar_ns,
             lanes_ns,
-            simd_ns,
             batch_ns,
         };
         println!(
             "ABLATION_DOMINANCE level={} d={} window={} scalar_ns={:.3} lanes_ns={:.3} \
-             simd_ns={:.3} batch_ns={:.3} batch_vs_lanes={:.2}x",
+             batch_ns={:.3} batch_vs_lanes={:.2}x",
             row.level,
             row.d,
             row.window,
             row.scalar_ns,
             row.lanes_ns,
-            row.simd_ns,
             row.batch_ns,
             row.lanes_ns / row.batch_ns,
         );
@@ -834,7 +827,7 @@ mod tests {
         for r in &rows {
             assert_eq!(r.level, simd::active_level().name());
             assert_eq!(r.window, 512);
-            for ns in [r.scalar_ns, r.lanes_ns, r.simd_ns, r.batch_ns] {
+            for ns in [r.scalar_ns, r.lanes_ns, r.batch_ns] {
                 assert!(ns.is_finite() && ns > 0.0, "d = {}: {ns}", r.d);
             }
         }

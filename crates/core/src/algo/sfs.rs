@@ -69,6 +69,36 @@ mod tests {
     }
 
     #[test]
+    fn entropy_key_orders_large_coordinates() {
+        // Coordinates around 5·10⁵ overflow a naive softplus (eˣ = +∞),
+        // which ties every key; the sort must still be dominance-consistent.
+        let pool = ThreadPool::new(2);
+        let base = generate(Distribution::Anticorrelated, 600, 4, 21, &pool);
+        let flat = base.values().iter().map(|&v| 5.0e5 * (1.0 + v)).collect();
+        let data = Dataset::from_flat(flat, 4).unwrap();
+        let cfg = SkylineConfig {
+            sort_key: SortKey::Entropy,
+            ..Default::default()
+        };
+        assert_eq!(run(&data, &pool, &cfg).indices, naive_skyline(&data));
+    }
+
+    #[test]
+    fn entropy_key_orders_rows_one_ulp_apart() {
+        // 0.30000004 and the next float: a softplus that sums a rising and
+        // a falling term gives the larger one the smaller key, and SFS's
+        // final window inserts would keep the dominated row.
+        let (lo, hi) = (f32::from_bits(0x3e99_999b), f32::from_bits(0x3e99_999c));
+        let data = Dataset::from_flat(vec![hi, 0.7, lo, 0.7], 2).unwrap();
+        let cfg = SkylineConfig {
+            sort_key: SortKey::Entropy,
+            ..Default::default()
+        };
+        let pool = ThreadPool::new(1);
+        assert_eq!(run(&data, &pool, &cfg).indices, naive_skyline(&data));
+    }
+
+    #[test]
     fn window_is_skyline_only() {
         // Every window insertion in SFS is final: verify via DT count on a
         // chain where each point is pruned by the first window entry.

@@ -7,25 +7,28 @@
 //! * [`strictly_dominates`] — early-exit scalar test of Definition 2
 //!   (`p ≺ q ⟺ ∀i p[i] ≤ q[i] ∧ ∃i p[i] < q[i]`);
 //! * [`strictly_dominates_lanes`] — a branch-free 8-lane form of the
-//!   same test that LLVM auto-vectorises; it is the portable fallback
-//!   behind the explicit kernels in [`simd`] and the scalar baseline the
-//!   dominance ablation compares against;
-//! * [`simd`] — the real hardware-acceleration layer: explicit AVX2 /
-//!   SSE2 / NEON implementations of the paper's hand-written vectorized
-//!   DT (§VII-A2, "8-degree data-level parallelism") behind one-time
-//!   runtime CPU dispatch, plus the batched one-vs-many tiles: the
-//!   16-lane, 16-bit code tiles of [`TileStore`](simd::TileStore) the
-//!   window scans consume (with an exact `f32` re-check of code ties)
-//!   and the `f32` [`DtBlock`](simd::DtBlock) of the pre-filter's
-//!   queues;
-//! * [`dominates_or_equal`] — potential dominance `p ⪯ q` (Definition 1);
-//! * [`compare`] — both directions in one pass, for the window algorithms
-//!   (BNL) that need them simultaneously.
+//!   same test that LLVM auto-vectorises, with one exit per 8-block;
+//! * [`dt`] — the one-vs-one DT every algorithm calls: lanes from
+//!   d = 8, scalar below;
+//! * [`compare`] — both directions in one pass, in the same shape as
+//!   [`dt`], for the window algorithms (SSkyline, BSkyTree's fallback)
+//!   that need them simultaneously;
+//! * [`simd`] — the hardware-acceleration layer: the paper's
+//!   hand-written vectorized DT (§VII-A2, "8-degree data-level
+//!   parallelism") where one candidate meets many points, behind
+//!   one-time runtime CPU dispatch: the 16-lane, 16-bit code tiles of
+//!   [`TileStore`](simd::TileStore) the window scans consume (with an
+//!   exact `f32` re-check of code ties) and the `f32`
+//!   [`DtBlock`](simd::DtBlock) of the pre-filter's queues.
 //!
 //! All algorithms route through [`dt`] (or through [`simd::TileStore`]
 //! windows, which batch the same test), so every algorithm gets the same
 //! optimised DT — exactly as the paper demands "for a fair comparison".
-//! Set `SKYLINE_FORCE_SCALAR=1` to pin the process to the portable
+//! The one-vs-one kernels are plain Rust on purpose: they inline into
+//! their callers, which a `#[target_feature]` kernel cannot, and LLVM's
+//! codegen of the lanes form beats an explicit one-vs-one kernel behind
+//! a dispatch call (see the `ABLATION_DOMINANCE` lines in the README).
+//! Set `SKYLINE_FORCE_SCALAR=1` to pin the tile scans to the portable
 //! kernels (see [`simd::active_level`]). `skybench ablation-dominance`
 //! reproduces the scalar-versus-vectorised comparison.
 
@@ -91,18 +94,10 @@ pub fn strictly_dominates_lanes(p: &[f32], q: &[f32]) -> bool {
     lt
 }
 
-/// The dispatching DT used by every algorithm: lane kernel once a full
-/// 8-block exists, scalar below that.
-///
-/// The one-vs-one path deliberately stays on the *inlineable*
-/// [`strictly_dominates_lanes`] rather than the explicit
-/// [`simd::strictly_dominates`]: `#[target_feature]` kernels cannot
-/// inline into ordinary callers, and the measured dispatch-call cost
-/// (~1.5 ns/DT on AVX2) exceeds what explicit vectorisation buys over
-/// LLVM's codegen of the lanes form (see the `ABLATION_DOMINANCE`
-/// summary: `lanes` vs `simd` columns). The explicit kernels win where
-/// the call is amortised — the batched [`simd::TileStore`] window
-/// scans, which is where the hot loops live.
+/// The one-vs-one DT used by every algorithm: lane kernel once a full
+/// 8-block exists, scalar below that. Both inline into the caller; the
+/// explicit vector kernels live where a scan amortises the call, in
+/// [`simd::TileStore`] and [`simd::DtBlock`].
 #[inline]
 pub fn dt(p: &[f32], q: &[f32]) -> bool {
     if p.len() >= 8 {
@@ -113,11 +108,8 @@ pub fn dt(p: &[f32], q: &[f32]) -> bool {
 }
 
 /// Strict dominance `p ≺ q` restricted to the subspace spanned by
-/// `dims` (each an index into the full-space rows).
-///
-/// Evaluating dominance on a projection *without materialising it* is
-/// what lets the query engine's planner sample subspace skyline density
-/// straight off the registered full-space rows.
+/// `dims` (each an index into the full-space rows), evaluated on the
+/// full-space rows without materialising the projection.
 #[inline]
 pub fn strictly_dominates_on(p: &[f32], q: &[f32], dims: &[usize]) -> bool {
     debug_assert_eq!(p.len(), q.len());
@@ -129,13 +121,6 @@ pub fn strictly_dominates_on(p: &[f32], q: &[f32], dims: &[usize]) -> bool {
         lt |= p[d] < q[d];
     }
     lt
-}
-
-/// Potential dominance `p ⪯ q` restricted to the subspace `dims`.
-#[inline]
-pub fn dominates_or_equal_on(p: &[f32], q: &[f32], dims: &[usize]) -> bool {
-    debug_assert_eq!(p.len(), q.len());
-    dims.iter().all(|&d| p[d] <= q[d])
 }
 
 /// Strict dominance `p ≺ q` restricted to the subspace `dims`, with
@@ -168,33 +153,17 @@ pub fn strictly_dominates_on_pref(p: &[f32], q: &[f32], dims: &[usize], max_mask
     lt
 }
 
-/// Potential dominance `p ⪯ q` (Definition 1): `∀i p[i] ≤ q[i]`.
-/// Wide rows dispatch to the explicit SIMD kernel.
-#[inline]
-pub fn dominates_or_equal(p: &[f32], q: &[f32]) -> bool {
-    debug_assert_eq!(p.len(), q.len());
-    if p.len() >= 8 {
-        simd::dominates_or_equal(p, q)
-    } else {
-        p.iter().zip(q).all(|(a, b)| a <= b)
-    }
-}
-
-/// Coordinate-wise equality `p ≡ q`.
-#[inline]
-pub fn coincident(p: &[f32], q: &[f32]) -> bool {
-    debug_assert_eq!(p.len(), q.len());
-    p.iter().zip(q).all(|(a, b)| a == b)
-}
-
 /// Single-pass two-way comparison, for algorithms that need both
-/// directions (window maintenance in BNL). Wide rows dispatch to the
-/// explicit SIMD kernel.
+/// directions. Shaped like [`dt`]: from d = 8 both `≤` masks accumulate
+/// branch-free over each 8-block, with one exit per block; below that,
+/// a scalar loop that exits per coordinate.
 #[inline]
 pub fn compare(p: &[f32], q: &[f32]) -> DomRelation {
     debug_assert_eq!(p.len(), q.len());
+    // A separate lanes function keeps the short loop's codegen apart:
+    // one body for both measured ~20 % slower at d = 4.
     if p.len() >= 8 {
-        return simd::compare(p, q);
+        return compare_lanes(p, q);
     }
     let mut p_le = true;
     let mut q_le = true;
@@ -205,11 +174,42 @@ pub fn compare(p: &[f32], q: &[f32]) -> DomRelation {
             return DomRelation::Incomparable;
         }
     }
+    relation(p_le, q_le)
+}
+
+/// [`compare`] from d = 8: the 8-blocks, then the tail, branch-free.
+#[inline]
+fn compare_lanes(p: &[f32], q: &[f32]) -> DomRelation {
+    const LANES: usize = 8;
+    let mut p_le = true;
+    let mut q_le = true;
+    let chunks = p.len() / LANES;
+    for c in 0..chunks {
+        let pa: &[f32; LANES] = p[c * LANES..(c + 1) * LANES].try_into().unwrap();
+        let qa: &[f32; LANES] = q[c * LANES..(c + 1) * LANES].try_into().unwrap();
+        for k in 0..LANES {
+            p_le &= pa[k] <= qa[k];
+            q_le &= qa[k] <= pa[k];
+        }
+        if !p_le && !q_le {
+            return DomRelation::Incomparable;
+        }
+    }
+    for (a, b) in p[chunks * LANES..].iter().zip(&q[chunks * LANES..]) {
+        p_le &= a <= b;
+        q_le &= b <= a;
+    }
+    relation(p_le, q_le)
+}
+
+/// Classifies `(p ⪯ q, q ⪯ p)`.
+#[inline]
+fn relation(p_le: bool, q_le: bool) -> DomRelation {
     match (p_le, q_le) {
         (true, true) => DomRelation::Equal,
         (true, false) => DomRelation::PDominatesQ,
         (false, true) => DomRelation::QDominatesP,
-        (false, false) => unreachable!("handled by the early exit"),
+        (false, false) => DomRelation::Incomparable,
     }
 }
 
@@ -241,8 +241,9 @@ mod tests {
     #[test]
     fn kernels_agree_exhaustively() {
         // Exhaustive over small coordinate alphabets and many dims,
-        // including the lane kernel's remainder path.
+        // including the lane kernels' remainder paths.
         let alphabet = [0.0f32, 1.0, 2.0];
+        let le = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x <= y);
         for d in [1usize, 2, 3, 7, 8, 9, 15, 16, 17] {
             let mut p = vec![0.0f32; d];
             let mut q = vec![0.0f32; d];
@@ -260,6 +261,13 @@ mod tests {
                     "lanes d={d} {p:?} {q:?}"
                 );
                 assert_eq!(dt(&p, &q), want, "dt d={d}");
+                let want_cmp = match (le(&p, &q), le(&q, &p)) {
+                    (true, true) => DomRelation::Equal,
+                    (true, false) => DomRelation::PDominatesQ,
+                    (false, true) => DomRelation::QDominatesP,
+                    (false, false) => DomRelation::Incomparable,
+                };
+                assert_eq!(compare(&p, &q), want_cmp, "compare d={d} {p:?} {q:?}");
             }
         }
     }
@@ -277,7 +285,7 @@ mod tests {
             match rel {
                 DomRelation::PDominatesQ => assert!(strictly_dominates(p, q)),
                 DomRelation::QDominatesP => assert!(strictly_dominates(q, p)),
-                DomRelation::Equal => assert!(coincident(p, q)),
+                DomRelation::Equal => assert_eq!(p, q),
                 DomRelation::Incomparable => {
                     assert!(!strictly_dominates(p, q) && !strictly_dominates(q, p));
                 }
@@ -307,15 +315,9 @@ mod tests {
                 strictly_dominates(&proj(&p), &proj(&q)),
                 "{dims:?}"
             );
-            assert_eq!(
-                dominates_or_equal_on(&p, &q, dims),
-                dominates_or_equal(&proj(&p), &proj(&q)),
-                "{dims:?}"
-            );
         }
         // Coincident on a subspace ⇒ no strict dominance there.
         assert!(!strictly_dominates_on(&p, &q, &[2]));
-        assert!(dominates_or_equal_on(&p, &q, &[2]));
     }
 
     #[test]
@@ -345,13 +347,6 @@ mod tests {
             strictly_dominates_on_pref(&p, &q, &[0, 1], 0),
             strictly_dominates_on(&p, &q, &[0, 1])
         );
-    }
-
-    #[test]
-    fn weak_dominance_includes_equality() {
-        assert!(dominates_or_equal(&[1.0, 2.0], &[1.0, 2.0]));
-        assert!(dominates_or_equal(&[1.0, 2.0], &[1.0, 3.0]));
-        assert!(!dominates_or_equal(&[1.0, 4.0], &[1.0, 3.0]));
     }
 
     #[test]

@@ -2,14 +2,11 @@
 //! parallelism").
 //!
 //! The paper's single biggest micro-optimisation is a hand-written
-//! vectorized dominance test shared by every algorithm. This module is
-//! that kernel layer, in three shapes:
+//! vectorized dominance test shared by every algorithm. An explicit
+//! kernel pays off where one candidate meets many points, so this
+//! module holds only the two batched one-vs-many shapes; one-vs-one
+//! tests stay on the inlineable forms in [`super`](crate::dominance).
 //!
-//! * **One-vs-one** kernels ([`strictly_dominates`],
-//!   [`dominates_or_equal`], [`compare`]): explicit `core::arch`
-//!   implementations of the scalar tests in [`super`](crate::dominance),
-//!   processing 8 (AVX2) or 4 (SSE2 / NEON) coordinates per instruction
-//!   with a per-chunk early exit.
 //! * **One f32 tile**, [`DtBlock`]: a transposed SoA tile of up to
 //!   [`TILE_LANES`] points, column-major in a 32-byte-aligned buffer,
 //!   tested against one candidate with one aligned load, one broadcast
@@ -63,20 +60,20 @@
 //!
 //! The instruction set is picked **once per process** by
 //! [`active_level`]: AVX2 where the CPU supports it, SSE2 on any other
-//! `x86_64`, NEON on `aarch64`, and the portable
-//! [`strictly_dominates_lanes`](crate::dominance::strictly_dominates_lanes)
-//! / scalar loops everywhere else. The code-tile kernels exist at two
-//! levels: AVX2, and a portable form (branch-free over 16 lanes, which
-//! LLVM vectorises) that every other level runs. Setting the
-//! environment variable **`SKYLINE_FORCE_SCALAR`** (to anything but
-//! `0` or the empty string) before first use pins the process to the
-//! scalar level — the switch CI uses to prove the vector and scalar
-//! paths compute identical skylines. (Forced-scalar is a correctness
-//! lane: the portable kernels are several times slower than the vector
-//! ones, which is the point of the explicit layer.)
+//! `x86_64`, NEON on `aarch64`, and portable Rust everywhere else. The
+//! [`DtBlock`] kernel exists at all four levels. The code-tile kernels
+//! exist at two: AVX2, and a portable form (branch-free over 16 lanes,
+//! which LLVM vectorises) that every other level runs. So SSE2 and NEON
+//! mean "the `DtBlock` kernel at that instruction set, portable code
+//! everywhere else". Setting the environment variable
+//! **`SKYLINE_FORCE_SCALAR`** (to anything but `0` or the empty string)
+//! before first use pins the process to the portable level — the switch
+//! CI uses to prove the vector and portable paths compute identical
+//! skylines. (Forced-scalar is a correctness lane: the portable tile
+//! kernels are several times slower than the vector ones, which is the
+//! point of the explicit layer.)
 //!
-//! Every one-vs-one and `f32` tile kernel also exists in a
-//! `*_with(level, ..)` form taking an explicit [`Level`], and
+//! [`DtBlock::dominators_with`] takes an explicit [`Level`], and
 //! [`TileStore::with_level`] pins a store to one; both *ignore* the
 //! environment override, so the equivalence test suite runs all
 //! [available](Level::available) levels against the scalar reference in
@@ -96,7 +93,7 @@ use std::sync::OnceLock;
 
 use skyline_data::AlignedF32;
 
-use super::{strictly_dominates as row_dominates, DomRelation};
+use super::strictly_dominates as row_dominates;
 
 /// Points per [`DtBlock`] tile — the width of one AVX2 `f32` register,
 /// the paper's "8-degree data-level parallelism" — and per virtual tile
@@ -106,13 +103,15 @@ pub const TILE_LANES: usize = 8;
 /// An instruction-set level the dominance kernels can run at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
-    /// Portable Rust: the branch-free lane kernels plus scalar loops.
+    /// Portable Rust: branch-free tile kernels that LLVM vectorises.
     Scalar,
-    /// 128-bit SSE2 (baseline on every `x86_64`).
+    /// 128-bit SSE2 (baseline on every `x86_64`) for [`DtBlock`];
+    /// code tiles run portable.
     Sse2,
     /// 256-bit AVX2.
     Avx2,
-    /// 128-bit NEON (baseline on every `aarch64`).
+    /// 128-bit NEON (baseline on every `aarch64`) for [`DtBlock`];
+    /// code tiles run portable.
     Neon,
 }
 
@@ -127,9 +126,9 @@ impl Level {
         }
     }
 
-    /// Every level usable on this CPU, scalar first. Passing a level
-    /// that is *not* in this list to a `*_with` kernel silently falls
-    /// back to scalar.
+    /// Every level usable on this CPU, scalar first.
+    /// [`DtBlock::dominators_with`] expects a level from this list;
+    /// [`TileStore::with_level`] runs the portable kernels for any other.
     pub fn available() -> Vec<Level> {
         let mut out = vec![Level::Scalar];
         #[cfg(target_arch = "x86_64")]
@@ -191,106 +190,6 @@ pub fn flip_pref(x: f32, flip: bool) -> f32 {
 }
 
 // --------------------------------------------------------------------
-// One-vs-one kernels
-// --------------------------------------------------------------------
-
-/// Strict dominance `p ≺ q` at the [`active_level`].
-#[inline]
-pub fn strictly_dominates(p: &[f32], q: &[f32]) -> bool {
-    strictly_dominates_with(active_level(), p, q)
-}
-
-/// Strict dominance `p ≺ q` at an explicit level (ignores the
-/// environment override; unavailable levels fall back to scalar).
-#[inline]
-pub fn strictly_dominates_with(level: Level, p: &[f32], q: &[f32]) -> bool {
-    debug_assert_eq!(p.len(), q.len());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the AVX2 arm is only reachable when the caller got the
-        // level from `active_level`/`available` (CPU verified) or opted
-        // into an explicit level on a CPU that has it.
-        Level::Avx2 => unsafe { x86::sd_avx2(p, q) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { x86::sd_sse2(p, q) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::sd_neon(p, q) },
-        _ => crate::dominance::strictly_dominates_lanes(p, q),
-    }
-}
-
-/// Potential dominance `p ⪯ q` at the [`active_level`].
-#[inline]
-pub fn dominates_or_equal(p: &[f32], q: &[f32]) -> bool {
-    dominates_or_equal_with(active_level(), p, q)
-}
-
-/// Potential dominance `p ⪯ q` at an explicit level.
-#[inline]
-pub fn dominates_or_equal_with(level: Level, p: &[f32], q: &[f32]) -> bool {
-    debug_assert_eq!(p.len(), q.len());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `strictly_dominates_with`.
-        Level::Avx2 => unsafe { x86::de_avx2(p, q) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { x86::de_sse2(p, q) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::de_neon(p, q) },
-        _ => p.iter().zip(q).all(|(a, b)| a <= b),
-    }
-}
-
-/// Two-way comparison at the [`active_level`].
-#[inline]
-pub fn compare(p: &[f32], q: &[f32]) -> DomRelation {
-    compare_with(active_level(), p, q)
-}
-
-/// Two-way comparison at an explicit level.
-#[inline]
-pub fn compare_with(level: Level, p: &[f32], q: &[f32]) -> DomRelation {
-    debug_assert_eq!(p.len(), q.len());
-    let (p_le, q_le) = match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see `strictly_dominates_with`.
-        Level::Avx2 => unsafe { x86::both_le_avx2(p, q) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Level::Sse2 => unsafe { x86::both_le_sse2(p, q) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Level::Neon => unsafe { neon::both_le_neon(p, q) },
-        _ => both_le_scalar(p, q),
-    };
-    match (p_le, q_le) {
-        (true, true) => DomRelation::Equal,
-        (true, false) => DomRelation::PDominatesQ,
-        (false, true) => DomRelation::QDominatesP,
-        (false, false) => DomRelation::Incomparable,
-    }
-}
-
-/// `(∀i p[i] ≤ q[i], ∀i q[i] ≤ p[i])` — the reduction [`compare`]
-/// classifies. Portable form with block-level early exit.
-fn both_le_scalar(p: &[f32], q: &[f32]) -> (bool, bool) {
-    let mut p_le = true;
-    let mut q_le = true;
-    for (a, b) in p.iter().zip(q) {
-        p_le &= a <= b;
-        q_le &= b <= a;
-        if !p_le && !q_le {
-            return (false, false);
-        }
-    }
-    (p_le, q_le)
-}
-
-// --------------------------------------------------------------------
 // One f32 tile
 // --------------------------------------------------------------------
 
@@ -346,8 +245,9 @@ impl DtBlock {
         debug_assert_eq!(q.len(), self.d);
         match level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: see `strictly_dominates_with`; `cols` is d×8 and
-            // 32-byte aligned by construction.
+            // SAFETY: the AVX2 arm is only reachable when the caller got
+            // the level from `active_level`/`available` (CPU verified);
+            // `cols` is d×8 and 32-byte aligned by construction.
             Level::Avx2 => unsafe { x86::tile_dominators_avx2(&self.cols, self.d, q) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is part of the x86_64 baseline.
@@ -1073,138 +973,12 @@ mod x86 {
 
     use super::{CodeCol, CodeMasks, TileStore, TILE_LANES};
 
-    // ---- one-vs-one -------------------------------------------------
-
-    // All kernels test `LE` directly rather than inferring it from the
+    // ---- one f32 tile ----------------------------------------------
+    //
+    // The kernels test `LE` directly rather than inferring it from the
     // absence of `GT`: the two are equivalent only for ordered values,
     // and the scalar references treat unordered (NaN) comparisons as
     // "not ≤", so the vector levels must too.
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sd_avx2(p: &[f32], q: &[f32]) -> bool {
-        let d = p.len();
-        let mut lt = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= d {
-            let pv = _mm256_loadu_ps(p.as_ptr().add(j));
-            let qv = _mm256_loadu_ps(q.as_ptr().add(j));
-            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(pv, qv)) != 0xFF {
-                return false;
-            }
-            lt = _mm256_or_ps(lt, _mm256_cmp_ps::<_CMP_LT_OQ>(pv, qv));
-            j += 8;
-        }
-        let mut lt_tail = false;
-        while j < d {
-            if p[j] > q[j] {
-                return false;
-            }
-            lt_tail |= p[j] < q[j];
-            j += 1;
-        }
-        lt_tail || _mm256_movemask_ps(lt) != 0
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn de_avx2(p: &[f32], q: &[f32]) -> bool {
-        let d = p.len();
-        let mut j = 0;
-        while j + 8 <= d {
-            let pv = _mm256_loadu_ps(p.as_ptr().add(j));
-            let qv = _mm256_loadu_ps(q.as_ptr().add(j));
-            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(pv, qv)) != 0xFF {
-                return false;
-            }
-            j += 8;
-        }
-        p[j..].iter().zip(&q[j..]).all(|(a, b)| a <= b)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn both_le_avx2(p: &[f32], q: &[f32]) -> (bool, bool) {
-        let d = p.len();
-        let (mut p_le, mut q_le) = (true, true);
-        let mut j = 0;
-        while j + 8 <= d {
-            let pv = _mm256_loadu_ps(p.as_ptr().add(j));
-            let qv = _mm256_loadu_ps(q.as_ptr().add(j));
-            p_le &= _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(pv, qv)) == 0xFF;
-            q_le &= _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(qv, pv)) == 0xFF;
-            if !p_le && !q_le {
-                return (false, false);
-            }
-            j += 8;
-        }
-        for (a, b) in p[j..].iter().zip(&q[j..]) {
-            p_le &= a <= b;
-            q_le &= b <= a;
-        }
-        (p_le, q_le)
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sd_sse2(p: &[f32], q: &[f32]) -> bool {
-        let d = p.len();
-        let mut lt = _mm_setzero_ps();
-        let mut j = 0;
-        while j + 4 <= d {
-            let pv = _mm_loadu_ps(p.as_ptr().add(j));
-            let qv = _mm_loadu_ps(q.as_ptr().add(j));
-            if _mm_movemask_ps(_mm_cmple_ps(pv, qv)) != 0xF {
-                return false;
-            }
-            lt = _mm_or_ps(lt, _mm_cmplt_ps(pv, qv));
-            j += 4;
-        }
-        let mut lt_tail = false;
-        while j < d {
-            if p[j] > q[j] {
-                return false;
-            }
-            lt_tail |= p[j] < q[j];
-            j += 1;
-        }
-        lt_tail || _mm_movemask_ps(lt) != 0
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn de_sse2(p: &[f32], q: &[f32]) -> bool {
-        let d = p.len();
-        let mut j = 0;
-        while j + 4 <= d {
-            let pv = _mm_loadu_ps(p.as_ptr().add(j));
-            let qv = _mm_loadu_ps(q.as_ptr().add(j));
-            if _mm_movemask_ps(_mm_cmple_ps(pv, qv)) != 0xF {
-                return false;
-            }
-            j += 4;
-        }
-        p[j..].iter().zip(&q[j..]).all(|(a, b)| a <= b)
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn both_le_sse2(p: &[f32], q: &[f32]) -> (bool, bool) {
-        let d = p.len();
-        let (mut p_le, mut q_le) = (true, true);
-        let mut j = 0;
-        while j + 4 <= d {
-            let pv = _mm_loadu_ps(p.as_ptr().add(j));
-            let qv = _mm_loadu_ps(q.as_ptr().add(j));
-            p_le &= _mm_movemask_ps(_mm_cmple_ps(pv, qv)) == 0xF;
-            q_le &= _mm_movemask_ps(_mm_cmple_ps(qv, pv)) == 0xF;
-            if !p_le && !q_le {
-                return (false, false);
-            }
-            j += 4;
-        }
-        for (a, b) in p[j..].iter().zip(&q[j..]) {
-            p_le &= a <= b;
-            q_le &= b <= a;
-        }
-        (p_le, q_le)
-    }
-
-    // ---- batched one-vs-many ---------------------------------------
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn tile_dominators_avx2(cols: &[f32], d: usize, q: &[f32]) -> u32 {
@@ -1544,68 +1318,6 @@ mod neon {
     }
 
     #[target_feature(enable = "neon")]
-    pub unsafe fn sd_neon(p: &[f32], q: &[f32]) -> bool {
-        let d = p.len();
-        let mut lt = vdupq_n_u32(0);
-        let mut j = 0;
-        while j + 4 <= d {
-            let pv = vld1q_f32(p.as_ptr().add(j));
-            let qv = vld1q_f32(q.as_ptr().add(j));
-            if vminvq_u32(vcleq_f32(pv, qv)) == 0 {
-                return false;
-            }
-            lt = vorrq_u32(lt, vcltq_f32(pv, qv));
-            j += 4;
-        }
-        let mut lt_tail = false;
-        while j < d {
-            if p[j] > q[j] {
-                return false;
-            }
-            lt_tail |= p[j] < q[j];
-            j += 1;
-        }
-        lt_tail || vmaxvq_u32(lt) != 0
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn de_neon(p: &[f32], q: &[f32]) -> bool {
-        let d = p.len();
-        let mut j = 0;
-        while j + 4 <= d {
-            let pv = vld1q_f32(p.as_ptr().add(j));
-            let qv = vld1q_f32(q.as_ptr().add(j));
-            if vminvq_u32(vcleq_f32(pv, qv)) == 0 {
-                return false;
-            }
-            j += 4;
-        }
-        p[j..].iter().zip(&q[j..]).all(|(a, b)| a <= b)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn both_le_neon(p: &[f32], q: &[f32]) -> (bool, bool) {
-        let d = p.len();
-        let (mut p_le, mut q_le) = (true, true);
-        let mut j = 0;
-        while j + 4 <= d {
-            let pv = vld1q_f32(p.as_ptr().add(j));
-            let qv = vld1q_f32(q.as_ptr().add(j));
-            p_le &= vminvq_u32(vcleq_f32(pv, qv)) != 0;
-            q_le &= vminvq_u32(vcleq_f32(qv, pv)) != 0;
-            if !p_le && !q_le {
-                return (false, false);
-            }
-            j += 4;
-        }
-        for (a, b) in p[j..].iter().zip(&q[j..]) {
-            p_le &= a <= b;
-            q_le &= b <= a;
-        }
-        (p_le, q_le)
-    }
-
-    #[target_feature(enable = "neon")]
     pub unsafe fn tile_dominators_neon(cols: &[f32], d: usize, q: &[f32]) -> u32 {
         let ones = vdupq_n_u32(u32::MAX);
         let (mut le_lo, mut le_hi) = (ones, ones);
@@ -1631,7 +1343,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dominance::strictly_dominates as sd_ref;
+    use crate::dominance::{compare, strictly_dominates as sd_ref, DomRelation};
 
     fn levels() -> Vec<Level> {
         Level::available()
@@ -1756,30 +1468,6 @@ mod tests {
     }
 
     #[test]
-    fn one_vs_one_kernels_match_reference() {
-        let alphabet = [0.0f32, -0.0, 1.0, 2.0, -1.0];
-        let mut rng = 0xABCDu64;
-        for d in [1usize, 3, 4, 7, 8, 9, 15, 16, 17, 24] {
-            let mut p = vec![0.0f32; d];
-            let mut q = vec![0.0f32; d];
-            for _ in 0..1_500 {
-                for v in p.iter_mut().chain(q.iter_mut()) {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    *v = alphabet[(rng >> 33) as usize % alphabet.len()];
-                }
-                let want_sd = sd_ref(&p, &q);
-                let want_de = p.iter().zip(&q).all(|(a, b)| a <= b);
-                let want_cmp = crate::dominance::compare(&p, &q);
-                for &lv in &levels() {
-                    assert_eq!(strictly_dominates_with(lv, &p, &q), want_sd, "{lv:?} d={d}");
-                    assert_eq!(dominates_or_equal_with(lv, &p, &q), want_de, "{lv:?} d={d}");
-                    assert_eq!(compare_with(lv, &p, &q), want_cmp, "{lv:?} d={d}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn tile_masks_match_per_lane_reference() {
         let mut rng = 0x5EEDu64;
         let mut next = move || {
@@ -1832,31 +1520,39 @@ mod tests {
 
     #[test]
     fn nan_is_not_le_at_any_level() {
-        // NaN is rejected at the Dataset boundary, but the public
-        // kernels must still agree across levels: an unordered
-        // comparison is "not ≤", never inferred from the absence of
-        // ">". (`strictly_dominates*` levels follow the lanes
-        // reference, whose `le` accumulation also rejects NaN.)
+        // NaN is rejected at the Dataset boundary, but the kernels must
+        // still agree across levels: an unordered comparison is "not ≤",
+        // never inferred from the absence of ">".
         let nan = f32::NAN;
         let all_nan = [nan; 9];
         let ones = [1.0f32; 9];
+        let mut better = ones;
+        better[0] = 0.5;
+        let mut holed = ones;
+        holed[4] = nan;
+        let mut tile = DtBlock::new(9);
+        tile.set_lane(0, &all_nan);
+        tile.set_lane(1, &better);
+        tile.set_lane(2, &holed);
         for &lv in &levels() {
-            assert!(!dominates_or_equal_with(lv, &all_nan, &all_nan), "{lv:?}");
-            assert!(!dominates_or_equal_with(lv, &all_nan, &ones), "{lv:?}");
-            assert_eq!(
-                compare_with(lv, &all_nan, &ones),
-                DomRelation::Incomparable,
-                "{lv:?}"
-            );
-            let mut p = ones;
-            p[0] = 0.5;
-            let mut q = ones;
-            q[4] = nan;
-            assert!(
-                !strictly_dominates_with(lv, &p, &q),
-                "{lv:?}: NaN column must block dominance as in the lanes reference"
-            );
+            // A NaN lane never dominates, and a NaN column of the
+            // candidate blocks every lane.
+            assert_eq!(tile.dominators_with(lv, &ones), 0b010, "{lv:?}");
+            assert_eq!(tile.dominators_with(lv, &holed), 0, "{lv:?}");
         }
+        // The one-vs-one comparison, on its lanes path (d ≥ 8, a NaN in
+        // the 8-block and in the tail) and on its scalar loop (d < 8).
+        assert_eq!(compare(&all_nan, &all_nan), DomRelation::Incomparable);
+        assert_eq!(compare(&all_nan, &ones), DomRelation::Incomparable);
+        assert_eq!(compare(&better, &holed), DomRelation::Incomparable);
+        let mut tail_holed = ones;
+        tail_holed[8] = nan;
+        assert_eq!(compare(&better, &tail_holed), DomRelation::Incomparable);
+        assert_eq!(compare(&[nan; 3], &[1.0; 3]), DomRelation::Incomparable);
+        assert_eq!(
+            compare(&[0.5, 1.0, nan], &[1.0; 3]),
+            DomRelation::Incomparable
+        );
     }
 
     #[test]
@@ -1977,9 +1673,7 @@ mod tests {
             store.push(r);
         }
         let scalar = |start: usize, end: usize, q: &[f32]| -> u32 {
-            (start..end)
-                .filter(|&i| super::strictly_dominates(store.point(i), q))
-                .count() as u32
+            (start..end).filter(|&i| sd_ref(store.point(i), q)).count() as u32
         };
         for q in [
             &[10.5f32, 12.5][..],

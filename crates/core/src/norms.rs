@@ -15,11 +15,23 @@ pub fn l1(p: &[f32]) -> f32 {
 }
 
 /// The classic SFS "entropy" `Σᵢ ln(1 + p[i])`, extended with softplus
-/// (`ln(1 + eˣ)`) so it stays strictly monotone for negative coordinates
-/// (our datasets may be sign-flipped by max-preferences).
+/// (`ln(1 + eˣ)`) so it stays monotone for negative coordinates (our
+/// datasets may be sign-flipped by max-preferences).
+///
+/// Softplus is `ln(1 + eˣ)` up to x = 20 and `x` above it, where
+/// `ln(1 + e²⁰)` already rounds to 20.0; so `eˣ` never overflows (it is
+/// +∞ above x ≈ 88.7, which would tie every such key). Each step is a
+/// monotone rounded operation, so the rounded key never decreases as a
+/// coordinate grows (a walk over every finite `f32` finds no step
+/// down). The textbook stable form `max(x, 0) + ln_1p(e^(−|x|))` is not
+/// monotone: it adds a falling term to a rising one, and after rounding
+/// steps down one ulp at some 2.4 million neighbouring floats in
+/// [0, 1], which puts a dominated row before its dominator.
 #[inline]
 pub fn entropy(p: &[f32]) -> f32 {
-    p.iter().map(|&x| (1.0 + x.exp()).ln()).sum()
+    p.iter()
+        .map(|&x| if x > 20.0 { x } else { (1.0 + x.exp()).ln() })
+        .sum()
 }
 
 /// Smallest coordinate (SaLSa's `minC` sort key).
@@ -115,6 +127,37 @@ mod tests {
         let b = packed_scalar_key(1.0, 9);
         let c = packed_scalar_key(2.0, 0);
         assert!(a < b && b < c);
+    }
+
+    #[test]
+    fn entropy_is_finite_and_monotone_at_extreme_coordinates() {
+        let xs = [-1e5f32, -200.0, -88.0, 0.0, 88.0, 89.0, 1e5];
+        let keys: Vec<f32> = xs.iter().map(|&x| entropy(&[x])).collect();
+        for (x, k) in xs.iter().zip(&keys) {
+            assert!(k.is_finite(), "entropy({x}) = {k}");
+        }
+        for (w, x) in keys.windows(2).zip(xs.windows(2)) {
+            assert!(w[0] <= w[1], "entropy({}) > entropy({})", x[0], x[1]);
+        }
+        // Past the overflow point of eˣ the key still separates values.
+        assert!(entropy(&[89.0]) < entropy(&[1e5]));
+
+        // Neighbouring floats never swap keys: every bit pattern of the
+        // generator's [0.25, 0.5) binade, every 1009th one over [0, 1]
+        // against its successor, and runs across the seam at 20 and the
+        // overflow point of eˣ.
+        let up = |b: u32| {
+            let (x0, x1) = (f32::from_bits(b), f32::from_bits(b + 1));
+            assert!(
+                entropy(&[x0]) <= entropy(&[x1]),
+                "entropy({x0}) > entropy({x1})"
+            );
+        };
+        (0.25f32.to_bits()..0.5f32.to_bits()).for_each(up);
+        (0..1.0f32.to_bits()).step_by(1009).for_each(up);
+        for seam in [20.0f32, 88.7] {
+            (seam.to_bits() - (1 << 16)..seam.to_bits() + (1 << 16)).for_each(up);
+        }
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! its decision in a `OnceLock`, so the environment variable must be in
 //! place before anything in the process touches the dispatcher, and no
 //! second test may race the first call. The native vector paths are
-//! still covered here — the `*_with(level)` kernels take an explicit
-//! level and bypass the override — so this binary proves scalar and
-//! native agree in the same process that pinned dispatch to scalar.
+//! still covered here — `DtBlock::dominators_with` and
+//! `TileStore::with_level` take an explicit level and bypass the
+//! override — so this binary proves scalar and native agree in the same
+//! process that pinned dispatch to scalar.
 
 use skyline_core::algo::Algorithm;
-use skyline_core::dominance::simd::{self, Level};
+use skyline_core::dominance::simd::{self, DtBlock, Level, TileStore, TILE_LANES};
 use skyline_core::verify::naive_skyline;
 use skyline_core::SkylineConfig;
 use skyline_data::{generate, Distribution};
@@ -46,8 +47,9 @@ fn forced_scalar_dispatch_and_native_agree_in_one_process() {
         }
     }
 
-    // And the native kernels (explicit level, bypassing the override)
-    // agree with the scalar dispatch bit-for-bit on hostile values.
+    // And the native tile kernels (explicit level, bypassing the
+    // override) agree with the scalar dispatch bit for bit on hostile
+    // values: answers and dominance-test charges.
     let hostile = [
         0.0f32,
         -0.0,
@@ -61,18 +63,68 @@ fn forced_scalar_dispatch_and_native_agree_in_one_process() {
     let mut rng = 0x5CA1EDu64;
     let mut next = move || {
         rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-        hostile[(rng >> 33) as usize % hostile.len()]
+        rng >> 33
     };
+    let value = |r: u64| hostile[r as usize % hostile.len()];
+    let n = 40;
     for d in [1usize, 4, 8, 11, 16, 24] {
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|_| (0..d).map(|_| value(next())).collect())
+            .collect();
+        let mut tile = DtBlock::new(d);
+        for (l, row) in rows.iter().take(TILE_LANES).enumerate() {
+            tile.set_lane(l, row);
+        }
+        let fill = |mut store: TileStore| {
+            for r in &rows {
+                store.push(r);
+            }
+            store
+        };
+        // A store without a level runs at the (forced) active level.
+        let dispatched = fill(TileStore::with_capacity(d, n));
+        let pinned: Vec<(Level, TileStore)> = Level::available()
+            .into_iter()
+            .map(|lv| (lv, fill(TileStore::with_capacity(d, n).with_level(lv))))
+            .collect();
         for _ in 0..500 {
-            let p: Vec<f32> = (0..d).map(|_| next()).collect();
-            let q: Vec<f32> = (0..d).map(|_| next()).collect();
-            let want = simd::strictly_dominates(&p, &q); // scalar dispatch
-            for lv in Level::available() {
+            // Half the candidates are a stored row worsened in some
+            // coordinates, so dominators and exact ties turn up.
+            let q: Vec<f32> = if next() % 2 == 0 {
+                let base = &rows[next() as usize % n];
+                base.iter()
+                    .map(|&v| {
+                        if next() % 2 == 0 {
+                            v
+                        } else {
+                            v.max(value(next()))
+                        }
+                    })
+                    .collect()
+            } else {
+                (0..d).map(|_| value(next())).collect()
+            };
+            let (a, b) = (next() as usize % (n + 1), next() as usize % (n + 1));
+            let (start, end) = (a.min(b), a.max(b));
+            let scan = |store: &TileStore| {
+                let mut dts = [0u64; 3];
+                let any = store.any_dominates(&q, &mut dts[0]);
+                let all = store.count_dominators_range(0, n, &q, u32::MAX, &mut dts[1]);
+                let some = store.count_dominators_range(start, end, &q, 2, &mut dts[2]);
+                (any, all, some, dts)
+            };
+            let want_tile = tile.dominators_with(simd::active_level(), &q);
+            let want = scan(&dispatched);
+            for &(lv, ref store) in &pinned {
                 assert_eq!(
-                    simd::strictly_dominates_with(lv, &p, &q),
+                    tile.dominators_with(lv, &q),
+                    want_tile,
+                    "DtBlock at {lv:?} disagrees with forced-scalar dispatch (d={d})"
+                );
+                assert_eq!(
+                    scan(store),
                     want,
-                    "{lv:?} disagrees with forced-scalar dispatch (d={d})"
+                    "TileStore at {lv:?} disagrees with forced-scalar dispatch (d={d})"
                 );
             }
         }

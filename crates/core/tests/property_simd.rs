@@ -1,9 +1,10 @@
-//! Property-based equivalence of every SIMD dominance kernel with the
-//! scalar reference, for all dimensionalities 1..=24 and for every
-//! instruction-set level this CPU offers (`Level::available()` — the
-//! `*_with` kernels take an explicit level and ignore the
-//! `SKYLINE_FORCE_SCALAR` override, so the vector paths are exercised
-//! even in the CI forced-scalar lane).
+//! Property-based equivalence of every dominance kernel with the
+//! scalar reference, for all dimensionalities 1..=24: the inlineable
+//! one-vs-one forms, and the SIMD tile kernels at every instruction-set
+//! level this CPU offers (`Level::available()` —
+//! `DtBlock::dominators_with` and `TileStore::with_level` take an
+//! explicit level and ignore the `SKYLINE_FORCE_SCALAR` override, so
+//! the vector paths are exercised even in the CI forced-scalar lane).
 //!
 //! The value alphabet is deliberately hostile: ±0.0, subnormals,
 //! negatives, huge magnitudes, and a high tie probability (the second
@@ -97,20 +98,11 @@ proptest! {
         for _ in 0..40 {
             let (p, q) = pair_strategy(d).generate(&mut rng);
             let sd = ref_sd(&p, &q);
-            let de = ref_de(&p, &q);
             let cm = ref_compare(&p, &q);
-            // The public dispatchers...
             prop_assert_eq!(dominance::strictly_dominates(&p, &q), sd);
             prop_assert_eq!(dominance::strictly_dominates_lanes(&p, &q), sd);
             prop_assert_eq!(dominance::dt(&p, &q), sd);
-            prop_assert_eq!(dominance::dominates_or_equal(&p, &q), de);
             prop_assert_eq!(dominance::compare(&p, &q), cm);
-            // ...and every explicit instruction-set level.
-            for lv in Level::available() {
-                prop_assert_eq!(simd::strictly_dominates_with(lv, &p, &q), sd, "{:?} d={}", lv, d);
-                prop_assert_eq!(simd::dominates_or_equal_with(lv, &p, &q), de, "{:?} d={}", lv, d);
-                prop_assert_eq!(simd::compare_with(lv, &p, &q), cm, "{:?} d={}", lv, d);
-            }
         }
     }
 

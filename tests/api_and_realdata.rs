@@ -90,3 +90,30 @@ fn house_standin_agreement() {
         "HOUSE stand-in skyline {pct:.2}% out of calibrated band"
     );
 }
+
+#[test]
+fn weather_standin_agreement() {
+    // WEATHER (d = 15, 200 levels per column) is the only real-data
+    // shape above 8 dimensions: it runs `compare`'s lanes form and the
+    // runtime-d tile scans on column ties. The prefix holds no
+    // duplicate rows, so every 10th row is repeated to reach SSkyline's
+    // `Equal` arm too.
+    let pool = Arc::new(ThreadPool::new(2));
+    let full = RealDataset::Weather.standin(&pool);
+    let d = full.dims();
+    let n = 1_000;
+    let mut flat = full.values()[..n * d].to_vec();
+    for i in (0..n).step_by(10) {
+        flat.extend_from_slice(full.row(i));
+    }
+    let data = Dataset::from_flat(flat, d).unwrap();
+    let expect = skybench::verify::naive_skyline(&data);
+    assert!(!expect.is_empty() && expect.len() < data.len());
+    for algo in Algorithm::ALL {
+        let got = SkylineBuilder::new()
+            .algorithm(algo)
+            .pool(Arc::clone(&pool))
+            .compute(&data);
+        assert_eq!(got.indices(), expect.as_slice(), "{algo}");
+    }
+}
