@@ -73,11 +73,11 @@
 //! kernels are several times slower than the vector ones, which is the
 //! point of the explicit layer.)
 //!
-//! [`DtBlock::dominators_with`] takes an explicit [`Level`], and
-//! [`TileStore::with_level`] pins a store to one; both *ignore* the
-//! environment override, so the equivalence test suite runs all
-//! [available](Level::available) levels against the scalar reference in
-//! a single process.
+//! [`DtBlock::with_level`] and [`TileStore::with_level`] pin a tile or
+//! a store to an explicit [`Level`] (falling back to portable for one
+//! this CPU lacks); both *ignore* the environment override, so the
+//! equivalence test suite runs all [available](Level::available) levels
+//! against the scalar reference in a single process.
 //!
 //! # Preferences
 //!
@@ -127,8 +127,8 @@ impl Level {
     }
 
     /// Every level usable on this CPU, scalar first.
-    /// [`DtBlock::dominators_with`] expects a level from this list;
-    /// [`TileStore::with_level`] runs the portable kernels for any other.
+    /// [`DtBlock::with_level`] and [`TileStore::with_level`] run the
+    /// portable kernels for any other.
     pub fn available() -> Vec<Level> {
         let mut out = vec![Level::Scalar];
         #[cfg(target_arch = "x86_64")]
@@ -205,18 +205,34 @@ pub fn flip_pref(x: f32, flip: bool) -> f32 {
 pub struct DtBlock {
     d: usize,
     live: usize,
+    level: Level,
     cols: AlignedF32,
 }
 
 impl DtBlock {
-    /// An empty tile (all lanes padding) for `d`-dimensional points.
+    /// An empty tile (all lanes padding) for `d`-dimensional points,
+    /// scanned at the [`active_level`].
     pub fn new(d: usize) -> Self {
         debug_assert!(d >= 1);
         Self {
             d,
             live: 0,
+            level: active_level(),
             cols: AlignedF32::filled(d * TILE_LANES, f32::INFINITY),
         }
+    }
+
+    /// Pins the tile's scans to `level` instead of the
+    /// [`active_level`] (a level not [available](Level::available) on
+    /// this CPU runs the portable kernel), so one process can check
+    /// every level against the others.
+    pub fn with_level(mut self, level: Level) -> Self {
+        self.level = if Level::available().contains(&level) {
+            level
+        } else {
+            Level::Scalar
+        };
+        self
     }
 
     /// Number of live (non-padding) lanes; live lanes are always the
@@ -237,17 +253,17 @@ impl DtBlock {
         self.live = self.live.max(lane + 1);
     }
 
-    /// Bitmask of lanes whose point strictly dominates `q`, at an
-    /// explicit level. Padding lanes never set a bit. Every level
+    /// Bitmask of lanes whose point strictly dominates `q`, at the
+    /// tile's level. Padding lanes never set a bit. Every level
     /// returns as soon as no lane can still dominate.
     #[inline]
-    pub fn dominators_with(&self, level: Level, q: &[f32]) -> u32 {
+    pub fn dominators(&self, q: &[f32]) -> u32 {
         debug_assert_eq!(q.len(), self.d);
-        match level {
+        match self.level {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the AVX2 arm is only reachable when the caller got
-            // the level from `active_level`/`available` (CPU verified);
-            // `cols` is d×8 and 32-byte aligned by construction.
+            // SAFETY: the level is AVX2 only where the CPU has it
+            // (`active_level`, `with_level`); `cols` is d×8 and 32-byte
+            // aligned by construction.
             Level::Avx2 => unsafe { x86::tile_dominators_avx2(&self.cols, self.d, q) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is part of the x86_64 baseline.
@@ -260,7 +276,7 @@ impl DtBlock {
     }
 }
 
-/// Portable fallback for [`DtBlock::dominators_with`]: column-major,
+/// Portable fallback for [`DtBlock::dominators`]: column-major,
 /// branch-free over the 8 fixed lanes (LLVM vectorises the inner mask
 /// builders), early exit per column once every lane has failed.
 /// Padding lanes (`+∞`) fail `le` on the first column, so no live mask
@@ -1494,7 +1510,11 @@ mod tests {
                         .enumerate()
                         .fold(0u32, |m, (l, &b)| m | u32::from(b) << l);
                     for &lv in &levels() {
-                        assert_eq!(tile.dominators_with(lv, &q), want_tile, "{lv:?}");
+                        assert_eq!(
+                            tile.clone().with_level(lv).dominators(&q),
+                            want_tile,
+                            "{lv:?}"
+                        );
                         for r in [None, Some(&range)] {
                             let store = store_of(&rows, d, r, lv);
                             for (l, &b) in dom.iter().enumerate() {
@@ -1519,6 +1539,38 @@ mod tests {
     }
 
     #[test]
+    fn tile_pinned_to_a_missing_level_runs_portable() {
+        // A level this CPU cannot have: the block must fall back to the
+        // portable kernel rather than run foreign instructions.
+        let missing = if cfg!(target_arch = "x86_64") {
+            Level::Neon
+        } else {
+            Level::Avx2
+        };
+        assert!(!levels().contains(&missing));
+        let rows = [[1.0f32, 2.0, 3.0], [3.0, 2.0, 1.0], [0.5, 0.5, 9.0]];
+        let mut tile = DtBlock::new(3);
+        for (l, row) in rows.iter().enumerate() {
+            tile.set_lane(l, row);
+        }
+        let pinned = tile.clone().with_level(missing);
+        let scalar = tile.with_level(Level::Scalar);
+        for q in [
+            [2.0f32, 2.0, 3.0],
+            [3.0, 3.0, 3.0],
+            [0.0, 0.0, 0.0],
+            [1.0, 2.0, 3.0],
+        ] {
+            let want = rows
+                .iter()
+                .enumerate()
+                .fold(0u32, |m, (l, r)| m | u32::from(sd_ref(r, &q)) << l);
+            assert_eq!(pinned.dominators(&q), want, "{q:?}");
+            assert_eq!(scalar.dominators(&q), want, "{q:?}");
+        }
+    }
+
+    #[test]
     fn nan_is_not_le_at_any_level() {
         // NaN is rejected at the Dataset boundary, but the kernels must
         // still agree across levels: an unordered comparison is "not ≤",
@@ -1537,8 +1589,9 @@ mod tests {
         for &lv in &levels() {
             // A NaN lane never dominates, and a NaN column of the
             // candidate blocks every lane.
-            assert_eq!(tile.dominators_with(lv, &ones), 0b010, "{lv:?}");
-            assert_eq!(tile.dominators_with(lv, &holed), 0, "{lv:?}");
+            let tile = tile.clone().with_level(lv);
+            assert_eq!(tile.dominators(&ones), 0b010, "{lv:?}");
+            assert_eq!(tile.dominators(&holed), 0, "{lv:?}");
         }
         // The one-vs-one comparison, on its lanes path (d ≥ 8, a NaN in
         // the 8-block and in the tail) and on its scalar loop (d < 8).
@@ -1566,7 +1619,7 @@ mod tests {
         // out before the re-check reads a row.
         let range = ColumnRange::new(vec![0.0; 3], vec![1.0; 3]);
         for &lv in &levels() {
-            assert_eq!(tile.dominators_with(lv, &q), 0b1, "{lv:?}");
+            assert_eq!(tile.clone().with_level(lv).dominators(&q), 0b1, "{lv:?}");
             for r in [None, Some(&range)] {
                 let mut store = store_of(&[vec![1.0, 1.0, 1.0]], 3, r, lv);
                 assert_eq!(store.count_dominators_range(0, 1, &q, u32::MAX, &mut 0), 1);

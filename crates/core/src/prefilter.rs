@@ -31,7 +31,7 @@
 //! β = 8 by default (footnote 3: "appreciable impact only \[on\]
 //! correlated data").
 
-use crate::dominance::simd::{active_level, ColumnRange, DtBlock, Level, TileStore, TILE_LANES};
+use crate::dominance::simd::{ColumnRange, DtBlock, TileStore, TILE_LANES};
 use crate::norms::{l1, packed_scalar_key};
 use skyline_parallel::{par_chunks_mut, par_collect, LaneCounters, ThreadPool};
 
@@ -74,7 +74,6 @@ pub fn prefilter(
     debug_assert_eq!(values.len(), n * d);
     let beta = beta.max(1);
     let row = |i: usize| &values[i * d..(i + 1) * d];
-    let level = active_level();
 
     // L1 norms for everyone (also pass 1's queue key).
     let mut norms = vec![0.0f32; n];
@@ -87,7 +86,7 @@ pub fn prefilter(
     // ---- Pass 1: one β-queue per fixed stripe, dropping en route --------
     let stripe_len = n.div_ceil(STRIPES).max(1);
     let stripes = par_collect(pool, n, stripe_len, |range, out| {
-        out.push(scan_stripe(values, d, &norms, beta, level, range));
+        out.push(scan_stripe(values, d, &norms, beta, range));
     });
 
     // ---- Pass 2: every pass-1 survivor against the union of the queues --
@@ -151,7 +150,6 @@ fn scan_stripe(
     d: usize,
     norms: &[f32],
     beta: usize,
-    level: Level,
     range: std::ops::Range<usize>,
 ) -> Stripe {
     let row = |i: usize| &values[i * d..(i + 1) * d];
@@ -183,7 +181,7 @@ fn scan_stripe(
             let q = row(i);
             let dominated = tiles.iter().any(|t| {
                 dts += t.live() as u64;
-                t.dominators_with(level, q) != 0
+                t.dominators(q) != 0
             });
             if !dominated {
                 kept.push(i as u32);

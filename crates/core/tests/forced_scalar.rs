@@ -5,8 +5,8 @@
 //! its decision in a `OnceLock`, so the environment variable must be in
 //! place before anything in the process touches the dispatcher, and no
 //! second test may race the first call. The native vector paths are
-//! still covered here — `DtBlock::dominators_with` and
-//! `TileStore::with_level` take an explicit level and bypass the
+//! still covered here — `DtBlock::with_level` and
+//! `TileStore::with_level` pin an explicit level and bypass the
 //! override — so this binary proves scalar and native agree in the same
 //! process that pinned dispatch to scalar.
 
@@ -81,11 +81,15 @@ fn forced_scalar_dispatch_and_native_agree_in_one_process() {
             }
             store
         };
-        // A store without a level runs at the (forced) active level.
+        // A tile or store without a level runs at the (forced) active
+        // level.
         let dispatched = fill(TileStore::with_capacity(d, n));
-        let pinned: Vec<(Level, TileStore)> = Level::available()
+        let pinned: Vec<(Level, DtBlock, TileStore)> = Level::available()
             .into_iter()
-            .map(|lv| (lv, fill(TileStore::with_capacity(d, n).with_level(lv))))
+            .map(|lv| {
+                let store = fill(TileStore::with_capacity(d, n).with_level(lv));
+                (lv, tile.clone().with_level(lv), store)
+            })
             .collect();
         for _ in 0..500 {
             // Half the candidates are a stored row worsened in some
@@ -113,11 +117,11 @@ fn forced_scalar_dispatch_and_native_agree_in_one_process() {
                 let some = store.count_dominators_range(start, end, &q, 2, &mut dts[2]);
                 (any, all, some, dts)
             };
-            let want_tile = tile.dominators_with(simd::active_level(), &q);
+            let want_tile = tile.dominators(&q);
             let want = scan(&dispatched);
-            for &(lv, ref store) in &pinned {
+            for (lv, pinned_tile, store) in &pinned {
                 assert_eq!(
-                    tile.dominators_with(lv, &q),
+                    pinned_tile.dominators(&q),
                     want_tile,
                     "DtBlock at {lv:?} disagrees with forced-scalar dispatch (d={d})"
                 );

@@ -2,8 +2,8 @@
 //! scalar reference, for all dimensionalities 1..=24: the inlineable
 //! one-vs-one forms, and the SIMD tile kernels at every instruction-set
 //! level this CPU offers (`Level::available()` —
-//! `DtBlock::dominators_with` and `TileStore::with_level` take an
-//! explicit level and ignore the `SKYLINE_FORCE_SCALAR` override, so
+//! `DtBlock::with_level` and `TileStore::with_level` pin an explicit
+//! level and ignore the `SKYLINE_FORCE_SCALAR` override, so
 //! the vector paths are exercised even in the CI forced-scalar lane).
 //!
 //! The value alphabet is deliberately hostile: ±0.0, subnormals,
@@ -137,7 +137,8 @@ proptest! {
                 .enumerate()
                 .fold(0u32, |m, (l, &b)| m | u32::from(b) << l);
             for lv in Level::available() {
-                prop_assert_eq!(tile.dominators_with(lv, &q), want_tile, "{:?} d={} live={}", lv, d, live);
+                let tile = tile.clone().with_level(lv);
+                prop_assert_eq!(tile.dominators(&q), want_tile, "{:?} d={} live={}", lv, d, live);
                 for store in [
                     TileStore::with_capacity(d, live),
                     TileStore::with_range(&range_of(&rows, d), live),

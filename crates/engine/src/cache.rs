@@ -433,35 +433,6 @@ impl ResultCache {
             .map(|(k, &slot)| (k.version, inner.nodes[slot].value.ids.len()))
     }
 
-    /// A resident result at the **same dataset and version** whose
-    /// dimension mask is a proper subset of `key.dim_mask` and whose
-    /// preferences agree on the shared dimensions, as
-    /// `(dim_mask, skyline length)`. Such a cached subspace skyline is
-    /// a sound pre-filter for the superspace query: any live row
-    /// strictly dominated (on the query dimensions) by one of its
-    /// members cannot be in the query's skyline. Prefers the widest
-    /// subspace, then the largest member set; does not refresh recency
-    /// or count as a probe.
-    pub fn find_superspace_seed(&self, key: &CacheKey) -> Option<(u32, usize)> {
-        if self.budget_bytes == 0 || !key.kind.is_skyline() {
-            return None;
-        }
-        let inner = self.lock();
-        inner
-            .map
-            .iter()
-            .filter(|(k, _)| {
-                k.dataset_id == key.dataset_id
-                    && k.version == key.version
-                    && k.dim_mask & key.dim_mask == k.dim_mask
-                    && k.dim_mask != key.dim_mask
-                    && k.max_mask == key.max_mask & k.dim_mask
-                    && k.kind.is_skyline()
-            })
-            .max_by_key(|(k, &slot)| (k.dim_mask.count_ones(), inner.nodes[slot].value.ids.len()))
-            .map(|(k, &slot)| (k.dim_mask, inner.nodes[slot].value.ids.len()))
-    }
-
     /// Drops every entry belonging to `dataset_id` (all versions),
     /// returning how many. Called on dataset eviction.
     pub fn purge_dataset(&self, dataset_id: u64) -> usize {

@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use skyline_core::algo::Algorithm;
-use skyline_core::dominance::simd::{flip_pref, TileStore};
+use skyline_core::dominance::simd::flip_pref;
 use skyline_core::skyband::{skyband_counts, top_k_dominating};
 use skyline_core::{maintain, RunStats, SpanSink};
 use skyline_data::persist::{StdIo, WalIo};
@@ -20,7 +20,7 @@ use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
 use crate::merge::{merge_locals, skyline_algorithm, MergeStats, ShardLocal};
-use crate::planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed};
+use crate::planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy};
 use crate::query::{QueryKind, QueryResult, SkylineQuery};
 use crate::recovery::{Durability, DurabilityOptions, RecoveryReport};
 use crate::session::{
@@ -683,8 +683,7 @@ impl Engine {
     }
 
     /// Plans a query without executing it (introspection; no cache
-    /// probe beyond the prior-version and subspace-seed lookups, no
-    /// side effects).
+    /// probe beyond the prior-version lookup, no side effects).
     pub fn plan(&self, query: &SkylineQuery) -> Result<QueryPlan, EngineError> {
         let prepared = self.shared.prepare(query)?;
         Ok(self.shared.plan_prepared(&prepared, self.threads()))
@@ -1029,23 +1028,9 @@ impl EngineShared {
     }
 
     /// Plans a prepared query, offering the planner any prior-version
-    /// cached result that the dataset's delta log can still reach and
-    /// any same-version cached **subspace** skyline usable as a
-    /// superspace pre-filter.
+    /// cached result that the dataset's delta log can still reach.
     pub(crate) fn plan_prepared(&self, prepared: &Prepared, threads: usize) -> QueryPlan {
         let kind = prepared.key.kind;
-        // A cached subspace skyline at this exact version can pre-filter
-        // the superspace scan; cap the seed size so the filter's
-        // O(n × seed) worst case stays well under the main computation.
-        // Skyline only: pruned rows may still carry non-zero counts.
-        let seed = if kind.is_skyline() {
-            self.cache
-                .find_superspace_seed(&prepared.key)
-                .filter(|&(_, len)| len > 0 && len <= 4096)
-                .map(|(dim_mask, len)| SuperspaceSeed { dim_mask, len })
-        } else {
-            None
-        };
         // Only pay the prior-version cache scan when a delta could
         // exist at all: unmutated datasets (the common case) have an
         // empty log. Skyline only: the maintenance kernels patch
@@ -1065,7 +1050,7 @@ impl EngineShared {
             })
         };
         self.planner
-            .plan_kind(&prepared.entry, &prepared.dims, threads, kind, prior, seed)
+            .plan_kind(&prepared.entry, &prepared.dims, threads, kind, prior)
     }
 
     /// Counted cache probe; on a hit builds the full result without
@@ -1238,14 +1223,9 @@ impl EngineShared {
                     // The prior entry was evicted (or the log rotated)
                     // between planning and execution: replan without
                     // it. A fresh plan can never be Delta again.
-                    let plan = self.planner.plan_kind(
-                        entry,
-                        &prepared.dims,
-                        pool.threads(),
-                        kind,
-                        None,
-                        None,
-                    );
+                    let plan =
+                        self.planner
+                            .plan_kind(entry, &prepared.dims, pool.threads(), kind, None);
                     return self.run_plan(prepared, plan, pool, trace);
                 }
             },
@@ -1261,85 +1241,49 @@ impl EngineShared {
                 }
                 (ids, Some(stats))
             }
-            Strategy::Algorithm(algo) if !kind.is_skyline() => {
-                // Counting kinds: the sum-sorted counting kernel over the
-                // same input an algorithm would get — one SFS-shaped
+            Strategy::Algorithm(algo) => {
+                // Counting kinds run the sum-sorted counting kernel over
+                // the same input the algorithm would get: one SFS-shaped
                 // pass, whatever the nominal algorithm.
-                let exec_t0 = trace.now();
-                let width = plan.effective_dims.len();
                 let (view, id_map) =
                     self.algorithm_input(entry, &plan.effective_dims, prepared.max_mask, pool);
-                let rows = match &view {
-                    Some(projected) => projected.values(),
-                    None => entry.base_data().values(),
+                let data: &Dataset = match &view {
+                    Some(projected) => projected,
+                    None => entry.base_data(),
                 };
-                let mut dts = 0u64;
-                let pairs = match kind {
-                    QueryKind::Skyband { k } => skyband_counts(rows, width, k, &mut dts),
-                    QueryKind::TopKDominating { k } => top_k_dominating(rows, width, k, &mut dts),
-                    QueryKind::Skyline => unreachable!("guarded by the match arm"),
+                let (mut ids, stats) = if kind.is_skyline() {
+                    let result = algo.run(data, pool, &plan.config);
+                    (result.indices, result.stats)
+                } else {
+                    let (rows, width) = (data.values(), data.dims());
+                    let mut dts = 0u64;
+                    let pairs = match kind {
+                        QueryKind::Skyband { k } => skyband_counts(rows, width, k, &mut dts),
+                        QueryKind::TopKDominating { k } => {
+                            top_k_dominating(rows, width, k, &mut dts)
+                        }
+                        QueryKind::Skyline => unreachable!("guarded by is_skyline"),
+                    };
+                    trace.close_span(SpanKind::Execute, exec_started, dts);
+                    let (ids, cnts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+                    counts = Some(cnts);
+                    let stats = RunStats {
+                        dominance_tests: dts,
+                        skyline_size: ids.len(),
+                        ..RunStats::default()
+                    };
+                    (ids, stats)
                 };
-                let (mut ids, cnts): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+                // Positions in the materialized live view map back to
+                // stable ids; `live` ascending keeps order.
                 if let Some(live) = id_map {
                     for id in &mut ids {
                         *id = live[*id as usize];
                     }
                 }
-                trace.close_span(SpanKind::Execute, exec_t0, dts);
-                self.telemetry.record_dominance(*algo, dts);
-                counts = Some(cnts);
-                let stats = RunStats {
-                    dominance_tests: dts,
-                    skyline_size: ids.len(),
-                    ..RunStats::default()
-                };
-                (ids, Some(stats))
-            }
-            Strategy::Algorithm(algo) => {
-                // A cached same-version subspace skyline (the planner's
-                // superspace seed) pre-filters the input: rows strictly
-                // dominated by a member on the query dimensions cannot
-                // be in the skyline and never reach the algorithm.
-                let seeded = plan.superspace_seed.and_then(|seed| {
-                    self.superspace_prefilter(prepared, &plan.effective_dims, seed.dim_mask, trace)
-                });
-                let (indices, stats) = match seeded {
-                    Some((view, kept, seed_dts)) => {
-                        let result = algo.run(&view, pool, &plan.config);
-                        let indices = result.indices.iter().map(|&i| kept[i as usize]).collect();
-                        let mut stats = result.stats;
-                        // The filter's tests are part of this query's
-                        // work: keep the stats equal to the trace's
-                        // span-summed total.
-                        stats.dominance_tests += seed_dts;
-                        (indices, stats)
-                    }
-                    None => {
-                        let (view, id_map) = self.algorithm_input(
-                            entry,
-                            &plan.effective_dims,
-                            prepared.max_mask,
-                            pool,
-                        );
-                        let result = match &view {
-                            Some(projected) => algo.run(projected, pool, &plan.config),
-                            None => algo.run(entry.base_data(), pool, &plan.config),
-                        };
-                        let indices = match id_map {
-                            // Positions in the materialized live view map
-                            // back to stable ids; `live` ascending keeps
-                            // order.
-                            Some(live) => {
-                                result.indices.iter().map(|&i| live[i as usize]).collect()
-                            }
-                            None => result.indices,
-                        };
-                        (indices, result.stats)
-                    }
-                };
                 self.telemetry
                     .record_dominance(*algo, stats.dominance_tests);
-                (indices, Some(stats))
+                (ids, Some(stats))
             }
         };
 
@@ -1424,61 +1368,6 @@ impl EngineShared {
             Dataset::from_flat(values, width).expect("projection of a valid dataset is valid");
         // In a pristine entry live[i] == i: positions are stable ids.
         (Some(view), if pristine { None } else { Some(live) })
-    }
-
-    /// Materializes the live rows surviving the superspace-seed
-    /// pre-filter: folded onto `dims`, minus every row strictly
-    /// dominated (on the query dimensions) by a member of the cached
-    /// subspace skyline `seed_mask` refers to. Such rows cannot be in
-    /// the query's skyline, and since the cached members are live rows
-    /// themselves, the survivors' skyline equals the full skyline.
-    /// Returns `None` when the cached entry was evicted between
-    /// planning and execution — the algorithm then runs unfiltered.
-    fn superspace_prefilter(
-        &self,
-        prepared: &Prepared,
-        dims: &[usize],
-        seed_mask: u32,
-        trace: &ActiveTrace,
-    ) -> Option<(Dataset, Vec<u32>, u64)> {
-        let entry = &prepared.entry;
-        let members = self
-            .cache
-            .get_uncounted(&CacheKey {
-                dataset_id: entry.id(),
-                version: entry.version(),
-                dim_mask: seed_mask,
-                max_mask: prepared.max_mask & seed_mask,
-                kind: QueryKind::Skyline,
-            })?
-            .ids;
-        if members.is_empty() {
-            return None;
-        }
-        let width = dims.len();
-        let started = trace.now();
-        let max_mask = prepared.max_mask;
-        let bounds = entry.stats().column_range().project(dims, max_mask);
-        let mut filter = TileStore::with_range(&bounds, members.len());
-        let mut folded = vec![0.0f32; width];
-        for &id in members.iter() {
-            fold_row(entry.point(id), dims, max_mask, &mut folded);
-            filter.push(&folded);
-        }
-        let live = entry.live_ids();
-        let mut kept = Vec::new();
-        let mut values = Vec::new();
-        let mut dts = 0u64;
-        for &id in live.iter() {
-            fold_row(entry.point(id), dims, max_mask, &mut folded);
-            if !filter.any_dominates(&folded, &mut dts) {
-                kept.push(id);
-                values.extend_from_slice(&folded);
-            }
-        }
-        trace.close_span(SpanKind::CacheSeed, started, dts);
-        let view = Dataset::from_flat(values, width).expect("folded projection of a valid dataset");
-        Some((view, kept, dts))
     }
 
     /// Executes a [`Strategy::Sharded`] plan for a skyline (`k = 1`)

@@ -116,7 +116,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Engine, EngineConfig, MutationReport};
 pub use error::{EngineError, QuotaKind, RejectReason};
 pub use merge::{merge_locals, MergeStats, ShardLocal};
-pub use planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy, SuperspaceSeed};
+pub use planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy};
 pub use query::{QueryKind, QueryOptions, QueryResult, SkylineQuery};
 pub use recovery::{DurabilityOptions, RecoveryReport};
 pub use session::{AdmissionConfig, Priority, QueryTicket, Session, SessionOptions, SessionStats};

@@ -59,8 +59,7 @@ pub enum Strategy {
     /// [`ShardedStore`](skyline_data::ShardedStore) partitioner, fan
     /// the per-shard local results out, then merge them: a witness-point
     /// probe, then SFS or Hybrid@T over the probe's survivors for a
-    /// skyline, the sum-sorted counting scan for a k-skyband. Never
-    /// carries a [`SuperspaceSeed`]: the scatter routes every live row.
+    /// skyline, the sum-sorted counting scan for a k-skyband.
     Sharded {
         /// Number of shards the partitioner routes to.
         k: usize,
@@ -101,12 +100,6 @@ pub struct QueryPlan {
     pub effective_dims: Vec<usize>,
     /// One-line human-readable justification.
     pub reason: &'static str,
-    /// A cached **subspace** skyline usable as a pruning window for
-    /// this (superspace) query: any live row strictly dominated on the
-    /// query's dimensions by a member of that cached skyline cannot be
-    /// in the answer and is dropped before the scan. `None` when no
-    /// compatible entry was cached or the strategy does not scan.
-    pub superspace_seed: Option<SuperspaceSeed>,
 }
 
 impl QueryPlan {
@@ -123,7 +116,6 @@ impl QueryPlan {
             config,
             effective_dims,
             reason,
-            superspace_seed: None,
         }
     }
 
@@ -226,21 +218,6 @@ impl Default for PlannerConfig {
     }
 }
 
-/// A cached **subspace** skyline offered to the planner as a pruning
-/// window for a superspace query: the entry's dimension mask is a
-/// proper subset of the query's, its preference mask agrees on the
-/// shared dimensions, and it was computed at the query's exact dataset
-/// version — so every one of its members is live, and any live row one
-/// of them strictly dominates on the *query's* dimensions is provably
-/// outside the answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperspaceSeed {
-    /// Dimension mask of the cached subspace entry.
-    pub dim_mask: u32,
-    /// Number of skyline members cached under it.
-    pub len: usize,
-}
-
 /// The planner: stateless decision rules over a fixed
 /// [`PlannerConfig`]. Safe to share across threads.
 #[derive(Debug, Clone, Default)]
@@ -265,19 +242,13 @@ impl Planner {
     /// property the rules read), so they are not an input.
     ///
     /// Skyline queries take the tiered decision of the module docs,
-    /// offered a prior-version cached result (`prior`) and a cached
-    /// subspace skyline (`seed`). The seed never changes the strategy
-    /// choice; [`Strategy::Algorithm`] plans carry its mask so the
-    /// executor pre-filters through the cached result before the
-    /// algorithm runs, and every other plan drops it — the sharded
-    /// executor scatters all live rows and never reads a seed.
+    /// offered a prior-version cached result (`prior`); nothing else
+    /// the cache holds reaches the plan.
     ///
     /// Counting kinds (k-skyband, top-k dominating) skip the structural
     /// shortcuts: the rows at a dimension's extreme are its skyline but
-    /// say nothing about dominator counts (no min-scan), the
-    /// maintenance kernels patch membership but not counts (no delta),
-    /// and a cached subspace skyline prunes rows that may still carry
-    /// non-zero counts (no seed).
+    /// say nothing about dominator counts (no min-scan), and the
+    /// maintenance kernels patch membership but not counts (no delta).
     ///
     /// - **k-skyband** fans out over an attached sharded store when
     ///   the input is large enough (per-shard local skybands, counting
@@ -295,7 +266,6 @@ impl Planner {
         threads: usize,
         kind: QueryKind,
         prior: Option<PriorResult>,
-        seed: Option<SuperspaceSeed>,
     ) -> QueryPlan {
         let cfg = &self.cfg;
         let n = entry.live_len();
@@ -366,36 +336,33 @@ impl Planner {
 
         // 4. Small inputs: one sort and a filter pass beat Hybrid's
         //    pre-filter and partition set-up.
-        let mut plan = if n <= cfg.small_n {
-            QueryPlan::sequential(
+        if n <= cfg.small_n {
+            return QueryPlan::sequential(
                 Strategy::Algorithm(Algorithm::Sfs),
                 effective,
                 "small input: sort-filter-skyline, no parallel setup",
-            )
-        } else {
-            // 5. An attached partitioner on a large input: per-shard
-            //    scans over cache-resident working sets, then a witness
-            //    probe and SFS/Hybrid over the union of local skylines.
-            if let Some(plan) = sharded_plan(
-                cfg,
-                entry,
-                &effective,
-                threads,
-                "partitioner attached: cache-resident per-shard scans, witness-pruned merge",
-            ) {
-                return plan;
-            }
-            // 6. Everything else: Hybrid on every lane.
-            QueryPlan::new(
-                Strategy::Algorithm(Algorithm::Hybrid),
-                threads,
-                SkylineConfig::tuned(n, threads),
-                effective,
-                "above small_n: Hybrid on every lane",
-            )
-        };
-        plan.superspace_seed = seed;
-        plan
+            );
+        }
+        // 5. An attached partitioner on a large input: per-shard scans
+        //    over cache-resident working sets, then a witness probe and
+        //    SFS/Hybrid over the union of local skylines.
+        if let Some(plan) = sharded_plan(
+            cfg,
+            entry,
+            &effective,
+            threads,
+            "partitioner attached: cache-resident per-shard scans, witness-pruned merge",
+        ) {
+            return plan;
+        }
+        // 6. Everything else: Hybrid on every lane.
+        QueryPlan::new(
+            Strategy::Algorithm(Algorithm::Hybrid),
+            threads,
+            SkylineConfig::tuned(n, threads),
+            effective,
+            "above small_n: Hybrid on every lane",
+        )
     }
 }
 
@@ -416,7 +383,7 @@ mod tests {
         dims: &[usize],
         prior: Option<PriorResult>,
     ) -> QueryPlan {
-        planner.plan_kind(e, dims, 4, QueryKind::Skyline, prior, None)
+        planner.plan_kind(e, dims, 4, QueryKind::Skyline, prior)
     }
 
     const DISTRIBUTIONS: [Distribution; 3] = [
@@ -438,7 +405,7 @@ mod tests {
                 let e = entry_of(generate(dist, n, d, 7, &pool));
                 for &t in threads {
                     let case = format!("{dist:?} n={n} d={d} T={t}");
-                    let plan = planner.plan_kind(&e, &dims, t, QueryKind::Skyline, None, None);
+                    let plan = planner.plan_kind(&e, &dims, t, QueryKind::Skyline, None);
                     assert_eq!(plan.effective_dims, dims, "{case}");
                     if n <= planner.config().small_n {
                         assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Sfs), "{case}");
@@ -596,7 +563,6 @@ mod tests {
                 threads,
                 QueryKind::Skyline,
                 None,
-                None,
             );
             assert_eq!(
                 plan.strategy,
@@ -629,23 +595,15 @@ mod tests {
             QueryKind::Skyband { k: 3 },
             QueryKind::TopKDominating { k: 5 },
         ] {
-            let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, kind, Some(prior), None);
+            let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, kind, Some(prior));
             assert_eq!(
                 plan.strategy,
                 Strategy::Algorithm(Algorithm::Sfs),
                 "{kind:?}"
             );
-            assert!(plan.superspace_seed.is_none());
         }
         // k = 0 is definitionally empty.
-        let plan = planner.plan_kind(
-            &e,
-            &[0, 1, 2, 3],
-            4,
-            QueryKind::Skyband { k: 0 },
-            None,
-            None,
-        );
+        let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, QueryKind::Skyband { k: 0 }, None);
         assert_eq!(plan.strategy, Strategy::Trivial);
         // Skyline kind routes through the full tiered procedure.
         let plan = plan_skyline(&planner, &e, &[0, 1, 2, 3], Some(prior));

@@ -629,9 +629,6 @@ pub enum SpanKind {
     /// at `k' ≥ k` filtered down by its stored dominator counts (or a
     /// top-k dominating list truncated) — with no dataset scan at all.
     CacheAncestor,
-    /// Pre-filtering algorithm input through a cached subspace skyline
-    /// (the superspace-seed optimisation).
-    CacheSeed,
     /// Inserting the fresh result into the cache.
     CacheInsert,
     /// Patching a prior cached result through a mutation delta.
@@ -656,7 +653,6 @@ impl SpanKind {
             SpanKind::Execute => "execute",
             SpanKind::CacheHit => "cache_hit",
             SpanKind::CacheAncestor => "cache_ancestor",
-            SpanKind::CacheSeed => "cache_seed",
             SpanKind::CacheInsert => "cache_insert",
             SpanKind::CachePatch => "cache_patch",
         }

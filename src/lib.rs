@@ -121,8 +121,7 @@ pub use skyline_engine::{
     MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, MonotonicClock, MutationReport,
     PartitionerKind, PlannerConfig, Priority, QueryKind, QueryOptions, QueryPlan, QueryResult,
     QueryTicket, QueryTrace, QuotaKind, RecoveryReport, RejectReason, Session, SessionOptions,
-    SessionStats, SkylineQuery, SlowQueryLog, SpanKind, Strategy, SuperspaceSeed, TelemetryConfig,
-    TraceSpan,
+    SessionStats, SkylineQuery, SlowQueryLog, SpanKind, Strategy, TelemetryConfig, TraceSpan,
 };
 pub use skyline_parallel::{available_threads, ThreadPool};
 pub use skyline_serve::{

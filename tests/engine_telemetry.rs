@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use skybench::{
     generate, AdmissionConfig, Dataset, Distribution, Engine, EngineConfig, Histogram, ManualClock,
-    MetricValue, PartitionerKind, PlannerConfig, SkylineQuery, SpanKind, Strategy, TelemetryConfig,
-    ThreadPool,
+    MetricValue, PartitionerKind, PlannerConfig, QueryTrace, SkylineQuery, SpanKind, Strategy,
+    TelemetryConfig, ThreadPool,
 };
 
 /// A 2-lane manual-dispatch engine on a shared manual clock: nothing
@@ -128,52 +128,54 @@ fn explain_analyze_traces_cache_hits() {
     engine.shutdown();
 }
 
-/// The superspace seed: a cached subspace skyline at the same version
-/// pre-filters a wider query's input, traced as a `cache_seed` span
-/// whose dominance tests are part of the query's reported work.
+/// What the cache holds never changes a miss: an engine that has just
+/// answered a `[0, 1]` skyline and a cold one answer `[0, 1, 2]` with
+/// the same plan, answer, dominance-test count and spans, and each
+/// trace's span-summed tests equal the run's statistics.
 #[test]
-fn superspace_seed_prefilters_through_the_cache() {
+fn a_cached_subspace_never_changes_a_miss() {
     let pool = ThreadPool::new(2);
-    let engine = Engine::with_config(EngineConfig {
-        threads: 2,
-        ..EngineConfig::default()
-    });
     let data = generate(Distribution::Correlated, 12_000, 4, 42, &pool);
-    engine.register("corr", data.clone());
-
-    // Warm a strict-subspace skyline, small enough to seed with.
-    let sub = engine
+    let engines = [(); 2].map(|_| {
+        let engine = Engine::with_config(EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        });
+        engine.register("corr", data.clone());
+        engine
+    });
+    let sub = engines[0]
         .execute(&SkylineQuery::new("corr").dims([0, 1]))
         .unwrap();
     assert!(!sub.cache_hit);
-    assert!(sub.total_skyline_size() <= 4_096, "seedable size");
 
-    // The wider query plans with the seed and traces the filter pass.
     let query = SkylineQuery::new("corr").dims([0, 1, 2]);
-    let (result, trace) = engine.explain_analyze(&query).expect("valid query");
-    let seed = result
-        .plan
-        .superspace_seed
-        .expect("a same-version cached subspace must seed the plan");
-    assert_eq!(seed.dim_mask, 0b011);
-    assert_eq!(seed.len, sub.total_skyline_size());
-    let span = trace
-        .span(SpanKind::CacheSeed)
-        .expect("the filter pass is traced");
-    assert!(span.dominance_tests > 0, "the filter did real tests");
-    // Span-summed totals still reconcile with the run's statistics.
-    let span_sum: u64 = trace.spans.iter().map(|s| s.dominance_tests).sum();
-    assert_eq!(trace.dominance_tests, span_sum);
-    assert_eq!(
-        span_sum,
-        result.stats.as_ref().expect("computed").dominance_tests,
-        "seed tests are part of the query's reported work"
-    );
-
-    // And the answer is exactly the unseeded answer.
+    let runs = engines
+        .each_ref()
+        .map(|engine| engine.explain_analyze(&query).expect("valid query"));
     let expect = skybench::verify::naive_skyline_on(&data, &[0, 1, 2]);
-    assert_eq!(result.indices(), expect.as_slice());
-    engine.shutdown();
+    for (result, trace) in &runs {
+        assert!(!result.cache_hit);
+        assert_eq!(result.indices(), expect.as_slice());
+        let span_sum: u64 = trace.spans.iter().map(|s| s.dominance_tests).sum();
+        assert_eq!(trace.dominance_tests, span_sum);
+        assert_eq!(
+            span_sum,
+            result.stats.as_ref().expect("computed").dominance_tests
+        );
+    }
+    let [(warm, warm_trace), (cold, cold_trace)] = &runs;
+    assert_eq!(warm.plan.strategy, cold.plan.strategy);
+    assert_eq!(
+        warm.stats.as_ref().map(|s| s.dominance_tests),
+        cold.stats.as_ref().map(|s| s.dominance_tests),
+        "a cached subspace must not change a miss's work"
+    );
+    let kinds = |trace: &QueryTrace| trace.spans.iter().map(|s| s.kind).collect::<Vec<_>>();
+    assert_eq!(kinds(warm_trace), kinds(cold_trace));
+    for engine in engines {
+        engine.shutdown();
+    }
 }
 
 /// Sharded plans feed `dominance.tests{algo=…}` like every other

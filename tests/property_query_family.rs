@@ -340,7 +340,6 @@ fn skyband_ancestor_serves_skyline_without_scanning() {
         SpanKind::ShardLocal,
         SpanKind::ShardMerge,
         SpanKind::Execute,
-        SpanKind::CacheSeed,
     ];
     assert!(
         trace.spans.iter().all(|s| !scans.contains(&s.kind)),
