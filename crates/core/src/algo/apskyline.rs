@@ -64,8 +64,9 @@ pub fn run(data: &Dataset, pool: &ThreadPool, cfg: &SkylineConfig) -> SkylineRes
         });
     }
     // Angles are non-negative finite f64s, so their raw bits order
-    // correctly as u64.
-    skyline_parallel::par_sort_unstable_by_key(pool, &mut keyed, |&kv| kv);
+    // correctly as u64; the stable sort keeps equal angles in position
+    // order.
+    skyline_parallel::par_sort_by_key(pool, &mut keyed, |&(angle, _)| angle);
     let slice_len = n.div_ceil(t).max(1);
     probe.lap(AlgoPhase::Init);
 

@@ -27,13 +27,11 @@ use crate::masks::{can_dominate, full_mask, level, mask_and_eq, CompoundKey, Mas
 use crate::norms::f32_order_bits;
 use crate::pivot::select_pivot;
 use crate::prefilter::prefilter;
-use crate::sorted::{order_tied_runs, TiedRows};
+use crate::sorted::{order_tied_runs, par_fill_rows, TiedRows};
 use crate::telemetry::{AlgoPhase, PhaseProbe};
 use crate::{SkylineConfig, SkylineResult};
 use skyline_data::Dataset;
-use skyline_parallel::{
-    par_chunks_mut, par_collect, par_sort_unstable_by_key, parallel_for_in_lane, ThreadPool,
-};
+use skyline_parallel::{par_collect, par_sort_by_key, parallel_for_in_lane, ThreadPool};
 
 /// Hybrid's working set after initialization: rows gathered in
 /// (level, mask, L1) order with their level-1 masks.
@@ -107,8 +105,9 @@ pub fn run_with_progress(
 
     // ---- 2. Pivot selection & partitioning -------------------------------
     // Each survivor becomes a sort item keyed [compound (level, mask) : 32]
-    // [L1 order bits : 32], with its position as an explicit
-    // deterministic tiebreaker; the mask is read back from the key. The
+    // [L1 order bits : 32] beside its position; `par_collect` keeps
+    // position order and the sort is stable, so ties stay in position
+    // order. The mask is read back from the key. The
     // same pass takes the kept rows' column range, which the code tiles
     // of Phases I and II quantise against.
     let pivot = select_pivot(cfg.pivot, &pf.values, d, &pf.l1, cfg.seed, pool);
@@ -141,7 +140,7 @@ pub fn run_with_progress(
     // ---- 3. Sort by (level, mask, L1) -------------------------------------
     // A float L1 tie inside one partition can hide a dominance pair;
     // such runs are put in dominance order.
-    par_sort_unstable_by_key(pool, &mut items, |&t| t);
+    par_sort_by_key(pool, &mut items, |&(key, _)| key);
     let mut tied = TiedItems {
         items: &mut items,
         values: &pf.values,
@@ -156,27 +155,24 @@ pub fn run_with_progress(
         masks: vec![0; n],
         orig: vec![0; n],
     };
-    {
-        let (pf_values, items) = (&pf.values, &items);
-        let grain = (1usize << 10) * d;
-        par_chunks_mut(pool, &mut ws.values, grain, |offset, chunk| {
-            let first = offset / d;
-            for (r, dst) in chunk.chunks_exact_mut(d).enumerate() {
-                let src = items[first + r].1 as usize;
-                dst.copy_from_slice(&pf_values[src * d..(src + 1) * d]);
+    par_fill_rows(
+        pool,
+        d,
+        &mut ws.values,
+        &mut ws.masks,
+        &mut ws.orig,
+        |first, rows, masks, orig| {
+            let sorted = &items[first..first + masks.len()];
+            for (((dst, mask), slot), &(key, pos)) in
+                rows.chunks_exact_mut(d).zip(masks).zip(orig).zip(sorted)
+            {
+                let pos = pos as usize;
+                dst.copy_from_slice(&pf.values[pos * d..(pos + 1) * d]);
+                *mask = CompoundKey((key >> 32) as u32).mask(d);
+                *slot = pf.orig[pos];
             }
-        });
-    }
-    par_chunks_mut(pool, &mut ws.masks, 1 << 12, |offset, chunk| {
-        for (slot, item) in chunk.iter_mut().zip(&items[offset..]) {
-            *slot = CompoundKey((item.0 >> 32) as u32).mask(d);
-        }
-    });
-    par_chunks_mut(pool, &mut ws.orig, 1 << 12, |offset, chunk| {
-        for (slot, item) in chunk.iter_mut().zip(&items[offset..]) {
-            *slot = pf.orig[item.1 as usize];
-        }
-    });
+        },
+    );
     drop(items);
     probe.lap(AlgoPhase::Init);
 

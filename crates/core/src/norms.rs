@@ -71,9 +71,34 @@ pub fn f32_order_bits(x: f32) -> u32 {
     }
 }
 
-/// Packs a row's sort key and position into one `u64` so the parallel
-/// sort can order plain integers: high 32 bits order by key, low 32 bits
-/// break ties deterministically by position.
+/// The inverse of [`f32_order_bits`]: the float whose order bits are
+/// `bits`, sign of zero included.
+#[inline]
+pub fn f32_from_order_bits(bits: u32) -> f32 {
+    if bits & 0x8000_0000 != 0 {
+        f32::from_bits(bits & 0x7fff_ffff)
+    } else {
+        f32::from_bits(!bits)
+    }
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order is
+/// [`f64::total_cmp`]'s (the same sign flip, NaNs at the ends), so a
+/// radix sort on it orders as a `total_cmp` sort does.
+#[inline]
+pub fn f64_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits & 1 << 63 != 0 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Packs a row's sort key and position into one `u64` so one integer
+/// comparison orders a small unstable sort (the pre-filter's β-queue
+/// union): high 32 bits order by key, low 32 bits break ties
+/// deterministically by position.
 #[inline]
 pub fn packed_scalar_key(key_value: f32, position: u32) -> u64 {
     ((f32_order_bits(key_value) as u64) << 32) | position as u64
@@ -119,6 +144,43 @@ mod tests {
         // Strictness everywhere except -0.0 vs 0.0, which compare equal as
         // floats and must not be strictly ordered consistently anyway.
         assert_eq!(f32_order_bits(-0.0), f32_order_bits(0.0).wrapping_sub(1));
+    }
+
+    #[test]
+    fn order_bits_round_trip_and_follow_total_cmp() {
+        let floats = [
+            -f32::MAX,
+            -1.5,
+            -f32::from_bits(1),
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            0.5,
+            f32::MAX,
+        ];
+        for &x in &floats {
+            assert_eq!(
+                f32_from_order_bits(f32_order_bits(x)).to_bits(),
+                x.to_bits()
+            );
+        }
+        let doubles = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in doubles {
+            for b in doubles {
+                assert_eq!(f64_order_bits(a).cmp(&f64_order_bits(b)), a.total_cmp(&b));
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! [`TileStore::count_dominators_range`]: crate::dominance::simd::TileStore::count_dominators_range
 
 use crate::dominance::simd::{ColumnRange, TileStore};
+use crate::norms::f64_order_bits;
+use skyline_parallel::{par_sort_by_key, ThreadPool};
 
 /// Sum-sorted scan order over `rows`: `(computed f64 sum, index)`
 /// ascending by sum, plus a [`TileStore`] holding the rows in that
@@ -46,7 +48,11 @@ fn sum_order(rows: &[f32], d: usize) -> (Vec<(f64, u32)>, TileStore) {
             (sum, i as u32)
         })
         .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    // Stable on the sum: equal sums stay in index order. No pool is at
+    // hand here, and a one-lane pool spawns no thread.
+    par_sort_by_key(&ThreadPool::new(1), &mut order, |&(sum, _)| {
+        f64_order_bits(sum)
+    });
     let mut tile = TileStore::with_range(&bounds, n);
     for &(_, i) in &order {
         tile.push(&rows[i as usize * d..(i as usize + 1) * d]);
@@ -135,7 +141,6 @@ mod tests {
     use crate::dominance::simd::flip_pref;
     use crate::verify;
     use skyline_data::{generate, Dataset, Distribution};
-    use skyline_parallel::ThreadPool;
 
     /// Folds `data` onto `dims` with `max_mask` orientation — the
     /// engine's algorithm-input convention.

@@ -13,8 +13,8 @@ use std::sync::Mutex;
 use crate::config::SortKey;
 use crate::dominance::dt;
 use crate::dominance::simd::ColumnRange;
-use crate::norms::{eval_sort_key, f32_order_bits, l1};
-use skyline_parallel::{par_chunks_mut, par_collect, par_sort_unstable_by_key, ThreadPool};
+use crate::norms::{eval_sort_key, f32_from_order_bits, f32_order_bits, l1, min_coord};
+use skyline_parallel::{par_chunks_mut, par_collect, par_sort_by_key, ThreadPool};
 
 /// A dataset copy reordered by a monotone sort key.
 #[derive(Debug)]
@@ -49,10 +49,11 @@ impl WorkSet {
 /// indices (identity if `None`) — used after pre-filtering has already
 /// compacted the input.
 ///
-/// Ties: for `L1`/`Entropy` ties are broken by position; for `MinCoord`
-/// by L1 (p ≺ q with equal min requires a smaller L1), then position.
-/// Exactly, a strict dominator has the strictly smaller key, but a
-/// float key can round to a tie, so runs of rows whose
+/// Ties: for `L1`/`Entropy` ties keep position order (the sort is
+/// stable and the items are built in position order); for `MinCoord`
+/// they break by L1 (p ≺ q with equal min requires a smaller L1), then
+/// position. Exactly, a strict dominator has the strictly smaller key,
+/// but a float key can round to a tie, so runs of rows whose
 /// dominance-relevant keys tie are then put in dominance order
 /// ([`order_tied_runs`]).
 pub(crate) fn build_workset(
@@ -62,42 +63,64 @@ pub(crate) fn build_workset(
     sort_key: SortKey,
     pool: &ThreadPool,
 ) -> WorkSet {
-    let n = values.len() / d;
-    debug_assert_eq!(values.len(), n * d);
-
-    // (packed key, position) pairs; see `packed` below for layouts. The
-    // key pass also takes the column range.
-    let mut items: Vec<(u64, u32)> = vec![(0, 0); n];
-    let range = Mutex::new(ColumnRange::empty(d));
-    {
-        let values_ref = values;
-        par_chunks_mut(pool, &mut items, 1 << 12, |offset, chunk| {
-            let mut local = ColumnRange::empty(d);
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let i = offset + k;
-                let row = &values_ref[i * d..(i + 1) * d];
-                local.include(row);
-                let hi = (f32_order_bits(eval_sort_key(sort_key, row)) as u64) << 32;
-                let lo = match sort_key {
-                    SortKey::L1 | SortKey::Entropy => (i as u32) as u64,
-                    SortKey::MinCoord => f32_order_bits(l1(row)) as u64,
-                };
-                let packed = hi | lo;
-                *slot = (packed, i as u32);
-            }
-            range.lock().expect("range lock").union(&local);
-        });
-    }
-    par_sort_unstable_by_key(pool, &mut items, |&t| t);
-
-    let range = range.into_inner().expect("range lock");
-    let mut ws = gather(values, d, source_orig, &items, sort_key, range, pool);
+    // `(order bits, position)` items: the key alone for `L1`/`Entropy`,
+    // `[min : 32][L1 : 32]` for `MinCoord`, whose top half the keys are
+    // read back from.
+    let mut ws = match sort_key {
+        SortKey::L1 | SortKey::Entropy => {
+            let (mut items, range) = sort_items(values, d, pool, |row| {
+                f32_order_bits(eval_sort_key(sort_key, row))
+            });
+            par_sort_by_key(pool, &mut items, |&(k, _)| k);
+            gather(values, d, source_orig, &items, |&(k, _)| k, range, pool)
+        }
+        SortKey::MinCoord => {
+            let (mut items, range) = sort_items(values, d, pool, |row| {
+                (f32_order_bits(min_coord(row)) as u64) << 32 | f32_order_bits(l1(row)) as u64
+            });
+            par_sort_by_key(pool, &mut items, |&(k, _)| k);
+            gather(
+                values,
+                d,
+                source_orig,
+                &items,
+                |&(k, _)| (k >> 32) as u32,
+                range,
+                pool,
+            )
+        }
+    };
     let mut tied = TiedWorkSet {
         ws: &mut ws,
         min_coord: sort_key == SortKey::MinCoord,
     };
     order_tied_runs(&mut tied, pool);
     ws
+}
+
+/// Each row's `(key, position)` item, in position order, and the rows'
+/// column range, in one parallel pass.
+fn sort_items<K: Copy + Default + Send>(
+    values: &[f32],
+    d: usize,
+    pool: &ThreadPool,
+    key: impl Fn(&[f32]) -> K + Sync,
+) -> (Vec<(K, u32)>, ColumnRange) {
+    let n = values.len() / d;
+    debug_assert_eq!(values.len(), n * d);
+    let mut items = vec![(K::default(), 0u32); n];
+    let range = Mutex::new(ColumnRange::empty(d));
+    par_chunks_mut(pool, &mut items, 1 << 12, |offset, chunk| {
+        let mut local = ColumnRange::empty(d);
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            let i = offset + k;
+            let row = &values[i * d..(i + 1) * d];
+            local.include(row);
+            *slot = (key(row), i as u32);
+        }
+        range.lock().expect("range lock").union(&local);
+    });
+    (items, range.into_inner().expect("range lock"))
 }
 
 /// Runs longer than this are ordered lexicographically instead of by
@@ -225,52 +248,72 @@ impl TiedRows for TiedWorkSet<'_> {
     }
 }
 
-/// Gathers rows into sort order and recomputes per-row key values.
-fn gather(
+/// Gathers rows into sort order with their keys, read back from the
+/// sorted items' order bits (`key_bits`: the same floats the sort saw),
+/// and their original indices, in one parallel pass.
+fn gather<I: Sync>(
     values: &[f32],
     d: usize,
     source_orig: Option<&[u32]>,
-    items: &[(u64, u32)],
-    sort_key: SortKey,
+    items: &[(I, u32)],
+    key_bits: impl Fn(&(I, u32)) -> u32 + Sync,
     range: ColumnRange,
     pool: &ThreadPool,
 ) -> WorkSet {
     let n = items.len();
-    let mut out_values = vec![0.0f32; n * d];
-    {
-        let grain = (1usize << 10) * d; // row-aligned chunk boundaries
-        par_chunks_mut(pool, &mut out_values, grain, |offset, chunk| {
-            debug_assert_eq!(offset % d, 0);
-            let first_row = offset / d;
-            for (r, dst) in chunk.chunks_exact_mut(d).enumerate() {
-                let src_pos = items[first_row + r].1 as usize;
-                dst.copy_from_slice(&values[src_pos * d..(src_pos + 1) * d]);
-            }
-        });
-    }
-    // The keys are recomputed from the gathered, contiguous rows: the
-    // same floats as the sort saw, without a second random read.
-    let mut keys = vec![0.0f32; n];
-    par_chunks_mut(pool, &mut keys, 1 << 12, |offset, chunk| {
-        let rows = out_values[offset * d..].chunks_exact(d);
-        for (slot, row) in chunk.iter_mut().zip(rows) {
-            *slot = eval_sort_key(sort_key, row);
-        }
-    });
-    let mut orig = vec![0u32; n];
-    par_chunks_mut(pool, &mut orig, 1 << 12, |offset, chunk| {
-        for (slot, item) in chunk.iter_mut().zip(&items[offset..]) {
-            let pos = item.1 as usize;
-            *slot = source_orig.map_or(pos as u32, |m| m[pos]);
-        }
-    });
-    WorkSet {
+    let mut ws = WorkSet {
         d,
-        values: out_values,
-        keys,
-        orig,
+        values: vec![0.0f32; n * d],
+        keys: vec![0.0f32; n],
+        orig: vec![0u32; n],
         range,
-    }
+    };
+    par_fill_rows(
+        pool,
+        d,
+        &mut ws.values,
+        &mut ws.keys,
+        &mut ws.orig,
+        |first, rows, keys, orig| {
+            let sorted = &items[first..first + keys.len()];
+            for (((dst, key), slot), item) in
+                rows.chunks_exact_mut(d).zip(keys).zip(orig).zip(sorted)
+            {
+                let pos = item.1 as usize;
+                dst.copy_from_slice(&values[pos * d..(pos + 1) * d]);
+                *key = f32_from_order_bits(key_bits(item));
+                *slot = source_orig.map_or(item.1, |m| m[pos]);
+            }
+        },
+    );
+    ws
+}
+
+/// Rows per task of [`par_fill_rows`].
+const FILL_ROWS: usize = 1 << 10;
+
+/// Fills row-major `values` (`d` per row) and the per-row columns `a`
+/// and `b` in one parallel pass: `body(first, rows, a, b)` gets the
+/// matching pieces of all three, starting at row `first`.
+pub(crate) fn par_fill_rows<A: Send, B: Send>(
+    pool: &ThreadPool,
+    d: usize,
+    values: &mut [f32],
+    a: &mut [A],
+    b: &mut [B],
+    body: impl Fn(usize, &mut [f32], &mut [A], &mut [B]) + Sync,
+) {
+    debug_assert!(values.len() == a.len() * d && a.len() == b.len());
+    let mut parts: Vec<_> = values
+        .chunks_mut(FILL_ROWS * d)
+        .zip(a.chunks_mut(FILL_ROWS))
+        .zip(b.chunks_mut(FILL_ROWS))
+        .collect();
+    par_chunks_mut(pool, &mut parts, 1, |first, run| {
+        for (c, ((rows, a), b)) in run.iter_mut().enumerate() {
+            body((first + c) * FILL_ROWS, rows, a, b);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -364,6 +407,53 @@ mod tests {
         }
         let ws = build_workset(&long, 3, None, SortKey::L1, &pool);
         assert_eq!(ws.orig, (0..40).rev().collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn matches_a_position_tiebroken_comparison_sort() {
+        // Past the sort's cutoffs and the gather's row blocks, at one and
+        // two lanes: the rows, keys and order of a serial `(key,
+        // position)` comparison sort followed by the same tie pass.
+        let (n, d) = (70_000, 3);
+        let mut rng = 11u64;
+        let values: Vec<f32> = (0..n * d)
+            .map(|_| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((rng >> 40) % 64) as f32 / 8.0
+            })
+            .collect();
+        let row = |i: usize| &values[i * d..(i + 1) * d];
+        for key in [SortKey::L1, SortKey::Entropy, SortKey::MinCoord] {
+            let min_coord = key == SortKey::MinCoord;
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| {
+                let tiebreak = if min_coord {
+                    f32_order_bits(l1(row(i)))
+                } else {
+                    0
+                };
+                (f32_order_bits(eval_sort_key(key, row(i))), tiebreak, i)
+            });
+            let mut expect = WorkSet {
+                d,
+                values: order.iter().flat_map(|&i| row(i).to_vec()).collect(),
+                keys: order.iter().map(|&i| eval_sort_key(key, row(i))).collect(),
+                orig: order.iter().map(|&i| i as u32).collect(),
+                range: ColumnRange::empty(d),
+            };
+            let mut tied = TiedWorkSet {
+                ws: &mut expect,
+                min_coord,
+            };
+            order_tied_runs(&mut tied, &ThreadPool::new(1));
+            for t in [1, 2] {
+                let ws = build_workset(&values, d, None, key, &ThreadPool::new(t));
+                assert_eq!(ws.orig, expect.orig, "{key:?}, T = {t}");
+                assert_eq!(ws.values, expect.values, "{key:?}, T = {t}");
+                let bits = |keys: &[f32]| keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ws.keys), bits(&expect.keys), "{key:?}, T = {t}");
+            }
+        }
     }
 
     #[test]

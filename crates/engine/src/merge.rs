@@ -49,9 +49,10 @@
 
 use skyline_core::algo::Algorithm;
 use skyline_core::dominance::simd::{ColumnRange, TileStore};
+use skyline_core::norms::f64_order_bits;
 use skyline_core::SkylineConfig;
 use skyline_data::Dataset;
-use skyline_parallel::ThreadPool;
+use skyline_parallel::{par_sort_by_key, ThreadPool};
 
 /// The sharded tier's skyline algorithm for `n` rows: SFS up to 4 096
 /// (one sort and a filter pass beat any parallel set-up), the paper's
@@ -154,7 +155,7 @@ pub fn merge_locals(
     let out = if k == 1 {
         merge_skyline(dims, locals, &witnesses, pool, &mut stats)
     } else {
-        merge_skyband(dims, k, locals, &witnesses, &bounds, &mut stats)
+        merge_skyband(dims, k, locals, &witnesses, &bounds, pool, &mut stats)
     };
     stats.survivors = out.len();
     (out, stats)
@@ -251,6 +252,7 @@ fn merge_skyband(
     locals: &[ShardLocal],
     witnesses: &TileStore,
     bounds: &ColumnRange,
+    pool: &ThreadPool,
     stats: &mut MergeStats,
 ) -> Vec<(u32, u32)> {
     let total = stats.candidates;
@@ -266,7 +268,8 @@ fn merge_skyband(
             order.push((sum, li as u32, r as u32));
         }
     }
-    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // Stable: equal sums keep (local, row) order.
+    par_sort_by_key(pool, &mut order, |&(sum, _, _)| f64_order_bits(sum));
 
     let row_of = |li: u32, r: u32| -> &[f32] {
         let base = r as usize * dims;

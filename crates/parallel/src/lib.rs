@@ -13,7 +13,8 @@
 //! * [`par_chunks_mut`] — the mutable-output variant,
 //! * [`par_collect`] — a parallel filter whose output keeps index order,
 //! * [`for_each_lane`] — per-thread scratch initialisation,
-//! * [`par_sort_unstable_by_key`] — a parallel merge sort,
+//! * [`par_sort_by_key`] — a stable parallel LSD radix sort on integer
+//!   keys,
 //! * [`LaneCounters`] — cache-padded per-thread metric counters.
 //!
 //! Design notes
@@ -44,7 +45,7 @@ pub use cache_padded::CachePadded;
 pub use metrics::LaneCounters;
 pub use par::{for_each_lane, par_chunks_mut, par_collect, parallel_for, parallel_for_in_lane};
 pub use pool::ThreadPool;
-pub use psort::par_sort_unstable_by_key;
+pub use psort::{par_sort_by_key, par_sort_unstable_by_key};
 
 /// Returns the machine's available hardware parallelism (≥ 1).
 ///

@@ -73,15 +73,20 @@ where
 }
 
 /// Wrapper making a raw pointer `Send + Sync` so parallel lanes can write
-/// to disjoint sub-slices of one `&mut [T]`.
+/// to disjoint parts of one buffer.
 ///
 /// Safety argument: [`par_chunks_mut`] claims disjoint ranges from an
 /// atomic counter, so no two lanes ever construct overlapping slices, and
-/// the borrow of `data` outlives the region because `ThreadPool::run` joins
+/// the radix sort's scatter writes each slot from one chunk only; the
+/// buffer's borrow outlives the region because `ThreadPool::run` joins
 /// all lanes before returning.
-struct SendPtr<T>(*mut T);
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 
+// SAFETY: the one field is a pointer that lanes write through only at
+// disjoint positions (see above); `T: Send` lets those items be written
+// from other threads.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: a shared `&SendPtr` only hands out the pointer, used as above.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Dynamically scheduled parallel loop over mutable chunks of `data`.
