@@ -21,10 +21,9 @@
 //!
 //! Versioned keys make stale hits impossible. Re-registration purges
 //! dead entries eagerly ([`ResultCache::purge_dataset_below`]);
-//! mutation batches instead *patch* entries forward to the new version
-//! (the engine applies the delta kernels and re-inserts via
-//! [`ResultCache::insert_patched`]) or leave them in place for the
-//! planner's delta strategy to reuse ([`ResultCache::find_prior`]).
+//! mutation batches first *patch* the plain skylines forward to the
+//! new version (the engine applies the delta kernels and re-inserts via
+//! [`ResultCache::insert_patched`]), then purge the rest.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,7 +88,8 @@ pub struct CacheStats {
     /// Entries dropped by byte-budget pressure.
     pub evictions: u64,
     /// Entries dropped by dataset re-registration, eviction, or a
-    /// mutation delta too large to patch.
+    /// mutation batch that superseded their version without patching
+    /// them.
     pub invalidations: u64,
     /// Entries patched forward across a dataset version by applying a
     /// mutation delta instead of recomputing.
@@ -377,9 +377,8 @@ impl ResultCache {
     /// maintenance kernels and re-inserts via
     /// [`insert_patched`](Self::insert_patched). Counting entries
     /// (skyband, top-k dominating) are left in place: the delta
-    /// kernels cannot maintain dominance counts, and a version-keyed
-    /// entry at a superseded version can never serve again, so the LRU
-    /// tail reclaims them.
+    /// kernels cannot maintain dominance counts, so the caller purges
+    /// them with the rest of the superseded version.
     pub fn take_dataset_version(
         &self,
         dataset_id: u64,
@@ -408,31 +407,6 @@ impl ResultCache {
         out
     }
 
-    /// The newest resident **plain-skyline** result for the same
-    /// dataset/subspace/preference at a version **below**
-    /// `key.version`, as `(version, skyline length)`. Feeds the
-    /// planner's delta strategy, which repairs skylines only — so
-    /// non-skyline probes (and entries) never participate. Does not
-    /// refresh recency or count as a probe.
-    pub fn find_prior(&self, key: &CacheKey) -> Option<(u64, usize)> {
-        if self.budget_bytes == 0 || !key.kind.is_skyline() {
-            return None;
-        }
-        let inner = self.lock();
-        inner
-            .map
-            .iter()
-            .filter(|(k, _)| {
-                k.dataset_id == key.dataset_id
-                    && k.dim_mask == key.dim_mask
-                    && k.max_mask == key.max_mask
-                    && k.version < key.version
-                    && k.kind.is_skyline()
-            })
-            .max_by_key(|(k, _)| k.version)
-            .map(|(k, &slot)| (k.version, inner.nodes[slot].value.ids.len()))
-    }
-
     /// Drops every entry belonging to `dataset_id` (all versions),
     /// returning how many. Called on dataset eviction.
     pub fn purge_dataset(&self, dataset_id: u64) -> usize {
@@ -442,8 +416,8 @@ impl ResultCache {
     /// Drops entries of `dataset_id` with a version **below**
     /// `version`, returning how many. Called on re-registration and
     /// compaction (where results already computed against the fresh
-    /// version must survive), and after mutations to trim entries the
-    /// delta log can no longer patch forward.
+    /// version must survive), and after every mutation batch, once the
+    /// patchable entries have been carried forward.
     pub fn purge_dataset_below(&self, dataset_id: u64, version: u64) -> usize {
         self.purge_matching(|k| k.dataset_id == dataset_id && k.version < version)
     }
@@ -652,26 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn find_prior_returns_newest_matching_version() {
-        let c = ResultCache::new(budget_for(8));
-        c.insert(key(1, 2, 1), val(&[1]));
-        c.insert(key(1, 4, 1), val(&[1, 2]));
-        c.insert(key(1, 4, 2), val(&[3])); // different subspace
-        c.insert(key(1, 9, 1), val(&[5])); // not below the probe
-        assert_eq!(c.find_prior(&key(1, 7, 1)), Some((4, 2)));
-        assert_eq!(c.find_prior(&key(1, 2, 1)), None);
-        assert_eq!(c.find_prior(&key(2, 7, 1)), None);
-        let with_pref = CacheKey {
-            dataset_id: 1,
-            version: 7,
-            dim_mask: 1,
-            max_mask: 1,
-            kind: QueryKind::Skyline,
-        };
-        assert_eq!(c.find_prior(&with_pref), None, "pref mask must match");
-    }
-
-    #[test]
     fn kinds_do_not_collide_and_counting_entries_are_not_patched() {
         let c = ResultCache::new(budget_for(8));
         let band = CacheKey {
@@ -685,20 +639,13 @@ mod tests {
         // Counts are charged against the budget too.
         assert_eq!(c.stats().bytes, 2 * ENTRY_OVERHEAD_BYTES + 4 + (2 + 2) * 4);
         // Patch-forward takes the skyline entry only; the skyband stays
-        // behind at its dead version for the LRU tail to reclaim.
+        // behind at its dead version until the version purge.
         let taken = c.take_dataset_version(1, 3);
         assert_eq!(taken.len(), 1);
         assert!(taken[0].0.kind.is_skyline());
         assert!(c.get_uncounted(&band).is_some());
-        // Delta planning never sees non-skyline entries either way.
-        assert_eq!(c.find_prior(&key(1, 9, 1)), None);
-        assert_eq!(
-            c.find_prior(&CacheKey {
-                kind: QueryKind::Skyband { k: 3 },
-                ..key(1, 9, 1)
-            }),
-            None
-        );
+        assert_eq!(c.purge_dataset_below(1, 4), 1);
+        assert!(c.get_uncounted(&band).is_none());
     }
 
     #[test]
@@ -762,7 +709,6 @@ mod tests {
         c.insert(key(1, 1, 1), val(&[1]));
         assert!(c.get(&key(1, 1, 1)).is_none());
         assert_eq!(c.len(), 0);
-        assert!(c.find_prior(&key(1, 2, 1)).is_none());
         assert!(c.take_dataset_version(1, 1).is_empty());
     }
 
@@ -791,7 +737,6 @@ mod tests {
         assert_eq!(c.len(), 0);
         // The whole patch-forward flow is a clean no-op at zero budget.
         assert!(c.take_dataset_version(1, 2).is_empty());
-        assert!(c.find_prior(&key(1, 3, 1)).is_none());
         assert_eq!(c.purge_dataset_below(1, 9), 0);
     }
 
@@ -809,8 +754,8 @@ mod tests {
     #[test]
     fn patch_chain_across_three_versions_tracks_the_newest() {
         // v1 → v2 → v3 → v4: each hop takes the prior version's entry
-        // and re-inserts it patched; find_prior must always surface
-        // the newest reachable ancestor for delta planning.
+        // and re-inserts it patched, so only the newest version is
+        // ever resident.
         let c = ResultCache::new(budget_for(8));
         c.insert(key(1, 1, 1), val(&[10]));
         for ver in 1..=3u64 {
@@ -828,7 +773,7 @@ mod tests {
             );
             // The old version is gone; only the patched one remains.
             assert!(c.get_uncounted(&key(1, ver, 1)).is_none());
-            assert_eq!(c.find_prior(&key(1, 99, 1)), Some((ver + 1, sky.len())));
+            assert_eq!(*c.get_uncounted(&key(1, ver + 1, 1)).unwrap().ids, sky);
         }
         assert_eq!(c.stats().patches, 3);
         assert_eq!(*c.get(&key(1, 4, 1)).unwrap().ids, vec![10, 11, 12, 13]);
@@ -861,7 +806,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
                     c.purge_dataset_below(1, (i + t) % 8);
-                    c.find_prior(&key(1, 8, 1));
+                    c.get_uncounted(&key(1, i % 8, 2));
                 }
             }));
         }

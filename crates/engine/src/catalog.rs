@@ -5,7 +5,7 @@
 //! sort-based (they order their input per query and keep nothing
 //! between queries), so a precomputed order would be paid for on every
 //! write and read by nobody. Registration is one pass over the rows —
-//! per-dimension min/max/mean. Mutation batches
+//! per-dimension min/max. Mutation batches
 //! ([`Catalog::mutate`]) then *patch* that state, at a cost
 //! proportional to the rows they touch:
 //!
@@ -14,16 +14,16 @@
 //!   lists stay meaningful across versions;
 //! * deleted rows are **tombstoned** (a bitset), never renumbered,
 //!   until a compaction threshold rebuilds the base;
-//! * means are patched from running sums; min/max are **exact running
-//!   values**: an insert folds in with `min`/`max`, and only a delete
-//!   that removes a row attaining the current extreme of a dimension
-//!   makes that dimension's extremes be rescanned (one pass over the
-//!   new live list, shared by all such dimensions of the batch). The
-//!   planner drops dimensions whose min equals max, so a stale extreme
-//!   would be a wrong answer, not a slow one;
-//! * each batch appends to a bounded **delta log**, which lets the
-//!   engine patch prior-version cached results forward
-//!   ([`DatasetEntry::delta_since`]).
+//! * min/max are **exact running values**: an insert folds in with
+//!   `min`/`max`, and only a delete that removes a row attaining the
+//!   current extreme of a dimension makes that dimension's extremes be
+//!   rescanned (one pass over the new live list, shared by all such
+//!   dimensions of the batch). The planner drops dimensions whose min
+//!   equals max, so a stale extreme would be a wrong answer, not a
+//!   slow one.
+//!
+//! No history of the batches is kept: the engine patches its cached
+//! results forward as each batch lands, from its [`MutationOutcome`].
 //!
 //! Every mutation produces a fresh [`DatasetEntry`] (copy-on-write
 //! over `Arc`-shared pieces) and bumps the version, so concurrent
@@ -46,8 +46,6 @@ pub struct DimStats {
     pub min: f32,
     /// Largest live value on the dimension.
     pub max: f32,
-    /// Arithmetic mean of the dimension over live rows.
-    pub mean: f32,
 }
 
 impl DimStats {
@@ -60,11 +58,7 @@ impl DimStats {
 
 /// What every dimension of an entry with no live rows reports: a
 /// placeholder, not an extreme of anything.
-const EMPTY_DIM: DimStats = DimStats {
-    min: 0.0,
-    max: 0.0,
-    mean: 0.0,
-};
+const EMPTY_DIM: DimStats = DimStats { min: 0.0, max: 0.0 };
 
 /// Precomputed statistics for a registered dataset.
 #[derive(Debug, Clone)]
@@ -84,11 +78,6 @@ impl DatasetStats {
         )
     }
 }
-
-/// Mutation batches kept in the delta log. Cached results older than
-/// the log's reach are purged by the engine; 16 batches of headroom
-/// keeps cold-but-cached subspaces patchable across a burst of writes.
-const DELTA_LOG_CAP: usize = 16;
 
 /// Deleted-row bitset over the stable id space (base + segment).
 #[derive(Debug, Clone, Default)]
@@ -118,28 +107,6 @@ impl Tombstones {
     }
 }
 
-/// One mutation batch in the delta log. `bound` is the total row count
-/// before the batch, so the ids the batch inserted are exactly
-/// `bound..` (the live ones are recoverable from the live list alone).
-#[derive(Debug)]
-struct DeltaRecord {
-    from_version: u64,
-    bound: u32,
-    deleted: Vec<u32>,
-}
-
-/// The accumulated difference between a prior version and the current
-/// one, as produced by [`DatasetEntry::delta_since`].
-#[derive(Debug, Clone)]
-pub struct DeltaSummary {
-    /// Total rows at the prior version: every live id `>= bound` was
-    /// inserted after it.
-    pub bound: u32,
-    /// Ids live at the prior version that have since been deleted
-    /// (rows both inserted *and* deleted inside the window net out).
-    pub deleted: Vec<u32>,
-}
-
 /// A registered dataset plus everything precomputed about it.
 ///
 /// Rows are addressed by **stable ids**: `0..base.len()` are the base
@@ -158,9 +125,6 @@ pub struct DatasetEntry {
     /// Live stable ids, ascending.
     live: Arc<Vec<u32>>,
     stats: DatasetStats,
-    /// Per-dimension running value sums over live rows (mean patching).
-    sums: Arc<Vec<f64>>,
-    deltas: Vec<Arc<DeltaRecord>>,
     /// The frozen partitioner of a dataset registered through
     /// [`Catalog::register_sharded`]. It holds no rows: the sharded
     /// executor routes [`live_ids`](Self::live_ids) through it per
@@ -271,42 +235,6 @@ impl DatasetEntry {
             .collect()
     }
 
-    /// The accumulated delta between `version` (a prior version of this
-    /// entry) and now, or `None` when the delta log no longer reaches
-    /// back that far (too many batches, a re-registration, or a
-    /// compaction renumbered the ids).
-    pub fn delta_since(&self, version: u64) -> Option<DeltaSummary> {
-        if version == self.version {
-            return Some(DeltaSummary {
-                bound: self.total_rows() as u32,
-                deleted: Vec::new(),
-            });
-        }
-        let start = self.deltas.iter().position(|r| r.from_version == version)?;
-        let bound = self.deltas[start].bound;
-        let mut deleted = Vec::new();
-        for rec in &self.deltas[start..] {
-            // Ids at or past `bound` were created inside the window;
-            // their deletion nets out against their insertion.
-            deleted.extend(rec.deleted.iter().copied().filter(|&id| id < bound));
-        }
-        deleted.sort_unstable();
-        Some(DeltaSummary { bound, deleted })
-    }
-
-    /// Ids inserted after the version whose total row count was
-    /// `bound` and still live, ascending (a subslice of `live_ids`).
-    pub fn inserted_since(&self, bound: u32) -> &[u32] {
-        let at = self.live.partition_point(|&id| id < bound);
-        &self.live[at..]
-    }
-
-    /// The oldest version the delta log can still patch forward from,
-    /// if any.
-    pub fn oldest_delta_version(&self) -> Option<u64> {
-        self.deltas.first().map(|r| r.from_version)
-    }
-
     /// The partitioner handle of this entry, when the dataset was
     /// registered through [`Catalog::register_sharded`]. It is frozen
     /// at registration and shared by every later version; the shards
@@ -327,34 +255,25 @@ impl skyline_core::maintain::RowSource for DatasetEntry {
     }
 }
 
-/// Per-dimension stats plus the running sums they were derived from.
-fn compute_stats(data: &Dataset) -> (Vec<DimStats>, Vec<f64>) {
-    let (n, d) = (data.len(), data.dims());
+/// Per-dimension min/max over every row of `data`.
+fn compute_stats(data: &Dataset) -> Vec<DimStats> {
+    if data.is_empty() {
+        return vec![EMPTY_DIM; data.dims()];
+    }
     let mut per_dim = vec![
         DimStats {
             min: f32::INFINITY,
             max: f32::NEG_INFINITY,
-            mean: 0.0,
         };
-        d
+        data.dims()
     ];
-    let mut sums = vec![0.0f64; d];
     for row in data.rows() {
-        for (c, &v) in row.iter().enumerate() {
-            let s = &mut per_dim[c];
+        for (s, &v) in per_dim.iter_mut().zip(row) {
             s.min = s.min.min(v);
             s.max = s.max.max(v);
-            sums[c] += v as f64;
         }
     }
-    for (s, sum) in per_dim.iter_mut().zip(&sums) {
-        if n == 0 {
-            *s = EMPTY_DIM;
-        } else {
-            s.mean = (sum / n as f64) as f32;
-        }
-    }
-    (per_dim, sums)
+    per_dim
 }
 
 /// The outcome of one applied mutation batch.
@@ -494,8 +413,8 @@ impl Catalog {
     /// iff a deleted row attained a dimension's current min or max
     /// ([`MutationOutcome::stats_rescans`]). When tombstones would
     /// exceed `compact_fraction` of all rows the base is rebuilt
-    /// instead (survivors renumbered, delta log cleared). One version
-    /// bump covers the whole batch.
+    /// instead (survivors renumbered). One version bump covers the
+    /// whole batch.
     ///
     /// `log` is the write-ahead hook: it runs inside the per-dataset
     /// writer critical section, after the batch is fully validated and
@@ -633,7 +552,7 @@ fn pristine_entry(
     data: Dataset,
     sharded: Option<ShardedStore>,
 ) -> DatasetEntry {
-    let (per_dim, sums) = compute_stats(&data);
+    let per_dim = compute_stats(&data);
     let live: Vec<u32> = (0..data.len() as u32).collect();
     DatasetEntry {
         name: name.to_string(),
@@ -644,8 +563,6 @@ fn pristine_entry(
         tombstones: Arc::new(Tombstones::default()),
         stats: DatasetStats { per_dim },
         live: Arc::new(live),
-        sums: Arc::new(sums),
-        deltas: Vec::new(),
         sharded,
     }
 }
@@ -700,37 +617,19 @@ fn patched_entry(
     // placeholders, not extremes of anything, so all of its dimensions
     // start dirty. Inserts fold in regardless; a rescan overwrites them.
     let mut per_dim = old.stats.per_dim.clone();
-    let mut sums = (*old.sums).clone();
     let mut dirty = vec![old.live.is_empty(); per_dim.len()];
     for &id in deleted_ids {
         for (c, &v) in old.point(id).iter().enumerate() {
-            sums[c] -= v as f64;
             dirty[c] |= v == per_dim[c].min || v == per_dim[c].max;
         }
     }
     for row in inserts {
-        for (c, &v) in row.iter().enumerate() {
-            sums[c] += v as f64;
-            per_dim[c].min = per_dim[c].min.min(v);
-            per_dim[c].max = per_dim[c].max.max(v);
+        for (s, &v) in per_dim.iter_mut().zip(row) {
+            s.min = s.min.min(v);
+            s.max = s.max.max(v);
         }
     }
     let rescan: Vec<usize> = (0..dirty.len()).filter(|&c| dirty[c]).collect();
-    let n = live.len();
-    if n == 0 {
-        // Back to the state of an empty registration: no rounding
-        // residue of the departed rows in the next batch's means.
-        sums.fill(0.0);
-    }
-
-    let mut deltas = Vec::with_capacity(DELTA_LOG_CAP);
-    let keep_from = (old.deltas.len() + 1).saturating_sub(DELTA_LOG_CAP);
-    deltas.extend_from_slice(&old.deltas[keep_from..]);
-    deltas.push(Arc::new(DeltaRecord {
-        from_version: old.version,
-        bound: old_total,
-        deleted: deleted_ids.to_vec(),
-    }));
 
     let mut entry = DatasetEntry {
         name: old.name.clone(),
@@ -741,22 +640,15 @@ fn patched_entry(
         tombstones,
         stats: DatasetStats { per_dim },
         live: Arc::new(live),
-        sums: Arc::new(sums),
-        deltas,
         sharded: old.sharded.clone(),
     };
-    if n == 0 {
+    if entry.live.is_empty() {
         entry.stats.per_dim.fill(EMPTY_DIM);
-    } else {
-        if !rescan.is_empty() {
-            let fresh = live_extremes(&entry, &rescan);
-            for (&c, (min, max)) in rescan.iter().zip(fresh) {
-                entry.stats.per_dim[c].min = min;
-                entry.stats.per_dim[c].max = max;
-            }
-        }
-        for (s, sum) in entry.stats.per_dim.iter_mut().zip(entry.sums.iter()) {
-            s.mean = (sum / n as f64) as f32;
+    } else if !rescan.is_empty() {
+        let fresh = live_extremes(&entry, &rescan);
+        for (&c, (min, max)) in rescan.iter().zip(fresh) {
+            entry.stats.per_dim[c].min = min;
+            entry.stats.per_dim[c].max = max;
         }
     }
     (entry, rescan.len())
@@ -814,7 +706,6 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.per_dim[0].min, 1.0);
         assert_eq!(s.per_dim[0].max, 3.0);
-        assert!((s.per_dim[0].mean - 2.0).abs() < 1e-6);
         assert!(s.per_dim[1].is_constant());
         assert!(e.is_pristine());
     }
@@ -873,7 +764,6 @@ mod tests {
         // Stats patched: min on dim 0 now 1, max on dim 1 now 9.
         assert_eq!(e.stats().per_dim[0].min, 1.0);
         assert_eq!(e.stats().per_dim[1].max, 9.0);
-        assert!((e.stats().per_dim[0].mean - 2.5).abs() < 1e-6);
         assert_eq!(e.extreme_rows(0, false), vec![2]);
         assert_eq!(e.extreme_rows(1, false), vec![1]);
         assert_eq!(out.stats_rescans, 0, "nothing was deleted");
@@ -907,7 +797,7 @@ mod tests {
 
     /// `per_dim[c].{min,max}` equal a fresh pass over the live rows.
     fn assert_stats_exact(e: &DatasetEntry) {
-        let (fresh, _) = compute_stats(&e.snapshot());
+        let fresh = compute_stats(&e.snapshot());
         for (c, (got, want)) in e.stats().per_dim.iter().zip(&fresh).enumerate() {
             assert_eq!((got.min, got.max), (want.min, want.max), "dim {c}");
         }
@@ -978,8 +868,8 @@ mod tests {
         let out = apply(&catalog, &[vec![-3.0, 5.0]], &[]);
         assert_eq!(out.stats_rescans, 2, "an empty entry rescans everything");
         let s = &out.entry.stats().per_dim;
-        assert_eq!((s[0].min, s[0].max, s[0].mean), (-3.0, -3.0, -3.0));
-        assert_eq!((s[1].min, s[1].max, s[1].mean), (5.0, 5.0, 5.0));
+        assert_eq!((s[0].min, s[0].max), (-3.0, -3.0));
+        assert_eq!((s[1].min, s[1].max), (5.0, 5.0));
         // Emptied and refilled inside one batch.
         let out = apply(&catalog, &[vec![-7.0, 6.0], vec![-6.0, 7.0]], &[2]);
         let s = &out.entry.stats().per_dim;
@@ -1035,11 +925,10 @@ mod tests {
         assert_eq!(e.tombstone_count(), 2);
         assert!(!e.is_live(0) && e.is_live(1) && !e.is_live(2) && e.is_live(3));
         assert_eq!(**e.live_ids(), vec![1, 3]);
-        // min/max/mean reflect the survivors only.
+        // min/max reflect the survivors only.
         assert_eq!(e.stats().per_dim[0].min, 2.0);
         assert_eq!(e.stats().per_dim[0].max, 4.0);
         assert_eq!(e.stats().per_dim[1].max, 4.0);
-        assert!((e.stats().per_dim[1].mean - 2.5).abs() < 1e-6);
         assert_eq!(e.extreme_rows(0, false), vec![1]);
         assert_eq!(e.extreme_rows(1, true), vec![3]);
         // Snapshot materializes the survivors in id order.
@@ -1107,35 +996,6 @@ mod tests {
         assert_eq!(e.point(1), &[4.0]);
         assert_eq!(e.point(2), &[9.0]);
         assert_eq!(out.inserted_ids, vec![2]);
-        assert!(e.oldest_delta_version().is_none());
-        assert!(e.delta_since(out.old_version).is_none());
-    }
-
-    #[test]
-    fn delta_log_accumulates_and_nets_out() {
-        let catalog = Catalog::new();
-        let v0 = catalog
-            .register("t", ds(&[vec![1.0], vec![2.0], vec![3.0]]))
-            .version();
-        // Batch 1: insert two rows (ids 3, 4).
-        catalog
-            .mutate("t", &[vec![4.0], vec![5.0]], &[], 0.9, None)
-            .unwrap();
-        // Batch 2: delete one original row and one fresh row.
-        let out2 = catalog.mutate("t", &[], &[1, 4], 0.9, None).unwrap();
-        let e = &out2.entry;
-        let delta = e.delta_since(v0).unwrap();
-        assert_eq!(delta.bound, 3);
-        // Row 4 was created after v0: its delete nets out. Row 1 is a
-        // genuine deletion relative to v0.
-        assert_eq!(delta.deleted, vec![1]);
-        assert_eq!(e.inserted_since(delta.bound), &[3]);
-        // The identity delta is empty.
-        let same = e.delta_since(e.version()).unwrap();
-        assert!(same.deleted.is_empty());
-        assert_eq!(e.inserted_since(same.bound), &[0u32; 0]);
-        // Unknown versions are unreachable.
-        assert!(e.delta_since(v0 + 999).is_none());
     }
 
     #[test]

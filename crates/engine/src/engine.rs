@@ -20,7 +20,7 @@ use crate::catalog::{Catalog, DatasetEntry, MutationOutcome};
 use crate::clock::{Clock, MonotonicClock};
 use crate::error::EngineError;
 use crate::merge::{merge_locals, skyline_algorithm, MergeStats, ShardLocal};
-use crate::planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy};
+use crate::planner::{Planner, PlannerConfig, QueryPlan, Strategy};
 use crate::query::{QueryKind, QueryResult, SkylineQuery};
 use crate::recovery::{Durability, DurabilityOptions, RecoveryReport};
 use crate::session::{
@@ -44,6 +44,10 @@ pub struct EngineConfig {
     /// dataset (rebuilds the base, renumbering the surviving rows).
     /// Values above `1.0` disable compaction.
     pub compact_fraction: f32,
+    /// Largest mutation batch (inserts + deletes) whose cached skylines
+    /// are patched forward to the new version; a larger batch, or one
+    /// over a quarter of the live rows, purges them instead.
+    pub delta_cap: usize,
     /// Planner thresholds.
     pub planner: PlannerConfig,
     /// The session layer's admission queue: per-class capacity, batch
@@ -62,6 +66,10 @@ impl Default for EngineConfig {
             threads: 0,
             cache_bytes: 8 << 20,
             compact_fraction: 0.25,
+            // An insert costs O(|SKY|·d), a delete of a member one
+            // filtered pass over the data; 256 keeps the worst patch
+            // well under any recomputation the planner would pick.
+            delta_cap: 256,
             planner: PlannerConfig::default(),
             admission: AdmissionConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -85,11 +93,10 @@ pub struct MutationReport {
     /// Cached results patched forward to the new version by applying
     /// the delta kernels instead of recomputing.
     pub cache_patched: usize,
-    /// Cached results dropped by this batch: the delta was too large
-    /// to ever patch through, the delta log rotated past their
-    /// version, or a compaction voided everything. (Deletes within
-    /// the patchable window drop nothing — their entries stay for
-    /// query-time delta plans.)
+    /// Cached results of older versions dropped by this batch: the
+    /// counting-kind ones (the kernels keep membership, not counts),
+    /// and every one when the batch was over
+    /// [`EngineConfig::delta_cap`] or compacted.
     pub cache_dropped: usize,
 }
 
@@ -136,6 +143,13 @@ pub struct MutationReport {
 /// let fresh = engine.execute(&SkylineQuery::new("hotels")).unwrap();
 /// assert!(fresh.cache_hit);
 /// assert_eq!(fresh.indices(), &[0, 1, 2, 4]);
+///
+/// // A deleted member is repaired out of the cached skyline on the
+/// // write too, so the next query still hits.
+/// engine.delete("hotels", &[1]).unwrap();
+/// let repaired = engine.execute(&SkylineQuery::new("hotels")).unwrap();
+/// assert!(repaired.cache_hit);
+/// assert_eq!(repaired.indices(), &[0, 2, 4]);
 /// ```
 #[derive(Debug)]
 pub struct Engine {
@@ -158,6 +172,7 @@ pub(crate) struct EngineShared {
     pub(crate) cache: ResultCache,
     pub(crate) planner: Planner,
     pub(crate) compact_fraction: f32,
+    pub(crate) delta_cap: usize,
     /// The engine's time source: drives deadline expiry, quota windows,
     /// and trace spans. A [`ManualClock`](crate::ManualClock) makes all
     /// three deterministic under test.
@@ -279,6 +294,7 @@ impl Engine {
             cache: ResultCache::new(cfg.cache_bytes),
             planner: Planner::new(cfg.planner),
             compact_fraction: cfg.compact_fraction,
+            delta_cap: cfg.delta_cap,
             clock,
             telemetry,
             queue_waits,
@@ -446,16 +462,16 @@ impl Engine {
     /// Catalog statistics are patched to their exact new values at a
     /// cost proportional to the batch (plus one pass over the live rows
     /// when a deleted row held a dimension's min or max; counted in
-    /// `catalog.stats.rescans`). Cached results are carried across the
-    /// version: insert-only batches under the planner's
-    /// [`delta_cap`](PlannerConfig::delta_cap) are patched **eagerly**
-    /// (the next identical query is a hit); batches with deletes leave
-    /// prior results in place for the planner's query-time
-    /// [`Strategy::Delta`] — the repair pass then runs only for
-    /// subspaces actually queried again. When tombstones exceed
-    /// [`EngineConfig::compact_fraction`], the batch compacts the
-    /// dataset instead: surviving rows are renumbered and prior cached
-    /// results (keyed to the old ids) are invalidated.
+    /// `catalog.stats.rescans`). Cached skylines are carried across the
+    /// version **eagerly**: a batch within [`EngineConfig::delta_cap`]
+    /// and a quarter of the live rows is replayed through the
+    /// maintenance kernels on each of them (deleted members repaired,
+    /// inserts offered to the skyline only), so the next identical
+    /// query is a hit. Everything else of the old version is purged.
+    /// When tombstones exceed [`EngineConfig::compact_fraction`], the
+    /// batch compacts the dataset instead: surviving rows are
+    /// renumbered and prior cached results (keyed to the old ids) are
+    /// invalidated.
     pub fn update_batch(
         &self,
         name: &str,
@@ -509,22 +525,7 @@ impl Engine {
             Err(_) => return Err(EngineError::Internal),
         };
         shared.telemetry.on_stats_rescans(out.stats_rescans);
-        let (patched, dropped) = if out.compacted {
-            let dropped = shared
-                .cache
-                .purge_dataset_below(out.entry.id(), out.entry.version());
-            (0, dropped)
-        } else {
-            let (patched, dropped) = shared.patch_cache_forward(&out);
-            // Entries older than the delta log's reach can never be
-            // patched again; stop them squatting in the budget.
-            let horizon = out
-                .entry
-                .oldest_delta_version()
-                .unwrap_or_else(|| out.entry.version());
-            let rotated = shared.cache.purge_dataset_below(out.entry.id(), horizon);
-            (patched, dropped + rotated)
-        };
+        let (patched, dropped) = shared.patch_cache_forward(&out);
         let report = MutationReport {
             version: out.entry.version(),
             inserted_ids: out.inserted_ids,
@@ -683,10 +684,13 @@ impl Engine {
     }
 
     /// Plans a query without executing it (introspection; no cache
-    /// probe beyond the prior-version lookup, no side effects).
+    /// probe, no side effects).
     pub fn plan(&self, query: &SkylineQuery) -> Result<QueryPlan, EngineError> {
-        let prepared = self.shared.prepare(query)?;
-        Ok(self.shared.plan_prepared(&prepared, self.threads()))
+        let p = self.shared.prepare(query)?;
+        Ok(self
+            .shared
+            .planner
+            .plan_kind(&p.entry, &p.dims, self.threads(), p.key.kind))
     }
 
     /// Executes one query and blocks for its result.
@@ -732,7 +736,7 @@ impl Engine {
     ///
     /// Scheduling (inside the dispatcher's batch core): cache hits are
     /// answered at submission; misses whose plan is sequential
-    /// (SFS/min-scan/delta) run **next to each other**, one query per
+    /// (trivial/min-scan/SFS) run **next to each other**, one query per
     /// lane, so the pool is saturated by inter-query parallelism;
     /// misses with parallel plans (Hybrid, sharded) then run one at a
     /// time, each spanning the whole pool. Either way the pool
@@ -762,50 +766,47 @@ impl EngineShared {
         self.pool.threads()
     }
 
-    /// Carries cached results of the pre-mutation version forward to
-    /// the new one. Insert-only deltas are cheap (the batch is offered
-    /// to the cached skyline only, through the tile kernels when it is
-    /// large); anything involving deletes is left at the old version
-    /// for the query-time delta strategy, so the repair scan runs only
-    /// for subspaces that are queried again.
+    /// Carries the cached skylines of the pre-mutation version forward
+    /// to the new one, then purges everything of the dataset below the
+    /// new version. A batch is patched iff it did not compact (that
+    /// renumbered the ids) and is within [`EngineConfig::delta_cap`]
+    /// and a quarter of the live rows: each
+    /// cached skyline is replayed through [`maintain::apply_delta`]
+    /// (deleted members repaired over the surviving rows, inserts
+    /// offered to the skyline only). Counting-kind entries cannot be
+    /// patched (the kernels keep membership, not counts) and are purged
+    /// with the rest. Returns `(patched, dropped)`.
     pub(crate) fn patch_cache_forward(&self, out: &MutationOutcome) -> (usize, usize) {
         let entry = &out.entry;
         let delta = out.inserted_ids.len() + out.deleted_ids.len();
-        if delta > self.planner.config().delta_cap {
-            // Cumulative deltas only grow, so no future query can
-            // patch across this batch either: drop every prior entry
-            // now instead of letting it squat until the log rotates.
-            let dropped = self.cache.purge_dataset_below(entry.id(), entry.version());
-            return (0, dropped);
-        }
-        if !out.deleted_ids.is_empty() {
-            // Deletes defer to Strategy::Delta: the repair pass over
-            // the live rows then runs only for subspaces that are
-            // actually queried again. The old-version entries stay.
-            return (0, 0);
-        }
-        let stale = self.cache.take_dataset_version(entry.id(), out.old_version);
         let mut patched = 0usize;
-        for (key, value) in stale {
-            let dims = mask_dims(key.dim_mask);
-            let mut sky = (*value).clone();
-            maintain::insert_points(
-                entry.as_ref(),
-                &mut sky,
-                &out.inserted_ids,
-                &dims,
-                key.max_mask,
-            );
-            self.cache.insert_patched(
-                CacheKey {
-                    version: entry.version(),
-                    ..key
-                },
-                CachedValue::ids_only(Arc::new(sky)),
-            );
-            patched += 1;
+        if !out.compacted && delta <= self.delta_cap && delta * 4 <= entry.live_len() {
+            // Rows live now below the old total are exactly the old
+            // version's survivors: the live set the repair scan needs.
+            let live = entry.live_ids();
+            let survivors = &live[..live.partition_point(|&id| id < out.old_total)];
+            for (key, sky) in self.cache.take_dataset_version(entry.id(), out.old_version) {
+                let sky = maintain::apply_delta(
+                    entry.as_ref(),
+                    survivors.iter().copied(),
+                    &sky,
+                    &out.deleted_ids,
+                    &out.inserted_ids,
+                    &mask_dims(key.dim_mask),
+                    key.max_mask,
+                );
+                self.cache.insert_patched(
+                    CacheKey {
+                        version: entry.version(),
+                        ..key
+                    },
+                    CachedValue::ids_only(Arc::new(sky)),
+                );
+                patched += 1;
+            }
         }
-        (patched, 0)
+        let dropped = self.cache.purge_dataset_below(entry.id(), entry.version());
+        (patched, dropped)
     }
 
     /// Executes one dispatch batch of admitted tickets against the
@@ -855,7 +856,10 @@ impl EngineShared {
                 continue;
             }
             let plan_started = trace.now();
-            let plan = self.plan_prepared(&ticket.prepared, self.threads());
+            let p = &ticket.prepared;
+            let plan = self
+                .planner
+                .plan_kind(&p.entry, &p.dims, self.threads(), p.key.kind);
             trace.close_span(SpanKind::Plan, plan_started, 0);
             let parallel = matches!(plan.strategy, Strategy::Algorithm(a) if a.is_parallel())
                 || matches!(plan.strategy, Strategy::Sharded { .. });
@@ -1027,32 +1031,6 @@ impl EngineShared {
         })
     }
 
-    /// Plans a prepared query, offering the planner any prior-version
-    /// cached result that the dataset's delta log can still reach.
-    pub(crate) fn plan_prepared(&self, prepared: &Prepared, threads: usize) -> QueryPlan {
-        let kind = prepared.key.kind;
-        // Only pay the prior-version cache scan when a delta could
-        // exist at all: unmutated datasets (the common case) have an
-        // empty log. Skyline only: the maintenance kernels patch
-        // membership, not dominator counts.
-        let prior = if !kind.is_skyline() || prepared.entry.oldest_delta_version().is_none() {
-            None
-        } else {
-            self.cache.find_prior(&prepared.key).and_then(|(ver, len)| {
-                let delta = prepared.entry.delta_since(ver)?;
-                let inserted = prepared.entry.inserted_since(delta.bound).len();
-                Some(PriorResult {
-                    from_version: ver,
-                    len,
-                    inserted,
-                    deleted: delta.deleted.len(),
-                })
-            })
-        };
-        self.planner
-            .plan_kind(&prepared.entry, &prepared.dims, threads, kind, prior)
-    }
-
     /// Counted cache probe; on a hit builds the full result without
     /// planning.
     pub(crate) fn probe(&self, prepared: &Prepared, started: Instant) -> Option<QueryResult> {
@@ -1138,39 +1116,6 @@ impl EngineShared {
         Some(hit)
     }
 
-    /// Applies a `Strategy::Delta` plan: seeds from the prior cached
-    /// skyline and replays the accumulated delta through the
-    /// maintenance kernels. `None` when the prior result or the delta
-    /// window vanished between planning and execution.
-    fn run_delta(&self, prepared: &Prepared, from_version: u64) -> Option<Vec<u32>> {
-        let entry = &prepared.entry;
-        let prior = self
-            .cache
-            .get_uncounted(&CacheKey {
-                version: from_version,
-                ..prepared.key
-            })?
-            .ids;
-        let delta = entry.delta_since(from_version)?;
-        let inserted = entry.inserted_since(delta.bound);
-        // Rows live now and below the bound are exactly the prior
-        // version's survivors — the live set the repair scan needs.
-        let survivors = entry
-            .live_ids()
-            .iter()
-            .copied()
-            .take_while(|&id| id < delta.bound);
-        Some(maintain::apply_delta(
-            entry.as_ref(),
-            survivors,
-            &prior,
-            &delta.deleted,
-            inserted,
-            &prepared.dims,
-            prepared.max_mask,
-        ))
-    }
-
     /// Runs an already-made plan on `pool` (the shared pool, or a
     /// lane-local single-threaded pool inside a dispatch batch) and
     /// fills the cache with the result.
@@ -1217,18 +1162,6 @@ impl EngineShared {
                 let max = prepared.max_mask & (1 << dim) != 0;
                 (entry.extreme_rows(*dim, max), None)
             }
-            Strategy::Delta { from_version } => match self.run_delta(prepared, *from_version) {
-                Some(indices) => (indices, None),
-                None => {
-                    // The prior entry was evicted (or the log rotated)
-                    // between planning and execution: replan without
-                    // it. A fresh plan can never be Delta again.
-                    let plan =
-                        self.planner
-                            .plan_kind(entry, &prepared.dims, pool.threads(), kind, None);
-                    return self.run_plan(prepared, plan, pool, trace);
-                }
-            },
             Strategy::Sharded { .. } => {
                 let store = entry
                     .sharded()
@@ -1289,13 +1222,8 @@ impl EngineShared {
 
         // Algorithms stream their own phase spans through the sink; the
         // non-algorithmic strategies get one covering span here.
-        let covering = match &plan.strategy {
-            Strategy::Trivial | Strategy::MinScan { .. } => Some(SpanKind::Execute),
-            Strategy::Delta { .. } => Some(SpanKind::CachePatch),
-            _ => None,
-        };
-        if let Some(kind) = covering {
-            trace.close_span(kind, exec_started, 0);
+        if matches!(plan.strategy, Strategy::Trivial | Strategy::MinScan { .. }) {
+            trace.close_span(SpanKind::Execute, exec_started, 0);
         }
 
         let full = Arc::new(indices);
@@ -1739,29 +1667,24 @@ mod tests {
     }
 
     #[test]
-    fn delete_defers_to_query_time_delta() {
+    fn delete_repairs_cached_results_eagerly() {
         let engine = small_engine();
         let pool = ThreadPool::new(2);
         let data = generate(Distribution::Independent, 20_000, 4, 19, &pool);
-        let reference = data.clone();
         engine.register("d", data);
         let cold = engine.execute(&SkylineQuery::new("d")).unwrap();
         assert!(!cold.cache_hit);
 
-        // Delete one skyline member: the cached entry stays at the old
-        // version and the next query patches it via Strategy::Delta.
+        // Delete one skyline member: the write repairs the cached
+        // entry and re-inserts it at the new version.
         let victim = cold.indices()[0];
         let report = engine.delete("d", &[victim]).unwrap();
-        assert_eq!(report.cache_patched, 0);
+        assert_eq!(report.cache_patched, 1);
         assert!(!report.compacted);
 
         let after = engine.execute(&SkylineQuery::new("d")).unwrap();
-        assert!(!after.cache_hit);
-        assert!(
-            matches!(after.plan.strategy, Strategy::Delta { .. }),
-            "{:?}",
-            after.plan.strategy
-        );
+        assert!(after.cache_hit);
+        assert_eq!(after.dataset_version, report.version);
         // Ground truth: naive skyline over the survivors, with stable
         // ids (= original row numbers, no compaction happened).
         let entry = engine.dataset("d").unwrap();
@@ -1770,12 +1693,6 @@ mod tests {
             .map(|&k| entry.live_ids()[k as usize])
             .collect();
         assert_eq!(after.indices(), expect.as_slice());
-        let _ = reference;
-
-        // And the delta result is cached at the new version.
-        let warm = engine.execute(&SkylineQuery::new("d")).unwrap();
-        assert!(warm.cache_hit);
-        assert_eq!(warm.indices(), expect.as_slice());
     }
 
     #[test]

@@ -13,17 +13,17 @@
 //!   ids, and a compaction threshold rebuilds the base when tombstones
 //!   pile up;
 //! * [`Planner`] — picks the strategy per query from its shape alone:
-//!   a one-pass scan for one-dimensional queries, delta maintenance
-//!   over a prior cached result, SFS up to `small_n` rows, the sharded
-//!   fan-out when a partitioner is attached, and otherwise Hybrid on
-//!   every lane with α tuned to the input;
+//!   a one-pass scan for one-dimensional queries, SFS up to `small_n`
+//!   rows, the sharded fan-out when a partitioner is attached, and
+//!   otherwise Hybrid on every lane with α tuned to the input;
 //! * [`SkylineQuery`] — subspace selection (`dims`), per-dimension
 //!   `Min`/`Max` preferences, and result limits, so one registered
 //!   dataset serves many projections;
 //! * [`ResultCache`] — a byte-bounded LRU of full skyline index lists
 //!   keyed by `(dataset version, dimension mask, preference mask)`;
-//!   mutation batches *patch entries forward* across versions through
-//!   the `skyline_core::maintain` kernels instead of purging them;
+//!   every mutation batch *patches the cached skylines forward* to the
+//!   new version through the `skyline_core::maintain` kernels (deletes
+//!   repaired, inserts offered) before the old version is purged;
 //! * [`Engine`] — ties it together over one shared thread pool, with
 //!   mutation ([`Engine::insert`], [`Engine::delete`],
 //!   [`Engine::update_batch`]) and batched submission
@@ -111,12 +111,12 @@ pub mod session;
 pub mod telemetry;
 
 pub use cache::{CacheKey, CacheStats, CachedValue, ResultCache};
-pub use catalog::{Catalog, DatasetEntry, DatasetStats, DeltaSummary, DimStats, MutationOutcome};
+pub use catalog::{Catalog, DatasetEntry, DatasetStats, DimStats, MutationOutcome};
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Engine, EngineConfig, MutationReport};
 pub use error::{EngineError, QuotaKind, RejectReason};
 pub use merge::{merge_locals, MergeStats, ShardLocal};
-pub use planner::{Planner, PlannerConfig, PriorResult, QueryPlan, Strategy};
+pub use planner::{Planner, PlannerConfig, QueryPlan, Strategy};
 pub use query::{QueryKind, QueryOptions, QueryResult, SkylineQuery};
 pub use recovery::{DurabilityOptions, RecoveryReport};
 pub use session::{AdmissionConfig, Priority, QueryTicket, Session, SessionOptions, SessionStats};

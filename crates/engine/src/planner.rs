@@ -2,10 +2,13 @@
 //!
 //! Chooses how to answer a subspace skyline query from the shape of the
 //! work alone: live cardinality, the dimensions that can decide a
-//! dominance test, and the thread budget. Nothing is sampled and no
-//! runtime model is kept; the paper finds Hybrid the fastest of its
-//! algorithms on every distribution, so the only size rule left is the
-//! one below which a plain sort-and-filter pass beats Hybrid's set-up.
+//! dominance test, and the thread budget. Nothing is sampled, no
+//! runtime model is kept, and the cache is never consulted (results
+//! carried across a write are patched forward by the engine when the
+//! batch lands, so a miss always computes from scratch). The paper
+//! finds Hybrid the fastest of its algorithms on every distribution,
+//! so the only size rule left is the one below which a plain
+//! sort-and-filter pass beats Hybrid's set-up.
 //!
 //! The decision procedure, in order:
 //!
@@ -14,15 +17,12 @@
 //! 2. one surviving dimension → **min-scan**: one pass over the live
 //!    rows collecting those that attain the catalog's exact running
 //!    min (or max) on it, no algorithm and no index at all;
-//! 3. a prior-version cached result reachable through a small mutation
-//!    delta → **delta maintenance** (patch the cached skyline with the
-//!    `skyline_core::maintain` kernels instead of recomputing);
-//! 4. `n ≤ small_n` → **SFS** (one sort, then a cheap filter pass);
-//! 5. a dataset registered with a partitioner attached, at or above
+//! 3. `n ≤ small_n` → **SFS** (one sort, then a cheap filter pass);
+//! 4. a dataset registered with a partitioner attached, at or above
 //!    the `sharded_min_n` threshold → **sharded fan-out** (per-shard
 //!    skylines over cache-resident working sets, then a witness probe
 //!    and SFS/Hybrid@T over the union of the local skylines);
-//! 6. otherwise **Hybrid** on every lane, with α tuned to `n` and the
+//! 5. otherwise **Hybrid** on every lane, with α tuned to `n` and the
 //!    thread count via [`SkylineConfig::tuned`].
 
 use skyline_core::algo::Algorithm;
@@ -47,12 +47,6 @@ pub enum Strategy {
         /// The scanned dimension.
         dim: usize,
     },
-    /// Patch a prior-version cached result forward through the
-    /// dataset's mutation delta instead of recomputing.
-    Delta {
-        /// The version whose cached result seeds the patch.
-        from_version: u64,
-    },
     /// Run a skyline algorithm over the (projected) data.
     Algorithm(Algorithm),
     /// Route the live rows through the dataset's attached
@@ -76,7 +70,6 @@ impl Strategy {
             Strategy::Cached => "cache",
             Strategy::Trivial => "trivial",
             Strategy::MinScan { .. } => "min-scan",
-            Strategy::Delta { .. } => "delta",
             Strategy::Sharded { .. } => "sharded",
             Strategy::Algorithm(a) => a.name(),
         }
@@ -93,10 +86,7 @@ pub struct QueryPlan {
     /// Algorithm tuning (α etc.) for `Strategy::Algorithm` plans.
     pub config: SkylineConfig,
     /// The dimensions that actually participate after dropping
-    /// constant ones (ascending, full-space indices). Delta plans keep
-    /// every requested dimension: the prior result they patch was
-    /// defined over all of them, and a once-constant dimension may
-    /// have grown discriminating since.
+    /// constant ones (ascending, full-space indices).
     pub effective_dims: Vec<usize>,
     /// One-line human-readable justification.
     pub reason: &'static str,
@@ -170,20 +160,6 @@ fn sharded_plan(
     ))
 }
 
-/// A prior-version cached result the planner may patch forward: where
-/// it lives and how big the accumulated mutation delta is.
-#[derive(Debug, Clone, Copy)]
-pub struct PriorResult {
-    /// Version of the cached result.
-    pub from_version: u64,
-    /// Its skyline size (indices).
-    pub len: usize,
-    /// Rows inserted between that version and now (still live).
-    pub inserted: usize,
-    /// Rows deleted between that version and now (netted).
-    pub deleted: usize,
-}
-
 /// Thresholds steering the planner. The defaults fall out of the
 /// paper's evaluation plus the constant factors of this codebase.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,11 +167,6 @@ pub struct PlannerConfig {
     /// At or below this cardinality SFS runs on one lane; above it
     /// Hybrid runs on every lane.
     pub small_n: usize,
-    /// Largest mutation delta (inserts + deletes) worth patching a
-    /// cached result through instead of recomputing — both at query
-    /// time (`Strategy::Delta`) and when the engine patches cache
-    /// entries forward eagerly after a mutation batch.
-    pub delta_cap: usize,
     /// Smallest live cardinality at which an attached sharded store is
     /// used: below it, per-shard fan-out and merge overhead cannot pay
     /// for themselves against a single scan.
@@ -206,10 +177,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
             small_n: 8_192,
-            // An insert costs O(|SKY|·d), a delete of a member one
-            // filtered pass over the data; 256 keeps the worst patch
-            // well under any recomputation the tiers below would pick.
-            delta_cap: 256,
             // Below ~64k rows a single scan already fits in cache;
             // above it, per-shard working sets shrinking back under
             // the cache is exactly the sharded tier's win.
@@ -241,14 +208,11 @@ impl Planner {
     /// Preferences never change the plan (negation preserves every
     /// property the rules read), so they are not an input.
     ///
-    /// Skyline queries take the tiered decision of the module docs,
-    /// offered a prior-version cached result (`prior`); nothing else
-    /// the cache holds reaches the plan.
+    /// Skyline queries take the tiered decision of the module docs.
     ///
-    /// Counting kinds (k-skyband, top-k dominating) skip the structural
-    /// shortcuts: the rows at a dimension's extreme are its skyline but
-    /// say nothing about dominator counts (no min-scan), and the
-    /// maintenance kernels patch membership but not counts (no delta).
+    /// Counting kinds (k-skyband, top-k dominating) skip the min-scan
+    /// shortcut: the rows at a dimension's extreme are its skyline but
+    /// say nothing about dominator counts.
     ///
     /// - **k-skyband** fans out over an attached sharded store when
     ///   the input is large enough (per-shard local skybands, counting
@@ -265,7 +229,6 @@ impl Planner {
         dims: &[usize],
         threads: usize,
         kind: QueryKind,
-        prior: Option<PriorResult>,
     ) -> QueryPlan {
         let cfg = &self.cfg;
         let n = entry.live_len();
@@ -317,24 +280,7 @@ impl Planner {
             );
         }
 
-        // 3. A reachable prior result with a small delta: maintenance
-        //    beats recomputation. Capped against both the configured
-        //    ceiling and the live cardinality so a delta comparable to
-        //    the dataset falls through to a fresh run.
-        if let Some(p) = prior {
-            let delta = p.inserted + p.deleted;
-            if delta > 0 && delta <= cfg.delta_cap && delta * 4 <= n {
-                return QueryPlan::sequential(
-                    Strategy::Delta {
-                        from_version: p.from_version,
-                    },
-                    dims.to_vec(),
-                    "small delta over a prior cached result",
-                );
-            }
-        }
-
-        // 4. Small inputs: one sort and a filter pass beat Hybrid's
+        // 3. Small inputs: one sort and a filter pass beat Hybrid's
         //    pre-filter and partition set-up.
         if n <= cfg.small_n {
             return QueryPlan::sequential(
@@ -343,7 +289,7 @@ impl Planner {
                 "small input: sort-filter-skyline, no parallel setup",
             );
         }
-        // 5. An attached partitioner on a large input: per-shard scans
+        // 4. An attached partitioner on a large input: per-shard scans
         //    over cache-resident working sets, then a witness probe and
         //    SFS/Hybrid over the union of local skylines.
         if let Some(plan) = sharded_plan(
@@ -355,7 +301,7 @@ impl Planner {
         ) {
             return plan;
         }
-        // 6. Everything else: Hybrid on every lane.
+        // 5. Everything else: Hybrid on every lane.
         QueryPlan::new(
             Strategy::Algorithm(Algorithm::Hybrid),
             threads,
@@ -377,13 +323,8 @@ mod tests {
         Catalog::new().register("t", data)
     }
 
-    fn plan_skyline(
-        planner: &Planner,
-        e: &DatasetEntry,
-        dims: &[usize],
-        prior: Option<PriorResult>,
-    ) -> QueryPlan {
-        planner.plan_kind(e, dims, 4, QueryKind::Skyline, prior)
+    fn plan_skyline(planner: &Planner, e: &DatasetEntry, dims: &[usize]) -> QueryPlan {
+        planner.plan_kind(e, dims, 4, QueryKind::Skyline)
     }
 
     const DISTRIBUTIONS: [Distribution; 3] = [
@@ -405,7 +346,7 @@ mod tests {
                 let e = entry_of(generate(dist, n, d, 7, &pool));
                 for &t in threads {
                     let case = format!("{dist:?} n={n} d={d} T={t}");
-                    let plan = planner.plan_kind(&e, &dims, t, QueryKind::Skyline, None);
+                    let plan = planner.plan_kind(&e, &dims, t, QueryKind::Skyline);
                     assert_eq!(plan.effective_dims, dims, "{case}");
                     if n <= planner.config().small_n {
                         assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Sfs), "{case}");
@@ -470,82 +411,14 @@ mod tests {
         let e = entry_of(Dataset::from_rows(&rows).unwrap());
         let planner = Planner::default();
         // Dim 0 is constant: a {0,1} query degenerates to a 1-d scan.
-        let plan = plan_skyline(&planner, &e, &[0, 1], None);
+        let plan = plan_skyline(&planner, &e, &[0, 1]);
         assert_eq!(plan.strategy, Strategy::MinScan { dim: 1 });
         // All-constant selection is trivial.
-        let plan = plan_skyline(&planner, &e, &[0], None);
+        let plan = plan_skyline(&planner, &e, &[0]);
         assert_eq!(plan.strategy, Strategy::Trivial);
         // Dims 1+2 survive.
-        let plan = plan_skyline(&planner, &e, &[0, 1, 2], None);
+        let plan = plan_skyline(&planner, &e, &[0, 1, 2]);
         assert_eq!(plan.effective_dims, vec![1, 2]);
-    }
-
-    #[test]
-    fn small_delta_over_prior_wins_every_tier() {
-        let planner = Planner::default();
-        let pool = ThreadPool::new(2);
-        let e = entry_of(generate(Distribution::Independent, 20_000, 4, 7, &pool));
-        let prior = PriorResult {
-            from_version: 3,
-            len: 120,
-            inserted: 2,
-            deleted: 1,
-        };
-        let plan = plan_skyline(&planner, &e, &[0, 1, 2, 3], Some(prior));
-        assert_eq!(plan.strategy, Strategy::Delta { from_version: 3 });
-        assert_eq!(plan.effective_dims, vec![0, 1, 2, 3]);
-        assert_eq!(plan.threads, 1);
-    }
-
-    #[test]
-    fn oversized_or_empty_delta_falls_through() {
-        let planner = Planner::default();
-        let pool = ThreadPool::new(2);
-        let e = entry_of(generate(Distribution::Independent, 20_000, 4, 7, &pool));
-        // Delta above the cap: recompute.
-        let big = PriorResult {
-            from_version: 3,
-            len: 120,
-            inserted: planner.config().delta_cap + 1,
-            deleted: 0,
-        };
-        let plan = plan_skyline(&planner, &e, &[0, 1, 2, 3], Some(big));
-        assert!(matches!(plan.strategy, Strategy::Algorithm(_)));
-        // Empty delta means the prior IS current; the cache probe
-        // handles that — the planner must not loop through Delta.
-        let none = PriorResult {
-            from_version: 3,
-            len: 120,
-            inserted: 0,
-            deleted: 0,
-        };
-        let plan = plan_skyline(&planner, &e, &[0, 1, 2, 3], Some(none));
-        assert!(matches!(plan.strategy, Strategy::Algorithm(_)));
-        // A delta comparable to a small dataset: recompute too.
-        let small = entry_of(generate(Distribution::Independent, 300, 3, 7, &pool));
-        let wide = PriorResult {
-            from_version: 1,
-            len: 10,
-            inserted: 100,
-            deleted: 0,
-        };
-        let plan = plan_skyline(&planner, &small, &[0, 1, 2], Some(wide));
-        assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Sfs));
-    }
-
-    #[test]
-    fn minscan_outranks_delta() {
-        let planner = Planner::default();
-        let pool = ThreadPool::new(2);
-        let e = entry_of(generate(Distribution::Independent, 5_000, 3, 7, &pool));
-        let prior = PriorResult {
-            from_version: 1,
-            len: 4,
-            inserted: 1,
-            deleted: 0,
-        };
-        let plan = plan_skyline(&planner, &e, &[2], Some(prior));
-        assert_eq!(plan.strategy, Strategy::MinScan { dim: 2 });
     }
 
     #[test]
@@ -557,13 +430,8 @@ mod tests {
         let data = generate(Distribution::Anticorrelated, 100_000, 6, 7, &pool);
         let e = Catalog::new().register_sharded("t", data, 4, PartitionerKind::Grid);
         for threads in [1, 2, 4] {
-            let plan = Planner::default().plan_kind(
-                &e,
-                &[0, 1, 2, 3, 4, 5],
-                threads,
-                QueryKind::Skyline,
-                None,
-            );
+            let plan =
+                Planner::default().plan_kind(&e, &[0, 1, 2, 3, 4, 5], threads, QueryKind::Skyline);
             assert_eq!(
                 plan.strategy,
                 Strategy::Sharded {
@@ -584,18 +452,11 @@ mod tests {
         let planner = Planner::default();
         let pool = ThreadPool::new(2);
         let e = entry_of(generate(Distribution::Independent, 20_000, 4, 7, &pool));
-        // A tempting delta prior is ignored for counting kinds.
-        let prior = PriorResult {
-            from_version: 3,
-            len: 120,
-            inserted: 2,
-            deleted: 1,
-        };
         for kind in [
             QueryKind::Skyband { k: 3 },
             QueryKind::TopKDominating { k: 5 },
         ] {
-            let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, kind, Some(prior));
+            let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, kind);
             assert_eq!(
                 plan.strategy,
                 Strategy::Algorithm(Algorithm::Sfs),
@@ -603,10 +464,14 @@ mod tests {
             );
         }
         // k = 0 is definitionally empty.
-        let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, QueryKind::Skyband { k: 0 }, None);
+        let plan = planner.plan_kind(&e, &[0, 1, 2, 3], 4, QueryKind::Skyband { k: 0 });
         assert_eq!(plan.strategy, Strategy::Trivial);
-        // Skyline kind routes through the full tiered procedure.
-        let plan = plan_skyline(&planner, &e, &[0, 1, 2, 3], Some(prior));
-        assert_eq!(plan.strategy, Strategy::Delta { from_version: 3 });
+        // A one-dimensional counting query still counts: no min-scan,
+        // where the skyline kind takes it.
+        let kind = QueryKind::Skyband { k: 2 };
+        let plan = planner.plan_kind(&e, &[2], 4, kind);
+        assert_eq!(plan.strategy, Strategy::Algorithm(Algorithm::Sfs));
+        let plan = plan_skyline(&planner, &e, &[2]);
+        assert_eq!(plan.strategy, Strategy::MinScan { dim: 2 });
     }
 }

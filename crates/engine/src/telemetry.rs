@@ -631,8 +631,6 @@ pub enum SpanKind {
     CacheAncestor,
     /// Inserting the fresh result into the cache.
     CacheInsert,
-    /// Patching a prior cached result through a mutation delta.
-    CachePatch,
 }
 
 impl SpanKind {
@@ -654,7 +652,6 @@ impl SpanKind {
             SpanKind::CacheHit => "cache_hit",
             SpanKind::CacheAncestor => "cache_ancestor",
             SpanKind::CacheInsert => "cache_insert",
-            SpanKind::CachePatch => "cache_patch",
         }
     }
 
@@ -704,7 +701,7 @@ pub struct QueryTrace {
     pub query_id: u64,
     /// Dataset the query ran against.
     pub dataset: String,
-    /// The executed strategy's stable name (`"hybrid"`, `"delta"`,
+    /// The executed strategy's stable name (`"hybrid"`, `"min-scan"`,
     /// `"cache"`, …).
     pub strategy: &'static str,
     /// The planner's one-line justification.

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use skyline_core::verify;
+use skyline_core::{algo::Algorithm, verify};
 use skyline_data::{generate, Distribution, Preference};
 use skyline_engine::{Engine, EngineConfig, SkylineQuery, Strategy};
 use skyline_parallel::ThreadPool;
@@ -237,10 +237,10 @@ fn expected_skyline(engine: &Engine, name: &str) -> Vec<u32> {
 
 #[test]
 fn mutation_stream_tracks_brute_force_across_all_paths() {
-    // A long insert/delete stream against one dataset; after every
-    // batch the full-space query must equal brute force over the
-    // survivors, whichever path served it (patched hit, delta plan,
-    // recompute, or post-compaction cold run).
+    // A long insert/delete stream against one dataset; every batch
+    // patches the cached full-space skyline on the write, so after each
+    // one the query is a hit that equals brute force over the
+    // survivors.
     let engine = engine(4);
     let pool = ThreadPool::new(2);
     let data = generate(Distribution::Independent, 4_000, 3, 71, &pool);
@@ -254,27 +254,27 @@ fn mutation_stream_tracks_brute_force_across_all_paths() {
         ((seed >> 33) as usize) % bound.max(1)
     };
     for round in 0..30 {
-        if round % 3 == 2 {
+        let report = if round % 3 == 2 {
             let entry = engine.dataset("m").unwrap();
             let live = entry.live_ids();
             let victim = live[next(live.len())];
-            engine.delete("m", &[victim]).unwrap();
+            engine.delete("m", &[victim]).unwrap()
         } else {
             let rows: Vec<Vec<f32>> = (0..1 + next(3))
                 .map(|_| (0..3).map(|_| next(1_000) as f32 / 1_000.0).collect())
                 .collect();
-            engine.insert("m", &rows).unwrap();
-        }
+            engine.insert("m", &rows).unwrap()
+        };
+        assert_eq!(report.cache_patched, 1, "round {round}");
         let got = engine.execute(&q).unwrap();
+        assert!(got.cache_hit, "round {round}");
         assert_eq!(
             got.indices(),
             expected_skyline(&engine, "m").as_slice(),
-            "round {round} via {:?}",
-            got.plan.strategy
+            "round {round}"
         );
     }
-    let stats = engine.cache_stats();
-    assert!(stats.patches > 0, "insert rounds must patch: {stats:?}");
+    assert_eq!(engine.cache_stats().patches, 30);
 }
 
 #[test]
@@ -424,9 +424,9 @@ fn cache_patches_forward_across_three_insert_batches() {
 
 #[test]
 fn zero_budget_engine_survives_mutations_and_stays_correct() {
-    // cache_bytes = 0 disables caching entirely: no hits, no patches,
-    // no delta plans — but mutations and queries must keep agreeing
-    // with the naive reference.
+    // cache_bytes = 0 disables caching entirely: no hits, no patches —
+    // but mutations and queries must keep agreeing with the naive
+    // reference.
     let engine = Engine::with_config(EngineConfig {
         threads: 2,
         cache_bytes: 0,
@@ -444,14 +444,12 @@ fn zero_budget_engine_survives_mutations_and_stays_correct() {
     let report = engine.insert("d", &[vec![0.001, 0.001, 0.001]]).unwrap();
     assert_eq!(report.cache_patched, 0);
     let victim = first.indices()[0];
-    engine.delete("d", &[victim]).unwrap();
+    let report = engine.delete("d", &[victim]).unwrap();
+    assert_eq!(report.cache_patched, 0);
 
     let after = engine.execute(&q).unwrap();
     assert!(!after.cache_hit);
-    assert!(
-        !matches!(after.plan.strategy, Strategy::Delta { .. }),
-        "no cache means no prior result to patch from"
-    );
+    assert_eq!(after.plan.strategy, Strategy::Algorithm(Algorithm::Sfs));
     let entry = engine.dataset("d").unwrap();
     let expect: Vec<u32> = verify::naive_skyline(&entry.snapshot())
         .iter()

@@ -1,7 +1,7 @@
 //! Mutable datasets end to end: register once, then insert and delete
 //! points while the engine maintains the skyline incrementally —
-//! eagerly patched cache entries for inserts, query-time delta plans
-//! for deletes, and a compaction when tombstones pile up.
+//! cache entries patched on the write for inserts and deletes alike,
+//! and a compaction when tombstones pile up.
 //!
 //! ```text
 //! cargo run --release --example engine_updates
@@ -9,8 +9,8 @@
 
 use std::time::Instant;
 
+use skybench::generate;
 use skybench::prelude::*;
-use skybench::{generate, Strategy};
 
 fn main() {
     let threads = skybench::available_threads().max(4);
@@ -58,26 +58,31 @@ fn main() {
         warm.elapsed
     );
 
-    // --- Delete of a skyline member: deferred. The cached result stays
-    // at the old version; the next query runs a delta plan that repairs
-    // only the deleted point's exclusive dominance region.
+    // --- Delete of a skyline member: repaired on the write. Only the
+    // deleted point's exclusive dominance region is scanned, and the
+    // next query is a cache hit again.
     let victim = report.inserted_ids[0];
-    engine.delete("listings", &[victim]).unwrap();
-    let after = engine.execute(&SkylineQuery::new("listings")).unwrap();
-    assert!(matches!(after.plan.strategy, Strategy::Delta { .. }));
+    let delete_started = Instant::now();
+    let report = engine.delete("listings", &[victim]).unwrap();
     println!(
-        "\ndelete of that member: next query used {:?} — {} in {:?}",
-        after.plan.strategy, after.plan.reason, after.elapsed
+        "\ndelete of that member: v{} (+{:?}), {} cached results patched",
+        report.version,
+        delete_started.elapsed(),
+        report.cache_patched
     );
-    assert_eq!(after.len(), cold.len(), "back to the original skyline");
+    let after = engine.execute(&SkylineQuery::new("listings")).unwrap();
+    assert!(after.cache_hit, "repaired entry serves the new version");
+    assert_eq!(after.indices(), cold.indices(), "back to the original");
+    println!("query after delete: cache hit, {:?}", after.elapsed);
 
-    // --- Mixed batch through update_batch: one version bump.
+    // --- Mixed batch through update_batch: one version bump. Sixteen
+    // inserts are offered through the batched tile kernels.
     let entry = engine.dataset("listings").unwrap();
     let doomed: Vec<u32> = entry.live_ids().iter().copied().take(3).collect();
     let report = engine
         .update_batch(
             "listings",
-            &[vec![0.9, 0.9, 0.9, 0.9, 0.9, 0.9]], // dominated: joins nothing
+            &vec![vec![0.9; 6]; 16], // dominated: they join nothing
             &doomed,
         )
         .unwrap();
@@ -86,11 +91,8 @@ fn main() {
         report.version, report.inserted_ids, report.deleted
     );
     let r = engine.execute(&SkylineQuery::new("listings")).unwrap();
-    println!(
-        "query after batch: {:?}, {} points",
-        r.plan.strategy,
-        r.len()
-    );
+    assert!(r.cache_hit, "a mixed batch is patched on the write too");
+    println!("query after batch: cache hit, {} points", r.len());
 
     // --- Compaction: delete enough rows and the base is rebuilt with
     // renumbered ids; prior cached results are invalidated.

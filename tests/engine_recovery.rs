@@ -264,11 +264,11 @@ fn leftover_planner_fit_log_is_ignored() {
 
     let planner = PlannerConfig {
         small_n: 64,
-        delta_cap: 8,
         ..PlannerConfig::default()
     };
     let reopened = EngineConfig {
         planner: planner.clone(),
+        delta_cap: 8,
         ..cfg()
     };
     let (engine, report) =

@@ -14,7 +14,6 @@ fn sharded_planner() -> PlannerConfig {
     PlannerConfig {
         small_n: 256,
         sharded_min_n: 512,
-        ..PlannerConfig::default()
     }
 }
 

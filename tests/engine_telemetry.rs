@@ -190,7 +190,6 @@ fn sharded_queries_reach_the_dominance_counters() {
         planner: PlannerConfig {
             small_n: 256,
             sharded_min_n: 512,
-            ..PlannerConfig::default()
         },
         ..EngineConfig::default()
     });

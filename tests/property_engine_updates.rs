@@ -2,8 +2,7 @@
 //! interleavings of inserts, deletes, and queries against a mutable
 //! engine dataset must always agree with `verify::naive_skyline_on_pref`
 //! over the materialized current rows — across subspaces, Min/Max
-//! preferences, cache patching (eager and query-time delta), and
-//! compaction. After every batch the catalog's running per-dimension
+//! preferences, cache patching on the write, and compaction. After every batch the catalog's running per-dimension
 //! min/max must also equal a fresh pass over the live rows: the planner
 //! drops dimensions whose min equals max, so a stale extreme is a wrong
 //! answer.
@@ -15,7 +14,7 @@
 
 use proptest::prelude::*;
 use skybench::prelude::*;
-use skybench::{verify, Strategy};
+use skybench::verify;
 
 /// Deterministic mutation/query driver (splitmix-ish), seeded per case.
 struct Driver(u64);
@@ -246,7 +245,7 @@ proptest! {
     }
 
     // Compaction disabled: tombstones and segments accumulate without
-    // bound, delta plans stay available the whole run.
+    // bound, and every small batch patches the cache the whole run.
     #[test]
     fn maintenance_survives_unbounded_tombstones(
         d in 1usize..=3,
@@ -258,69 +257,90 @@ proptest! {
     }
 }
 
-/// The cached path must also serve *patched* results: repeat one query
-/// across a mutation stream and require cache hits after eagerly
-/// patched insert batches.
-#[test]
-fn eager_patching_keeps_the_cache_warm() {
-    let engine = Engine::with_config(EngineConfig {
-        threads: 2,
-        ..EngineConfig::default()
-    });
-    let mut drv = Driver(0xfeed);
-    let rows: Vec<Vec<f32>> = (0..64)
-        .map(|_| (0..3).map(|_| drv.coord()).collect())
-        .collect();
-    engine.register("m", Dataset::from_rows(&rows).unwrap());
-    let q = SkylineQuery::new("m");
-    engine.execute(&q).expect("valid");
-    let mut patched_hits = 0;
-    for _ in 0..20 {
-        let row: Vec<f32> = (0..3).map(|_| drv.coord()).collect();
-        engine.insert("m", &[row]).expect("valid");
-        let r = engine.execute(&q).expect("valid");
-        if r.cache_hit {
-            patched_hits += 1;
-        }
-        // Whatever the path, correctness holds.
-        let entry = engine.dataset("m").expect("registered");
-        let expect: Vec<u32> = verify::naive_skyline(&entry.snapshot())
-            .iter()
-            .map(|&k| entry.live_ids()[k as usize])
-            .collect();
-        assert_eq!(r.indices(), expect.as_slice());
-    }
-    assert_eq!(
-        patched_hits, 20,
-        "insert-only batches must keep the cached result servable"
-    );
-    assert!(engine.cache_stats().patches >= 20);
+/// `n` rows of three coordinates from a 50-value alphabet: ties occur,
+/// but the skyline has members enough to delete.
+fn random_rows(drv: &mut Driver, n: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|_| (0..3).map(|_| (drv.next() % 50) as f32).collect())
+        .collect()
 }
 
-/// Deferred delete patching: a delete leaves the prior entry in place
-/// and the next query resolves through a Delta plan, not a recompute.
-#[test]
-fn deletes_resolve_through_delta_plans() {
-    let engine = Engine::with_config(EngineConfig {
-        threads: 2,
-        compact_fraction: 2.0, // never compact: keep the delta path pure
-        ..EngineConfig::default()
-    });
-    let mut drv = Driver(0xdead);
-    let rows: Vec<Vec<f32>> = (0..4_000)
-        .map(|_| (0..3).map(|_| (drv.next() % 1_000) as f32).collect())
-        .collect();
-    engine.register("m", Dataset::from_rows(&rows).unwrap());
-    let q = SkylineQuery::new("m");
-    let cold = engine.execute(&q).expect("valid");
-    let victim = cold.indices()[0];
-    engine.delete("m", &[victim]).expect("live victim");
-    let after = engine.execute(&q).expect("valid");
-    assert!(matches!(after.plan.strategy, Strategy::Delta { .. }));
-    let entry = engine.dataset("m").expect("registered");
+/// Asks the full-space skyline of `name`, checks it against the naive
+/// skyline of the live rows, and returns whether it was a cache hit
+/// along with the ids.
+fn ask_full(engine: &Engine, name: &str) -> (bool, Vec<u32>) {
+    let r = engine.execute(&SkylineQuery::new(name)).expect("valid");
+    let entry = engine.dataset(name).expect("registered");
     let expect: Vec<u32> = verify::naive_skyline(&entry.snapshot())
         .iter()
         .map(|&k| entry.live_ids()[k as usize])
         .collect();
-    assert_eq!(after.indices(), expect.as_slice());
+    assert_eq!(r.indices(), expect.as_slice(), "{name}");
+    (r.cache_hit, expect)
+}
+
+/// Every batch shape is carried forward on the write: after an
+/// insert-only batch, a delete of a non-member, a delete of a current
+/// skyline member (which forces the repair scan) and a mixed batch,
+/// the re-asked query is a cache hit equal to the naive skyline. A
+/// batch over `delta_cap`, and one over a quarter of the live rows,
+/// purge the cached result instead: the query misses, recomputes and
+/// is still exact.
+#[test]
+fn eager_patching_keeps_the_cache_warm() {
+    let engine = Engine::with_config(EngineConfig {
+        threads: 2,
+        compact_fraction: 2.0, // never compact: no batch voids the cache
+        delta_cap: 8,
+        ..EngineConfig::default()
+    });
+    let mut drv = Driver(0xfeed);
+    engine.register(
+        "m",
+        Dataset::from_rows(&random_rows(&mut drv, 400)).unwrap(),
+    );
+    engine.register("s", Dataset::from_rows(&random_rows(&mut drv, 16)).unwrap());
+    let (_, mut sky) = ask_full(&engine, "m");
+    for round in 0..6 {
+        for shape in 0..4 {
+            let live = engine.dataset("m").expect("registered").live_ids().clone();
+            let outsider = loop {
+                let id = live[drv.below(live.len())];
+                if sky.binary_search(&id).is_err() {
+                    break id;
+                }
+            };
+            let member = sky[drv.below(sky.len())];
+            let (inserts, deletes) = match shape {
+                0 => (random_rows(&mut drv, 2), vec![]),
+                1 => (vec![], vec![outsider]),
+                2 => (vec![], vec![member]),
+                _ => (random_rows(&mut drv, 2), vec![member, outsider]),
+            };
+            let report = engine
+                .update_batch("m", &inserts, &deletes)
+                .expect("valid rows, live victims");
+            assert_eq!(report.cache_patched, 1, "round {round} shape {shape}");
+            let (hit, now) = ask_full(&engine, "m");
+            assert!(hit, "round {round} shape {shape}: the patch serves");
+            sky = now;
+        }
+    }
+    assert_eq!(engine.cache_stats().patches, 24);
+
+    // Over `delta_cap`: the batch purges, the query recomputes.
+    let report = engine
+        .insert("m", &random_rows(&mut drv, 9))
+        .expect("valid");
+    assert_eq!((report.cache_patched, report.cache_dropped), (0, 1));
+    assert!(!ask_full(&engine, "m").0, "an over-cap batch purges");
+    assert!(ask_full(&engine, "m").0, "the recompute is cached");
+
+    // Within the cap but over a quarter of the live rows (4 · 6 > 16).
+    assert!(!ask_full(&engine, "s").0);
+    let report = engine
+        .update_batch("s", &random_rows(&mut drv, 3), &[0, 1, 2])
+        .expect("valid");
+    assert_eq!((report.cache_patched, report.cache_dropped), (0, 1));
+    assert!(!ask_full(&engine, "s").0, "an over-quarter batch purges");
 }

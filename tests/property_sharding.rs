@@ -113,7 +113,6 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
         planner: PlannerConfig {
             small_n: 8,
             sharded_min_n: 16,
-            ..PlannerConfig::default()
         },
         ..EngineConfig::default()
     });
@@ -235,8 +234,8 @@ fn check_scenario(k: usize, kind: PartitionerKind, d: usize, n0: usize, ops: usi
     }
     run_query(&model, &mut drv);
 
-    // A cold re-registration of the final state (no cache, no delta
-    // log) must plan through the sharded tier whenever it is eligible:
+    // A cold re-registration of the final state (no cache, no
+    // mutation history) must plan through the sharded tier whenever it is eligible:
     // multiple shards and at least `sharded_min_n` live rows.
     if k > 1 && d >= 2 && model.rows.len() >= 16 {
         engine.register_sharded("cold", model.materialize(d), k, kind);

@@ -89,12 +89,16 @@ fn mixed_tenants_stress_with_interleaved_mutations() {
                 // mutation racing in between surfaces as a structured
                 // VersionUnavailable, not a torn result.
                 let entry = engine.dataset(name).expect("registered");
-                let mut query = subspace_query(name, i).pin_version(entry.version());
-                if i % 11 == 0 {
+                let query = if i % 11 == 0 {
                     // An already-expired deadline: must terminate
-                    // without executing.
-                    query = query.deadline(Duration::ZERO);
-                }
+                    // without executing. Nothing else asks dims [2],
+                    // so it is never a cache hit (a hit is answered at
+                    // submission, deadline or not).
+                    SkylineQuery::new(name).dims([2]).deadline(Duration::ZERO)
+                } else {
+                    subspace_query(name, i)
+                };
+                let query = query.pin_version(entry.version());
                 let ticket = match session.submit(&query) {
                     Ok(ticket) => ticket,
                     Err(EngineError::VersionUnavailable { .. }) => {
